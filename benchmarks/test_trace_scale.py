@@ -58,7 +58,6 @@ REQUIRED_TOP_KEYS = {
     "schema_version",
     "cpu_count",
     "workers",
-    "transport",
     "smoke",
     "results",
 }
@@ -233,7 +232,6 @@ def test_trace_scale_benchmark():
         "schema_version": BENCH_SCHEMA_VERSION,
         "cpu_count": os.cpu_count() or 1,
         "workers": BENCH_WORKERS,
-        "transport": os.environ.get("REPRO_TRACE_TRANSPORT", "mmap"),
         "smoke": smoke,
         "results": [_measure(scale) for scale in scales],
     }

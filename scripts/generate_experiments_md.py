@@ -220,7 +220,11 @@ worked scale=0.01 example):
   processes with byte-identical output for every shards/workers choice;
 * `REPRO_TRACE_WORKERS` and `REPRO_TRACE_CACHE` apply the same knobs (plus
   an on-disk dataset cache keyed by the generation config) to every
-  trace-backed experiment in this report;
+  trace-backed experiment in this report. Cache entries are written in the
+  uncompressed `mmap` column format (`.cols`: page-aligned little-endian
+  column arrays opened zero-copy — see PERF.md); gzipped v2 `.cols.gz`
+  entries keep working, since either reader falls back to the other
+  format's file on a miss, and a version-mismatched entry is just a miss;
 * `BENCH_trace.json` (from `benchmarks/test_trace_scale.py`, smoke-run by
   `scripts/check.sh bench`) records broadcasts/sec serial vs parallel at
   scales 0.001-0.05.

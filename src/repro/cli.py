@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.experiments.registry import get_experiment, list_experiments, run_experiment
 
@@ -102,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk dataset cache for the 'trace' target (keyed by config hash)",
     )
     parser.add_argument(
-        "--cache-format", choices=("v1", "v2", "mmap"), default="v2",
+        "--cache-format", choices=("mmap", "v2"), default="mmap",
         help=(
-            "serialization for new 'trace' cache entries: v2 binary "
-            "columnar (default), v1 gzipped JSONL, or mmap uncompressed "
-            "page-aligned columns (opened zero-copy); all store identical "
-            "datasets and every cache reads the others' files"
+            "serialization for new 'trace' cache entries: mmap "
+            "uncompressed page-aligned columns opened zero-copy (default), "
+            "or v2 gzipped columns (smaller on disk, slower to write); "
+            "both store identical datasets and each cache reads the "
+            "other's files"
         ),
     )
     parser.add_argument(
@@ -217,15 +218,13 @@ def _render_trace(args: argparse.Namespace) -> str:
     # Per-phase wall times from the registry (graph is part of context).
     gauges = snapshot["gauges"]
     phases = [
-        ("graph", "trace.graph_seconds"),
-        ("context", "trace.context_seconds"),
-        ("generate", "trace.generate_seconds"),
-        ("merge", "trace.merge_seconds"),
+        ("graph", "trace.graph_seconds", ""),
+        ("context", "trace.context_seconds", ""),
+        ("generate", "trace.generate_seconds", ""),
+        ("merge", "trace.merge_seconds", " (streamed)"),
     ]
-    streamed = gauges.get("trace.merge_streamed", {}).get("value", 0) > 0
-    for label, gauge_name in phases:
+    for label, gauge_name, suffix in phases:
         if gauge_name in gauges:
-            suffix = " (streamed)" if streamed and gauge_name == "trace.merge_seconds" else ""
             lines.append(f"phase {label:<9} {gauges[gauge_name]['value']:.2f}s{suffix}")
     if "trace.peak_rss_mb" in gauges:
         lines.append(f"peak RSS        {gauges['trace.peak_rss_mb']['value']:.0f} MB")
@@ -236,9 +235,9 @@ def _render_trace(args: argparse.Namespace) -> str:
             f"dataset cache   hit ({args.cache_dir}, key {config.cache_key()})"
         )
     elif args.cache_dir:
-        # When the mmap format was requested, the streamed merge writes
-        # the entry directly; other formats go through a normal `put`.
-        if streamed and args.cache_format == "mmap":
+        # An mmap entry is the streamed merge's own output; v2 goes
+        # through a normal `put`.
+        if args.cache_format == "mmap":
             stored = "mmap (streamed merge)"
         else:
             stored = args.cache_format
@@ -280,7 +279,7 @@ def _resume_invocation(args: argparse.Namespace) -> str:
         parts += ["--app", args.app]
     if args.cache_dir:
         parts += ["--cache-dir", str(args.cache_dir)]
-    if args.cache_format != "v2":
+    if args.cache_format != "mmap":
         parts += ["--cache-format", args.cache_format]
     if args.sanitize:
         parts.append("--sanitize")
@@ -304,11 +303,14 @@ def _interrupt_summary(args: argparse.Namespace) -> str:
     )
 
 
-def _render_chaos(seed: int, intensity: float) -> str:
+def _render_chaos(args: argparse.Namespace) -> str:
     """Run the chaos pair and format the naive/resilient comparison."""
     from repro.faults.scenario import run_chaos_pair
 
-    naive, resilient = run_chaos_pair(seed=seed, fault_intensity=intensity)
+    seed = args.seed if args.seed is not None else 7
+    intensity = args.intensity if args.intensity is not None else 1.0
+    with _sanitizer_guard(args):
+        naive, resilient = run_chaos_pair(seed=seed, fault_intensity=intensity)
     rows = [
         ("crawler coverage", f"{naive.coverage:.3f}", f"{resilient.coverage:.3f}"),
         ("chunk delivery ratio", f"{naive.delivery_ratio:.3f}", f"{resilient.delivery_ratio:.3f}"),
@@ -381,6 +383,49 @@ def _sanitizer_guard(args: argparse.Namespace, workers: int = 1):
     return DeterminismSanitizer(workers=workers)
 
 
+class _TargetExit(Exception):
+    """Ends a special target early: the message goes to stderr and the
+    CLI exits with ``code`` (2 for a usage error, 130 for Ctrl-C)."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _render_metrics(args: argparse.Namespace) -> str:
+    """Run the instrumented scenario and dump its registry as JSON."""
+    from repro.obs.scenario import run_metrics_scenario
+
+    return run_metrics_scenario(seed=args.seed if args.seed is not None else 7).as_json()
+
+
+def _run_trace_target(args: argparse.Namespace) -> str:
+    """The 'trace' target: a usage problem or Ctrl-C ends it cleanly."""
+    if args.resume and not args.run_dir:
+        raise _TargetExit(2, "error: --resume requires --run-dir")
+    try:
+        with _sanitizer_guard(args, workers=args.workers if args.workers is not None else 1):
+            return _render_trace(args)
+    except KeyboardInterrupt:
+        # The manifest is flushed on every shard publish, so the run
+        # dir is already consistent — report progress, no traceback.
+        raise _TargetExit(130, _interrupt_summary(args)) from None
+    except ValueError as error:
+        # RunDirError or a malformed REPRO_TRACE_* knob: a usage
+        # problem, not a crash.
+        raise _TargetExit(2, f"error: {error}") from None
+
+
+#: Targets that run alone and print one report: what each does (for the
+#: "cannot be combined" error) and its renderer.
+_SPECIAL_TARGETS = {
+    "metrics": ("emits a JSON snapshot", _render_metrics),
+    "trace": ("generates a dataset", _run_trace_target),
+    "serve-bench": ("prints a serving-layer report", _render_serve_bench),
+    "chaos": ("prints a naive/resilient comparison", _render_chaos),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = list(argv) if argv is not None else sys.argv[1:]
     if arguments and arguments[0] == "lint":
@@ -400,6 +445,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if sink is not None:
             sink.write(text + "\n")
 
+    try:
+        return _dispatch(parser, args, emit)
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+def _dispatch(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    emit: Callable[[str], None],
+) -> int:
+    """Run what the command line asks for; returns the exit code."""
     if args.list:
         for experiment_id in list_experiments():
             registered = get_experiment(experiment_id)
@@ -411,88 +469,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         outcomes = validate()
         emit(render_scorecard(outcomes))
-        if sink is not None:
-            sink.close()
         return 0 if all(o.passed for o in outcomes) else 1
 
-    if "metrics" in args.experiments:
+    special = next((t for t in args.experiments if t in _SPECIAL_TARGETS), None)
+    if special is not None:
+        what, render = _SPECIAL_TARGETS[special]
         if len(args.experiments) > 1 or args.all:
             print(
-                "error: 'metrics' emits a JSON snapshot and cannot be combined "
-                "with other experiments",
+                f"error: '{special}' {what} and cannot be combined with other "
+                "experiments",
                 file=sys.stderr,
             )
-            return 2
-        from repro.obs.scenario import run_metrics_scenario
-
-        registry = run_metrics_scenario(seed=args.seed if args.seed is not None else 7)
-        emit(registry.as_json())
-        if sink is not None:
-            sink.close()
-        return 0
-
-    if "trace" in args.experiments:
-        if len(args.experiments) > 1 or args.all:
-            print(
-                "error: 'trace' generates a dataset and cannot be combined "
-                "with other experiments",
-                file=sys.stderr,
-            )
-            return 2
-        if args.resume and not args.run_dir:
-            print("error: --resume requires --run-dir", file=sys.stderr)
             return 2
         try:
-            with _sanitizer_guard(args, workers=args.workers if args.workers is not None else 1):
-                summary = _render_trace(args)
-        except KeyboardInterrupt:
-            # The manifest is flushed on every shard publish, so the run
-            # dir is already consistent — report progress, no traceback.
-            print(_interrupt_summary(args), file=sys.stderr)
-            if sink is not None:
-                sink.close()
-            return 130
-        except ValueError as error:
-            # RunDirError or a malformed REPRO_TRACE_* knob: a usage
-            # problem, not a crash.
-            print(f"error: {error}", file=sys.stderr)
-            if sink is not None:
-                sink.close()
-            return 2
-        emit(summary)
-        if sink is not None:
-            sink.close()
-        return 0
-
-    if "serve-bench" in args.experiments:
-        if len(args.experiments) > 1 or args.all:
-            print(
-                "error: 'serve-bench' prints a serving-layer report and cannot "
-                "be combined with other experiments",
-                file=sys.stderr,
-            )
-            return 2
-        emit(_render_serve_bench(args))
-        if sink is not None:
-            sink.close()
-        return 0
-
-    if "chaos" in args.experiments:
-        if len(args.experiments) > 1 or args.all:
-            print(
-                "error: 'chaos' prints a naive/resilient comparison and cannot "
-                "be combined with other experiments",
-                file=sys.stderr,
-            )
-            return 2
-        with _sanitizer_guard(args):
-            comparison = _render_chaos(
-                seed=args.seed if args.seed is not None else 7,
-                intensity=args.intensity if args.intensity is not None else 1.0,
-            )
-        emit(comparison)
-        if sink is not None:
-            sink.close()
+            emit(render(args))
+        except _TargetExit as stop:
+            print(stop, file=sys.stderr)
+            return stop.code
         return 0
 
     targets = list_experiments() if args.all else list(args.experiments)
@@ -505,7 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = [t for t in targets if t not in known]
     if unknown:
         print(f"error: unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(list_experiments())} (plus the special targets 'metrics', 'chaos', 'trace' and 'serve-bench')", file=sys.stderr)
+        print(f"known: {', '.join(list_experiments())} (plus the special targets {', '.join(map(repr, _SPECIAL_TARGETS))})", file=sys.stderr)
         return 2
 
     for index, experiment_id in enumerate(targets):
@@ -519,8 +512,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elapsed = time.perf_counter() - started
         emit(result.text)
         emit(f"[{experiment_id} regenerated in {elapsed:.1f}s]")
-    if sink is not None:
-        sink.close()
     return 0
 
 

@@ -7,9 +7,9 @@ One tiny on-disk format serves three jobs:
   writes the context's arrays once and every worker attaches read-only
   ``np.memmap`` views instead of unpickling megabyte buffers through
   ``initargs``,
-* returning shard output — workers write their day columns to per-shard
-  files and the parent maps them back, so the process boundary costs a
-  header parse and page mappings, not a pickle of every column,
+* shard output — every shard's day columns go to a per-shard file that
+  the streaming merge (:mod:`repro.parallel.merge`) reads, so the
+  process boundary carries a path, not a pickle of every column,
 * the uncompressed ``mmap`` dataset-cache format and the follow-graph
   cache (:mod:`repro.crawler.storage`, :mod:`repro.parallel.generate`),
   which let paper-scale datasets stream from disk instead of living in
@@ -229,14 +229,14 @@ class ArrayFileWriter:
             raise ValueError("array-file schema is empty")
         self.path = Path(path)
         self._specs: list[_ArraySpec] = []
+        self._positions: dict[str, int] = {}  # schema position of each name
         entries = []
         offset = 0
-        seen: set[str] = set()
         for name, dtype, shape in schema:
             name = str(name)
-            if name in seen:
+            if name in self._positions:
                 raise ValueError(f"duplicate array {name!r} in schema")
-            seen.add(name)
+            self._positions[name] = len(self._specs)
             dtype = np.dtype(dtype)
             if dtype.hasobject:
                 raise ValueError(f"cannot store object arrays (dtype {dtype})")
@@ -309,13 +309,13 @@ class ArrayFileWriter:
         needed.
         """
         self._require_open()
-        names = [spec.name for spec in self._specs[self._index :]]
-        if str(name) not in names:
+        position = self._positions.get(str(name), -1)
+        if position < self._index:
             raise ValueError(
                 f"{self.path}: array {name!r} is not appendable "
                 f"(not in the schema, or already sealed)"
             )
-        while self._specs[self._index].name != str(name):
+        while self._index < position:
             self._close_block()
         spec = self._specs[self._index]
         chunk = np.ascontiguousarray(chunk)

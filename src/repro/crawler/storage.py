@@ -3,14 +3,15 @@
 The paper released parts of its measurement datasets; this module gives
 the reproduction the same capability: broadcast datasets round-trip
 through gzip-compressed JSONL (one record per line, metadata on the first
-line — the v1 format) or through a binary columnar layout (v2: one JSON
-header line followed by the raw little-endian column arrays), and
-fine-grained delay traces through ``.npz`` bundles.
+line — the release format), through a binary columnar layout (v2: one
+JSON header line followed by the raw little-endian column arrays,
+gzipped), or through the uncompressed, memory-mappable ``mmap`` column
+file; fine-grained delay traces go through ``.npz`` bundles.
 
-Serialization is byte-deterministic in both formats (the gzip header's
-mtime is pinned to zero and v2 writes fixed-dtype little-endian buffers):
-the same dataset always produces the same bytes, which is what the
-sharded-generation determinism tests and the on-disk
+Serialization is byte-deterministic in every format (the gzip header's
+mtime is pinned to zero and the column formats write fixed-dtype
+little-endian buffers): the same dataset always produces the same bytes,
+which is what the sharded-generation determinism tests and the on-disk
 :class:`DatasetCache` rely on.
 """
 
@@ -285,14 +286,6 @@ def load_dataset_mapped(path: PathLike) -> BroadcastDataset:
     )
 
 
-def _save_v1(dataset: BroadcastDataset, path: Path) -> None:
-    path.write_bytes(dataset_to_bytes(dataset))
-
-
-def _load_v1(path: Path) -> BroadcastDataset:
-    return dataset_from_bytes(path.read_bytes(), source=str(path))
-
-
 def _save_v2(dataset: BroadcastDataset, path: Path) -> None:
     path.write_bytes(dataset_to_columnar_bytes(dataset))
 
@@ -304,7 +297,6 @@ def _load_v2(path: Path) -> BroadcastDataset:
 #: Cache serialization formats: file suffix, writer(dataset, path),
 #: reader(path).  ``mmap`` entries are opened zero-copy via ``np.memmap``.
 _CACHE_FORMATS = {
-    "v1": (".jsonl.gz", _save_v1, _load_v1),
     "v2": (".cols.gz", _save_v2, _load_v2),
     "mmap": (".cols", save_dataset_mapped, load_dataset_mapped),
 }
@@ -354,17 +346,17 @@ class DatasetCache:
     are swept on cache construction (only when their recorded pid is no
     longer alive, so concurrent writers are never disturbed).
 
-    ``fmt`` picks the serialization for new entries: ``"v2"`` (default)
-    is the binary columnar format, ``"v1"`` gzipped JSONL, ``"mmap"``
-    uncompressed page-aligned columns opened zero-copy with
-    ``np.memmap``.  Every cache reads entries any format wrote: on a
-    miss (or a corrupt entry) in its own format, ``get`` falls through
-    to the other formats' files.  An entry whose embedded format version
-    does not match its reader is treated as a miss and removed, like any
-    other corrupt entry.
+    ``fmt`` picks the serialization for new entries: ``"mmap"`` (default)
+    is uncompressed page-aligned columns opened zero-copy with
+    ``np.memmap``, ``"v2"`` the same columns gzipped — about a third of
+    the size on disk, paid for with a slow compressed write.  Each cache
+    reads entries the other format wrote: on a miss (or a corrupt entry)
+    in its own format, ``get`` falls through to the other format's file.
+    An entry whose embedded format version does not match its reader is
+    treated as a miss and removed, like any other corrupt entry.
     """
 
-    def __init__(self, root: PathLike, fmt: str = "v2") -> None:
+    def __init__(self, root: PathLike, fmt: str = "mmap") -> None:
         if fmt not in _CACHE_FORMATS:
             raise ValueError(
                 f"unknown cache format {fmt!r}; expected one of {sorted(_CACHE_FORMATS)}"
@@ -385,7 +377,7 @@ class DatasetCache:
         return self.root / f"trace-{key}{suffix}"
 
     def _formats_for(self, key: str):
-        """(fmt, path) probe order: own format first, then the others."""
+        """(fmt, path) probe order: own format first, then the other."""
         for fmt in dict.fromkeys((self.fmt, *sorted(_CACHE_FORMATS))):
             yield fmt, self.path_for(key, fmt)
 
@@ -393,8 +385,8 @@ class DatasetCache:
         """The cached dataset for ``key``, or ``None`` on a miss.
 
         A corrupt entry is treated as a miss and removed — and the probe
-        *falls through* to the other formats' files, so a corrupt entry
-        in the preferred format never masks a valid one in a fallback
+        *falls through* to the other format's file, so a corrupt entry
+        in the preferred format never masks a valid one in the fallback
         format.  Corruption covers a truncated gzip stream (``EOFError``
         — e.g. a file cut mid-byte by a non-atomic writer or a full
         disk), corrupted deflate data (``zlib.error``), a bad gzip header

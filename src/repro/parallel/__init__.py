@@ -21,8 +21,6 @@ from repro.parallel.faults import (
 from repro.parallel.generate import (
     generate_dataset,
     generate_trace,
-    resolve_merge,
-    resolve_transport,
     validate_environment,
 )
 from repro.parallel.merge import stream_merge_shards
@@ -40,8 +38,6 @@ __all__ = [
     "parse_fault_plan",
     "plan_shards",
     "read_manifest",
-    "resolve_merge",
-    "resolve_transport",
     "stream_merge_shards",
     "validate_environment",
 ]

@@ -33,11 +33,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
+from repro.crawler.arrayfile import atomic_output, read_arrays
 from repro.crawler.storage import sweep_stale_temps
 from repro.parallel.sharding import ShardSpec
 
@@ -77,10 +75,10 @@ def read_manifest(root: PathLike) -> Optional[dict]:
 class RunCheckpoint:
     """Journal of per-shard progress inside one run directory.
 
-    Construct via :meth:`open`; mutate only through :meth:`publish_shard`
-    / :meth:`write_shard`, which mark the shard done and flush the
-    manifest atomically.  ``resumed`` counts the shards already done when
-    the directory was opened — the work a restart did *not* repeat.
+    Construct via :meth:`open`; mutate only through :meth:`publish_shard`,
+    which marks the shard done and flushes the manifest atomically.
+    ``resumed`` counts the shards already done when the directory was
+    opened — the work a restart did *not* repeat.
     """
 
     def __init__(
@@ -204,20 +202,6 @@ class RunCheckpoint:
         """Atomically promote a finished temp file and journal the shard."""
         path = self.shard_path(shard_id)
         os.replace(temp_path, path)
-        self._done.add(shard_id)
-        self.flush()
-        return path
-
-    def write_shard(
-        self,
-        shard_id: int,
-        arrays: Mapping[str, np.ndarray],
-        meta: Optional[dict] = None,
-    ) -> Path:
-        """Checkpoint a shard generated in the parent (non-mmap transports)."""
-        path = self.shard_path(shard_id)
-        with atomic_output(path) as temp:
-            write_arrays(temp, arrays, meta=meta)
         self._done.add(shard_id)
         self.flush()
         return path

@@ -10,12 +10,13 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
 * every day draws from its own seed-derived substream, so results are
   schedule-independent — ``workers=1`` and ``workers=N`` produce
   byte-identical datasets for the same config,
-* the frozen :class:`~repro.workload.trace.ShardContext` ships to workers
-  through a page-aligned mmap'd file (:mod:`repro.crawler.arrayfile`) that
-  each worker attaches read-only — no per-process unpickling of the pool
-  and CDF buffers — and workers return their day columns the same way,
-  through per-shard array files the parent maps back (the legacy
-  ``transport="pickle"`` path is kept for comparison and testing),
+* every shard — generated in a pool worker, by the in-process fallback,
+  or in degraded mode — is written by one function to a checksummed
+  ``shard-NNNNN.arrays`` file (:mod:`repro.crawler.arrayfile`) in the
+  run dir or a scratch dir, and one handler publishes it; the frozen
+  :class:`~repro.workload.trace.ShardContext` ships to workers through a
+  page-aligned mmap'd file that each worker attaches read-only, so only
+  paths and timings cross the process boundary,
 * the pool loop *survives its workers*: shards are submitted individually
   and retried with capped backoff on failure, a per-shard deadline
   (``REPRO_TRACE_SHARD_DEADLINE``) convicts hung workers, a
@@ -30,15 +31,10 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
 * workloads too small to amortize pool startup fall back to the
   in-process walk (``MIN_BROADCASTS_PER_WORKER``) — the fallback only
   changes scheduling, never bytes,
-* shard outputs are merged either in memory — a stable argsort on
-  ``(start_time, broadcast_id)`` plus globally re-keyed IDs
-  (:func:`repro.workload.trace.assemble_dataset_columns`) — or, by
-  default whenever shard files already exist on disk (``run_dir`` or a
-  dataset cache), *out of core*: the streaming merge
-  (:mod:`repro.parallel.merge`) copies shard files straight into the
+* the shard files are merged *out of core* by the streaming merge
+  (:mod:`repro.parallel.merge`), which copies them straight into the
   final ``mmap`` cache format in bounded windows, so peak RSS never
-  holds the whole dataset.  Both merges produce byte-identical files
-  (test-enforced); ``REPRO_TRACE_MERGE`` overrides the choice,
+  holds the whole dataset,
 * an optional on-disk cache (:class:`repro.crawler.storage.DatasetCache`,
   keyed by :meth:`TraceConfig.cache_key`) lets figure experiments reuse
   generated traces across processes.  The cache is probed *before* any
@@ -63,13 +59,10 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from contextlib import ExitStack
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Optional, Union
-
-import numpy as np
 
 from repro.obs import NULL_REGISTRY, peak_rss_mb
 from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
@@ -85,31 +78,14 @@ from repro.parallel.faults import (
 from repro.parallel.sharding import ShardSpec, plan_shards
 from repro.social.graph import CompiledGraph
 from repro.workload.trace import (
-    BroadcastColumns,
     BroadcastDataset,
     ShardContext,
     TraceConfig,
     WorkloadTrace,
-    assemble_dataset_columns,
     build_follow_graph,
     build_trace_context,
     generate_day_columns,
 )
-
-#: Worker transports: ``"mmap"`` ships context and results through
-#: page-aligned array files workers attach with ``np.memmap``;
-#: ``"pickle"`` is the legacy initargs/return-value path.
-TRANSPORTS = ("mmap", "pickle")
-TRANSPORT_ENV = "REPRO_TRACE_TRANSPORT"
-
-#: Merge strategies: ``"stream"`` runs the out-of-core streaming merge
-#: (:mod:`repro.parallel.merge`) over shard files on disk; ``"memory"``
-#: concatenates every shard's columns in RAM
-#: (:func:`~repro.workload.trace.assemble_dataset_columns`).  Identical
-#: bytes either way; the default depends on whether shard files exist
-#: anyway (run dir or dataset cache present → ``"stream"``).
-MERGES = ("memory", "stream")
-MERGE_ENV = "REPRO_TRACE_MERGE"
 
 #: Below this expected per-worker broadcast volume a process pool costs
 #: more than it saves, so generation stays in-process.  Overridable via
@@ -145,8 +121,8 @@ _BACKOFF_CAP = 1.0
 #: Poll interval for the deadline clock; only paid when a deadline is set.
 _POLL_SECONDS = 0.05
 
-#: ShardContext array fields shipped through the mmap transport (the
-#: remaining fields — config and audience_cap — travel as initargs).
+#: ShardContext array fields shipped to workers through a mapped file
+#: (the remaining fields — config and audience_cap — travel as initargs).
 _CONTEXT_ARRAY_FIELDS = (
     "broadcaster_ids",
     "viewer_ids",
@@ -155,7 +131,7 @@ _CONTEXT_ARRAY_FIELDS = (
     "follower_counts",
 )
 
-#: BroadcastColumns array fields, in serialization order.
+#: BroadcastColumns array fields, in shard-file order.
 _COLUMN_FIELDS = (
     "broadcast_id",
     "broadcaster_id",
@@ -205,46 +181,6 @@ def _env_float(name: str, default: float) -> float:
         ) from None
 
 
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Validate a transport choice, naming its source in the error.
-
-    ``None`` consults ``REPRO_TRACE_TRANSPORT`` (default ``"mmap"``); an
-    unknown value — passed or from the environment — raises a
-    ``ValueError`` listing the accepted transports.
-    """
-    source = "transport argument"
-    if transport is None:
-        transport = os.environ.get(TRANSPORT_ENV, "mmap")
-        source = f"{TRANSPORT_ENV} environment variable"
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (from {source}); "
-            f"expected one of {TRANSPORTS}"
-        )
-    return transport
-
-
-def resolve_merge(merge: Optional[str] = None, default: str = "memory") -> str:
-    """Validate a merge-strategy choice, naming its source in the error.
-
-    ``None`` consults ``REPRO_TRACE_MERGE``, falling back to ``default``
-    (callers pass the context-appropriate one: ``"stream"`` when shard
-    files will exist on disk anyway, ``"memory"`` otherwise).  An
-    unknown value — passed or from the environment — raises a
-    ``ValueError`` listing the accepted strategies.
-    """
-    source = "merge argument"
-    if merge is None:
-        merge = os.environ.get(MERGE_ENV) or default
-        source = f"{MERGE_ENV} environment variable"
-    if merge not in MERGES:
-        raise ValueError(
-            f"unknown merge strategy {merge!r} (from {source}); "
-            f"expected one of {MERGES}"
-        )
-    return merge
-
-
 def validate_environment() -> None:
     """Fail fast on malformed generation env knobs.
 
@@ -253,8 +189,6 @@ def validate_environment() -> None:
     minutes into it.  Each check raises ``ValueError`` naming the
     variable and the accepted values.
     """
-    resolve_transport()
-    resolve_merge()
     fault_plan_from_env()
     _env_int(MIN_PER_WORKER_ENV, MIN_BROADCASTS_PER_WORKER)
     _env_int(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES)
@@ -265,90 +199,60 @@ def validate_environment() -> None:
 # -- worker-side shard execution ---------------------------------------
 
 
-def _init_worker(context: ShardContext) -> None:
+def _init_worker(config: TraceConfig, audience_cap: int, context_path: str) -> None:
+    """Attach read-only mapped views of the parent's context arrays."""
     global _WORKER_CONTEXT
+    arrays, _meta = read_arrays(context_path)
+    context = ShardContext(
+        config=config,
+        audience_cap=audience_cap,
+        **{name: arrays[name] for name in _CONTEXT_ARRAY_FIELDS},
+    )
     # Written exactly once per worker process, by the pool initializer,
     # before any shard runs — worker-local configuration, not shared state.
     _WORKER_CONTEXT = context  # repro: allow[worker-global-mutation] set once by the pool initializer before any shard task runs
 
 
-def _init_worker_mapped(config: TraceConfig, audience_cap: int, context_path: str) -> None:
-    """Attach read-only mapped views of the parent's context arrays."""
-    arrays, _meta = read_arrays(context_path)
-    _init_worker(
-        ShardContext(
-            config=config,
-            audience_cap=audience_cap,
-            **{name: arrays[name] for name in _CONTEXT_ARRAY_FIELDS},
-        )
-    )
+def _write_shard(
+    spec: ShardSpec, context: ShardContext, out_dir: str
+) -> tuple[int, str, float]:
+    """Generate one shard's days and write them to a shard file.
 
-
-def _run_shard(
-    spec: ShardSpec, context: Optional[ShardContext] = None, attempt: int = 0
-) -> tuple[int, list[BroadcastColumns], float]:
-    """Generate one shard's day range; returns (shard_id, day columns, seconds).
-
-    Worker-side pipeline faults fire only on the pooled path (``context``
-    is ``None``) — an injected ``os._exit`` must kill a *worker*, never
-    the parent running the in-process fallback.
+    The one shard writer: pool workers, the in-process fallback and the
+    degraded mode all produce their shards here.  The file is written
+    under a ``.tmp<pid>`` name — the parent promotes it with
+    ``os.replace`` (directly, or through the run checkpoint), so a worker
+    killed mid-write can never leave a plausible-looking shard file
+    behind.  Returns ``(shard_id, temp_path, seconds)``, the seconds
+    covering generation only — just metadata crosses the process
+    boundary.
     """
-    ctx = context if context is not None else _WORKER_CONTEXT
-    if ctx is None:
-        raise RuntimeError("worker process has no shard context (initializer not run)")
-    if context is None:
-        inject_worker_fault(fault_plan_from_env(), spec.shard_id, attempt)
     started = time.perf_counter()
-    day_columns = [generate_day_columns(ctx, day) for day in spec.days()]
-    return spec.shard_id, day_columns, time.perf_counter() - started
-
-
-def _columns_to_arrays(day_columns: list[BroadcastColumns]) -> dict[str, np.ndarray]:
-    """Flatten per-day column batches into array-file entries."""
-    arrays = {}
-    for position, columns in enumerate(day_columns):
-        for field in _COLUMN_FIELDS:
-            arrays[f"{position:03d}/{field}"] = getattr(columns, field)
-    return arrays
-
-
-def _run_shard_mapped(
-    spec: ShardSpec, out_dir: str, attempt: int = 0
-) -> tuple[int, str, int, float]:
-    """Generate one shard and write its day columns to an array file.
-
-    The file is written under a ``.tmp<pid>`` name — the parent promotes
-    it with ``os.replace`` (directly, or through the run checkpoint), so
-    a worker killed mid-write can never leave a plausible-looking shard
-    file behind.  Returns ``(shard_id, temp_path, n_days, seconds)`` —
-    only metadata crosses the process boundary; the parent maps the
-    columns back.
-    """
-    shard_id, day_columns, seconds = _run_shard(spec, attempt=attempt)
+    day_columns = [generate_day_columns(context, day) for day in spec.days()]
+    seconds = time.perf_counter() - started
+    arrays = {
+        f"{position:03d}/{field}": getattr(columns, field)
+        for position, columns in enumerate(day_columns)
+        for field in _COLUMN_FIELDS
+    }
     temp = Path(out_dir) / f"{shard_filename(spec.shard_id)}.tmp{os.getpid()}"
-    write_arrays(temp, _columns_to_arrays(day_columns), meta={"n_days": len(day_columns)})
-    return shard_id, str(temp), len(day_columns), seconds
+    write_arrays(temp, arrays, meta={"n_days": len(day_columns)})
+    return spec.shard_id, str(temp), seconds
 
 
-def _read_shard_columns(
-    path: Union[str, Path], app_name: str, copy: bool = False
-) -> list[BroadcastColumns]:
-    """Map a shard file back as per-day column batches.
+def _write_shard_in_worker(
+    spec: ShardSpec, out_dir: str, attempt: int
+) -> tuple[int, str, float]:
+    """Pool-worker entry point: fire any injected worker fault, then
+    :func:`_write_shard` with the context the initializer attached.
 
-    ``copy=True`` materializes the columns in RAM instead of leaving them
-    as ``np.memmap`` views — required before deliberately damaging the
-    file (persist-fault injection), where a mapped view would SIGBUS.
+    Worker faults fire only here — an injected ``os._exit`` must kill a
+    *worker*, never the parent running the in-process fallback.
     """
-    arrays, meta = read_arrays(path)
-    if copy:
-        arrays = {name: np.array(array, copy=True) for name, array in arrays.items()}
-    return [
-        BroadcastColumns(
-            app_name=app_name,
-            **{field: arrays[f"{position:03d}/{field}"] for field in _COLUMN_FIELDS},
-        )
-        for position in range(int(meta["n_days"]))
-    ]
+    if _WORKER_CONTEXT is None:
+        raise RuntimeError("worker process has no shard context (initializer not run)")
+    inject_worker_fault(fault_plan_from_env(), spec.shard_id, attempt)
+    return _write_shard(spec, _WORKER_CONTEXT, out_dir)
 
 
 def effective_workers(config: TraceConfig, n_shards: int) -> int:
@@ -392,12 +296,15 @@ def _persist_fault_pending(
 def _run_shards_resilient(
     pending: list[ShardSpec],
     make_pool: Callable[[], ProcessPoolExecutor],
-    submit_shard: Callable[[ProcessPoolExecutor, ShardSpec, int], Future],
-    handle_result: Callable[[ShardSpec, int, tuple], None],
+    out_dir: str,
+    publish: Callable[[ShardSpec, int, tuple], None],
     run_inline: Callable[[ShardSpec, int], None],
     registry,
 ) -> None:
     """Drive shard futures to completion through worker failures.
+
+    Each worker writes its shard's temp file into ``out_dir``; every
+    finished result goes to ``publish``.
 
     Individual task failures are retried with capped backoff up to
     ``REPRO_TRACE_SHARD_RETRIES`` extra attempts.  Pool-level failures —
@@ -449,7 +356,7 @@ def _run_shards_resilient(
                 if attempt:
                     time.sleep(min(_BACKOFF_BASE * 2 ** (attempt - 1), _BACKOFF_CAP))
                 try:
-                    future = submit_shard(pool, spec, attempt)
+                    future = pool.submit(_write_shard_in_worker, spec, out_dir, attempt)
                 except BrokenProcessPool:
                     queue.appendleft(spec)
                     broken = True
@@ -469,7 +376,7 @@ def _run_shards_resilient(
                     running_since.pop(future, None)
                     error = future.exception()
                     if error is None:
-                        handle_result(spec, attempt, future.result())
+                        publish(spec, attempt, future.result())
                     elif isinstance(error, BrokenProcessPool):
                         # The pool died under this shard; the common
                         # requeue below charges it with the rest.
@@ -495,7 +402,7 @@ def _run_shards_resilient(
                 casualties = []
                 for future, (spec, attempt) in inflight.items():
                     if future.done() and future.exception() is None:
-                        handle_result(spec, attempt, future.result())
+                        publish(spec, attempt, future.result())
                     else:
                         casualties.append(spec)
                 inflight.clear()
@@ -532,44 +439,33 @@ def generate_dataset(
     config: TraceConfig,
     context: ShardContext,
     registry=NULL_REGISTRY,
-    transport: Optional[str] = None,
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
-    merge: Optional[str] = None,
     merge_path: Optional[Union[str, Path]] = None,
 ) -> BroadcastDataset:
     """Generate the broadcast dataset from a prebuilt context.
 
     Honours ``config.shards`` / ``config.workers``; the output is
-    independent of both (test-enforced).  ``transport`` picks how context
-    and results cross the process boundary (``"mmap"`` default,
-    ``"pickle"`` legacy; env override ``REPRO_TRACE_TRANSPORT``) and is
-    equally output-invariant.
+    independent of both (test-enforced).  Every shard becomes a
+    ``shard-NNNNN.arrays`` file, and
+    :func:`~repro.parallel.merge.stream_merge_shards` builds the dataset
+    from those files out of core.
 
     With a ``run_dir``, finished shards are checkpointed there
     (:class:`~repro.parallel.checkpoint.RunCheckpoint`) and — when
-    ``resume`` is true — shards already journaled ``done`` are loaded
+    ``resume`` is true — shards already journaled ``done`` are merged
     from disk instead of regenerated, so an interrupted run repeats no
-    finished work.  Checkpointing never changes the merged bytes.
+    finished work.  Without one, shard files live in a scratch directory
+    (under ``$TMPDIR``) removed on return.  Checkpointing never changes
+    the merged bytes.
 
-    ``merge`` picks the shard-merge strategy (:data:`MERGES`; env
-    override ``REPRO_TRACE_MERGE``).  ``None`` defaults to the streaming
-    out-of-core merge whenever shard files exist on disk anyway
-    (``run_dir`` or ``merge_path`` given), in-memory otherwise — either
-    way the dataset bytes are identical.  ``merge_path`` names where the
-    streamed merge publishes its ``mmap``-format file (this is how
-    :func:`generate_trace` streams straight into the dataset-cache
-    entry); default is ``<run_dir>/merged.cols``, or a scratch file when
-    neither is given.
+    ``merge_path`` names where the merge publishes its ``mmap``-format
+    file (this is how :func:`generate_trace` streams straight into the
+    dataset-cache entry); default is ``<run_dir>/merged.cols``, or a
+    scratch file.  The returned dataset maps that file read-only; on
+    POSIX the mapping outlives the scratch file's unlink.
     """
-    merge = resolve_merge(
-        merge,
-        default="stream" if (run_dir is not None or merge_path is not None) else "memory",
-    )
-    stream = merge == "stream"
-    transport = resolve_transport(transport)
     fault_plan = fault_plan_from_env()
-
     specs = plan_shards(config.growth.days, shards=config.shards, workers=config.workers)
     workers = effective_workers(config, len(specs))
 
@@ -586,160 +482,59 @@ def generate_dataset(
     )
 
     generate_started = time.perf_counter()
-    results: dict[int, list[BroadcastColumns]] = {}
     shard_files: dict[int, Path] = {}
+    if checkpoint is not None:
+        for shard_id in checkpoint.done_shards:
+            shard_files[shard_id] = checkpoint.shard_path(shard_id)
+        registry.counter(
+            "trace.shards_resumed", "checkpointed shards loaded instead of regenerated"
+        ).inc(checkpoint.resumed)
+    pending = [spec for spec in specs if spec.shard_id not in shard_files]
 
-    # Scratch space and the mmap transport dir are stack-managed so that
-    # in stream mode the shard files survive until the merge has read
-    # them; on POSIX the merged dataset's mappings survive the cleanup
-    # unlink, so the returned dataset outlives the stack.
-    with ExitStack() as stack:
-        scratch: Optional[Path] = None
-        if stream:
-            scratch = Path(
-                stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-trace-merge-"))
-            )
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        scratch = Path(tmp)
+        out_dir = checkpoint.root if checkpoint is not None else scratch
 
-        if checkpoint is not None and checkpoint.done_shards:
-            for shard_id in sorted(checkpoint.done_shards):
-                if stream:
-                    shard_files[shard_id] = checkpoint.shard_path(shard_id)
-                else:
-                    results[shard_id] = _read_shard_columns(
-                        checkpoint.shard_path(shard_id), config.app_name
-                    )
-            registry.counter(
-                "trace.shards_resumed", "checkpointed shards loaded instead of regenerated"
-            ).inc(checkpoint.resumed)
-        pending = [
-            spec
-            for spec in specs
-            if spec.shard_id not in results and spec.shard_id not in shard_files
-        ]
-
-        def _persist_columns(
-            spec: ShardSpec, attempt: int, day_columns: list[BroadcastColumns]
-        ) -> None:
-            """Persist parent-held columns (in-process and pickle paths).
-
-            Journals to the checkpoint when there is one; in stream mode
-            additionally guarantees a *clean* shard file for the merge to
-            read — the checkpoint copy when no persist fault is about to
-            damage it, a scratch copy otherwise.
-            """
-            path = None
-            if checkpoint is not None:
-                path = checkpoint.write_shard(
-                    spec.shard_id,
-                    _columns_to_arrays(day_columns),
-                    meta={"n_days": len(day_columns)},
-                )
-            if stream:
-                will_fault = path is not None and _persist_fault_pending(
-                    fault_plan, spec.shard_id, attempt
-                )
-                if path is None or will_fault:
-                    clean = scratch / shard_filename(spec.shard_id)
-                    write_arrays(
-                        clean,
-                        _columns_to_arrays(day_columns),
-                        meta={"n_days": len(day_columns)},
-                    )
-                    shard_files[spec.shard_id] = clean
-                else:
-                    shard_files[spec.shard_id] = path
-            if path is not None:
-                inject_persist_fault(fault_plan, spec.shard_id, attempt, path)
-
-        def _finish_inline(spec: ShardSpec, attempt: int = 0) -> None:
-            """Generate one shard in-process (fallback and degraded modes)."""
-            shard_id, day_columns, seconds = _run_shard(spec, context)
-            _persist_columns(spec, attempt, day_columns)
-            if not stream:
-                results[shard_id] = day_columns
+        def _publish(spec: ShardSpec, attempt: int, result: tuple) -> None:
+            """Promote a finished shard file and record it for the merge."""
+            shard_id, temp_path, seconds = result
+            if checkpoint is None:
+                shard_files[shard_id] = scratch / shard_filename(shard_id)
+                os.replace(temp_path, shard_files[shard_id])
+            elif _persist_fault_pending(fault_plan, shard_id, attempt):
+                # The injected damage is for a later resume to find; the
+                # merge reads a clean copy taken before it lands.
+                path = checkpoint.publish_shard(shard_id, temp_path)
+                shard_files[shard_id] = scratch / shard_filename(shard_id)
+                shutil.copyfile(path, shard_files[shard_id])
+                inject_persist_fault(fault_plan, shard_id, attempt, path)
+            else:
+                shard_files[shard_id] = checkpoint.publish_shard(shard_id, temp_path)
             shard_seconds.observe(seconds)
 
+        def _run_inline(spec: ShardSpec, attempt: int = 0) -> None:
+            """Generate one shard in-process (fallback and degraded modes)."""
+            _publish(spec, attempt, _write_shard(spec, context, str(out_dir)))
+
         if workers <= 1:
-            # In-process fallback: same shard walk, no executor.
             for spec in pending:
-                _finish_inline(spec)
-        elif not pending:
-            pass  # fully resumed: nothing left to schedule
-        elif transport == "pickle":
-
-            def _handle_pickle(spec: ShardSpec, attempt: int, result: tuple) -> None:
-                shard_id, day_columns, seconds = result
-                _persist_columns(spec, attempt, day_columns)
-                if not stream:
-                    results[shard_id] = day_columns
-                shard_seconds.observe(seconds)
-
-            _run_shards_resilient(
-                pending,
-                make_pool=lambda: ProcessPoolExecutor(
-                    max_workers=workers, initializer=_init_worker, initargs=(context,)
-                ),
-                submit_shard=lambda pool, spec, attempt: pool.submit(
-                    _run_shard, spec, None, attempt
-                ),
-                handle_result=_handle_pickle,
-                run_inline=_finish_inline,
-                registry=registry,
-            )
-        else:
-            # Zero-copy transport: context goes out as one mapped file, day
-            # columns come back as per-shard files.  With a checkpoint the
-            # shard files live (and stay) in the run dir; otherwise they sit
-            # in a stack-scoped temp dir — on POSIX the mappings (and thus
-            # the merged dataset) survive the cleanup unlink.
-            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-trace-"))
-            context_path = Path(tmp) / "context.arrays"
+                _run_inline(spec)
+        elif pending:
+            context_path = scratch / "context.arrays"
             write_arrays(
                 context_path,
                 {name: getattr(context, name) for name in _CONTEXT_ARRAY_FIELDS},
             )
-            out_dir = str(checkpoint.root) if checkpoint is not None else tmp
-
-            def _handle_mapped(spec: ShardSpec, attempt: int, result: tuple) -> None:
-                shard_id, temp_path, _n_days, seconds = result
-                if checkpoint is not None:
-                    path = checkpoint.publish_shard(shard_id, temp_path)
-                else:
-                    path = Path(tmp) / shard_filename(shard_id)
-                    os.replace(temp_path, path)
-                # A persist fault about to damage this file means a mapped
-                # view would SIGBUS (memory merge) and the merge input would
-                # be corrupt (streamed) — take a private clean copy first.
-                will_fault = checkpoint is not None and _persist_fault_pending(
-                    fault_plan, shard_id, attempt
-                )
-                if stream:
-                    if will_fault:
-                        clean = scratch / shard_filename(shard_id)
-                        shutil.copyfile(path, clean)
-                        shard_files[shard_id] = clean
-                    else:
-                        shard_files[shard_id] = path
-                else:
-                    results[shard_id] = _read_shard_columns(
-                        path, config.app_name, copy=will_fault
-                    )
-                if checkpoint is not None:
-                    inject_persist_fault(fault_plan, shard_id, attempt, path)
-                shard_seconds.observe(seconds)
-
             _run_shards_resilient(
                 pending,
                 make_pool=lambda: ProcessPoolExecutor(
                     max_workers=workers,
-                    initializer=_init_worker_mapped,
+                    initializer=_init_worker,
                     initargs=(config, context.audience_cap, str(context_path)),
                 ),
-                submit_shard=lambda pool, spec, attempt: pool.submit(
-                    _run_shard_mapped, spec, out_dir, attempt
-                ),
-                handle_result=_handle_mapped,
-                run_inline=_finish_inline,
+                out_dir=str(out_dir),
+                publish=_publish,
+                run_inline=_run_inline,
                 registry=registry,
             )
         registry.gauge(
@@ -747,32 +542,18 @@ def generate_dataset(
         ).set(time.perf_counter() - generate_started)
 
         merge_started = time.perf_counter()
-        if stream:
-            if merge_path is not None:
-                out_path = Path(merge_path)
-            elif checkpoint is not None:
-                out_path = checkpoint.root / "merged.cols"
-            else:
-                out_path = scratch / "merged.cols"
-            dataset = stream_merge_shards(
-                config,
-                [shard_files[shard_id] for shard_id in sorted(shard_files)],
-                out_path,
-            )
-        else:
-            ordered_days = [
-                day_columns
-                for shard_id in sorted(results)
-                for day_columns in results[shard_id]
-            ]
-            dataset = assemble_dataset_columns(config, ordered_days)
+        dataset = stream_merge_shards(
+            config,
+            [shard_files[shard_id] for shard_id in sorted(shard_files)],
+            merge_path if merge_path is not None else out_dir / "merged.cols",
+        )
     registry.gauge(
         "trace.merge_seconds", "wall seconds merging and re-keying shard output"
     ).set(time.perf_counter() - merge_started)
     registry.gauge(
         "trace.merge_streamed",
-        "1 when the out-of-core streaming merge produced the dataset, 0 in-memory",
-    ).set(1.0 if stream else 0.0)
+        "1 when the out-of-core streaming merge produced the dataset (always)",
+    ).set(1.0)
     rss = peak_rss_mb()
     if rss is not None:
         registry.gauge(
@@ -841,10 +622,9 @@ def generate_trace(
     config: TraceConfig,
     cache_dir: Optional[Union[str, Path]] = None,
     registry=NULL_REGISTRY,
-    cache_format: str = "v2",
+    cache_format: str = "mmap",
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
-    merge: Optional[str] = None,
 ) -> WorkloadTrace:
     """Generate (or load from cache) a full :class:`WorkloadTrace`.
 
@@ -855,23 +635,19 @@ def generate_trace(
     follow graph becomes a lazy attribute — built, or attached from the
     graph cache, only if an analysis actually touches ``trace.graph``.
     Only on a miss does the full precompute run.  ``cache_format`` picks
-    the cache serialization (``"v2"`` binary columnar, ``"v1"`` gzipped
-    JSONL, ``"mmap"`` uncompressed mappable columns); all store the
-    identical dataset.
+    the cache serialization (``"mmap"`` uncompressed mappable columns,
+    the default, or ``"v2"`` gzipped columns); both store the identical
+    dataset.
 
     ``run_dir`` / ``resume`` enable shard checkpointing — see
     :func:`generate_dataset` and :mod:`repro.parallel.checkpoint`.
 
-    ``merge`` picks the shard-merge strategy (:data:`MERGES`, env
-    override ``REPRO_TRACE_MERGE``); ``None`` defaults to the streaming
-    out-of-core merge whenever a ``cache_dir`` or ``run_dir`` is given.
-    When the merge streams *and* the cache's format is ``mmap``, the
-    merged file is published directly as the cache entry (atomically,
-    under the same temp-name discipline the cache sweeps) — the
-    post-merge ``cache.put`` copy is skipped entirely, so the dataset is
-    serialized exactly once.  Other cache formats are an explicit
-    compression choice, so the streamed merge file stays local and
-    ``put`` stores the requested format as usual.
+    With the ``mmap`` cache format the streamed merge publishes its file
+    directly as the cache entry (atomically, under the same temp-name
+    discipline the cache sweeps) — there is no post-merge ``cache.put``
+    copy, so the dataset is serialized exactly once.  ``v2`` is an
+    explicit compression choice: the merged file stays in the run dir
+    (or scratch) and ``put`` stores the compressed entry.
     """
     validate_environment()
 
@@ -914,20 +690,12 @@ def generate_trace(
         "trace.context_seconds", "wall seconds in precompute (graph + pools)"
     ).set(graph_seconds + (time.perf_counter() - context_started))
 
-    merge = resolve_merge(
-        merge,
-        default="stream" if (cache_dir is not None or run_dir is not None) else "memory",
-    )
     merge_path = None
-    if merge == "stream" and cache is not None and cache.fmt == "mmap":
-        # Stream the merge straight into the cache entry — the streamed
-        # output IS the mmap format.  ArrayFileWriter stages the file as
+    if cache is not None and cache.fmt == "mmap":
+        # The merged file IS the mmap entry.  ArrayFileWriter stages it as
         # `trace-<key>.cols.tmp<pid>`, which matches the cache's stale
         # temp sweep, and publishes with the same os.replace the cache
-        # itself uses — the entry appears whole or not at all.  Other
-        # cache formats are compression choices the user made explicitly,
-        # so there the streamed merge file stays in the run dir (or
-        # scratch) and `put` serializes the requested format as before.
+        # itself uses — the entry appears whole or not at all.
         merge_path = cache.path_for(config.cache_key())
 
     dataset = generate_dataset(
@@ -936,7 +704,6 @@ def generate_trace(
         registry=registry,
         run_dir=run_dir,
         resume=resume,
-        merge=merge,
         merge_path=merge_path,
     )
     if cache is not None and merge_path is None:

@@ -1,19 +1,20 @@
 """Out-of-core streaming merge: shard files flow straight into the
 ``mmap`` cache format.
 
-The in-memory merge (:func:`repro.workload.trace.assemble_dataset_columns`)
-is the one phase where every shard's columns coexist in RAM — at the
-paper's full scale (~19.6M broadcasts / 705M views) the viewer CSR alone
-is ~5.6 GB of int64, and ``DatasetCache.put`` then serializes a second
-full copy.  This module replaces that with a sequential file-to-file
-copy whose peak heap is one bounded window (:data:`STREAM_CHUNK_BYTES`),
-regardless of dataset size.
+An in-memory merge would hold every shard's columns in RAM at once — at
+the paper's full scale (~19.6M broadcasts / 705M views) the viewer CSR
+alone is ~5.6 GB of int64, and a cache write would then serialize a
+second full copy.  This module is a sequential file-to-file copy whose
+peak heap is one bounded window (:data:`STREAM_CHUNK_BYTES`), regardless
+of dataset size; it is the only way
+:func:`repro.parallel.generate.generate_dataset` builds a dataset.
 
 Why a *sequential* merge is the *sorted* merge: shards are contiguous
 day ranges, rows within a day are sorted by ``start_time`` (ties broken
 by day-local ID, which equals storage order), and day offsets never
 cross a day boundary — so concatenating shards in shard order **is** the
-global ``(start_time, id)`` order the in-memory path produces with its
+global ``(start_time, id)`` order that the tests' in-memory oracle
+(:func:`repro.workload.trace.assemble_dataset_columns`) produces with its
 lexsort.  Only two per-shard fixups remain, both computable from a
 running scalar:
 
@@ -25,14 +26,14 @@ running scalar:
 Everything else is a raw block copy.  The output is written with
 :class:`~repro.crawler.arrayfile.ArrayFileWriter` — checksums accumulate
 incrementally and the file publishes atomically — and is **byte-identical**
-to ``save_dataset_mapped`` of the in-memory merge (test-enforced for
-every shards/workers/transport choice), which is what lets
+to ``save_dataset_mapped`` of the in-memory oracle (test-enforced for
+every shards/workers choice), which is what lets
 :func:`repro.parallel.generate.generate_trace` publish the merge output
 directly *as* the dataset-cache entry and skip ``put`` entirely.
 
 Reads go through bounded ``file.read`` windows rather than ``np.memmap``
 on purpose: resident file-backed mappings count toward RSS, so a mapped
-merge would look exactly like the in-memory one to the
+merge would look exactly like an in-memory one to the
 ``trace.peak_rss_mb`` gate in ``scripts/check.sh bench``.
 """
 
@@ -120,8 +121,7 @@ def stream_merge_shards(
     """Merge shard files into one ``mmap``-format dataset file, out of core.
 
     ``shard_paths`` must be the run's shard files in shard (= day) order —
-    checkpointed ``shard-NNNNN.arrays`` files or their transport
-    equivalents.  The merged file is staged and published atomically at
+    ``shard-NNNNN.arrays`` files from a run dir or a scratch dir.  The merged file is staged and published atomically at
     ``out_path``; the returned dataset attaches it as read-only
     ``np.memmap`` views (valid even if ``out_path`` is later unlinked, so
     scratch-directory merges work).

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -334,8 +334,9 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     own substream, so the result does not depend on which shard or worker
     runs it.  Every random quantity is drawn as one batched call in a
     fixed order, so the draw schedule depends only on the day's broadcast
-    count.  Broadcast IDs are day-local (1-based) placeholders;
-    :func:`assemble_dataset_columns` re-keys them globally.
+    count.  Broadcast IDs are day-local (1-based) placeholders; the merge
+    (:func:`repro.parallel.merge.stream_merge_shards`) re-keys them
+    globally.
     """
     config = context.config
     params_model = config.params
@@ -394,38 +395,18 @@ def generate_day_records(context: ShardContext, day: int) -> list[BroadcastRecor
     return generate_day_columns(context, day).to_records()
 
 
-def assemble_dataset(
-    config: TraceConfig, day_record_lists: Iterable[Sequence[BroadcastRecord]]
-) -> BroadcastDataset:
-    """Merge per-day record lists (in day order) into the final dataset.
-
-    Applies a stable sort on ``(start_time, provisional broadcast_id)``
-    and re-keys IDs globally ``1..N`` so the merged dataset is identical
-    for every sharding/worker schedule.
-    """
-    merged: list[BroadcastRecord] = []
-    for day_records in day_record_lists:
-        merged.extend(day_records)
-    # Day lists are concatenated in day order and are sorted within each
-    # day, so this is a deterministic no-op re-ordering in practice; it is
-    # kept as the explicit merge guarantee.
-    merged.sort(key=lambda record: (record.start_time, record.broadcast_id))
-    dataset = BroadcastDataset(app_name=config.app_name, days=config.growth.days)
-    for global_id, record in enumerate(merged, start=1):
-        record.broadcast_id = global_id
-        dataset.add(record)
-    return dataset
-
-
 def assemble_dataset_columns(
     config: TraceConfig, day_columns: Iterable[BroadcastColumns]
 ) -> BroadcastDataset:
-    """Columnar :func:`assemble_dataset`: concatenate, argsort, re-key.
+    """Merge per-day column batches (in day order) in memory.
 
-    Sorting by ``(start_time, day-local broadcast_id)`` orders rows
-    exactly like the record path — start times of different days can
-    never tie (day offsets are strictly below one day), so the day-local
-    IDs only break ties within a day, where the keys agree.
+    Concatenates, applies a stable sort on ``(start_time, day-local
+    broadcast_id)`` and re-keys IDs globally ``1..N``.  Start times of
+    different days can never tie (day offsets are strictly below one
+    day), so the day-local IDs only break ties within a day.  Generation
+    itself merges shard files out of core
+    (:func:`repro.parallel.merge.stream_merge_shards`); this is the
+    in-memory oracle the tests hold that merge to, byte for byte.
     """
     combined = BroadcastColumns.concat(list(day_columns), app_name=config.app_name)
     order = np.lexsort((combined.broadcast_id, combined.start_time))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,6 +72,24 @@ class TestCli:
         capsys.readouterr()
         assert "Figure 14" in target.read_text()
 
+    def test_list_closes_out_file(self, tmp_path, capsys):
+        """Every return path closes the --out sink, --list included."""
+        target = tmp_path / "list.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["--list", "--out", str(target)]) == 0
+            gc.collect()
+        capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert "fig14" in target.read_text()
+
+    @pytest.mark.parametrize("target", ["metrics", "trace", "serve-bench", "chaos"])
+    def test_special_target_cannot_combine_with_experiments(self, target, capsys):
+        assert main([target, "fig14"]) == 2
+        assert f"'{target}'" in capsys.readouterr().err
+        assert main([target, "--all"]) == 2
+        assert "cannot be combined" in capsys.readouterr().err
+
 
 class TestTraceTarget:
     def test_trace_generates_and_summarizes(self, capsys):
@@ -90,26 +111,22 @@ class TestTraceTarget:
         for phase in ("graph", "context", "generate", "merge"):
             assert f"phase {phase}" in out
 
-    def test_trace_cache_format_v1(self, tmp_path, capsys):
+    def test_trace_cache_format_v2(self, tmp_path, capsys):
         args = [
             "trace", "--scale", "0.0001", "--seed", "4",
-            "--cache-dir", str(tmp_path), "--cache-format", "v1",
+            "--cache-dir", str(tmp_path), "--cache-format", "v2",
         ]
         assert main(args) == 0
-        assert "format v1" in capsys.readouterr().out
-        assert list(tmp_path.glob("*.jsonl.gz"))
-        assert not list(tmp_path.glob("*.cols.gz"))
-        # The v2 default reads the v1 entry as a hit.
+        assert "format v2" in capsys.readouterr().out
+        assert list(tmp_path.glob("trace-*.cols.gz"))
+        assert not list(tmp_path.glob("trace-*.cols"))
+        # The mmap default reads the v2 entry as a hit.
         assert main(args[:-2]) == 0
         assert "hit" in capsys.readouterr().out
 
     def test_trace_meerkat_app(self, capsys):
         assert main(["trace", "--app", "meerkat", "--scale", "0.001", "--seed", "4"]) == 0
         assert "Meerkat trace" in capsys.readouterr().out
-
-    def test_trace_cannot_combine_with_experiments(self, capsys):
-        assert main(["trace", "fig14"]) == 2
-        assert "cannot be combined" in capsys.readouterr().err
 
     def test_trace_sanitized_matches_unsanitized_output(self, capsys):
         """--sanitize is observational: the printed summary is unchanged."""
@@ -156,10 +173,10 @@ class TestTraceTarget:
         assert "Traceback" not in err
 
     def test_trace_bad_env_knob_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TRACE_TRANSPORT", "carrier-pigeon")
+        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "many")
         assert main(["trace", "--scale", "0.0001", "--seed", "4"]) == 2
         err = capsys.readouterr().err
-        assert "REPRO_TRACE_TRANSPORT" in err
+        assert "REPRO_TRACE_SHARD_RETRIES" in err
         assert "Traceback" not in err
 
     def test_trace_keyboard_interrupt_exits_130_with_resume_hint(
@@ -167,6 +184,7 @@ class TestTraceTarget:
     ):
         """Ctrl-C prints checkpoint progress and the resume command."""
         import repro.cli as cli_module
+        from repro.crawler.arrayfile import write_arrays
         from repro.parallel import RunCheckpoint, plan_shards
 
         run_dir = tmp_path / "run"
@@ -178,9 +196,9 @@ class TestTraceTarget:
             import numpy as np
 
             for shard_id in (0, 1):
-                checkpoint.write_shard(
-                    shard_id, {"x": np.arange(4, dtype=np.int64)}, meta={}
-                )
+                temp = checkpoint.temp_path(shard_id)
+                write_arrays(temp, {"x": np.arange(4, dtype=np.int64)})
+                checkpoint.publish_shard(shard_id, temp)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_module, "_render_trace", lambda args: interrupted(

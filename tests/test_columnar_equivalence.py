@@ -21,10 +21,11 @@ from repro.crawler.dataset import (
 )
 from repro.crawler.storage import (
     DatasetCache,
-    dataset_from_bytes,
     dataset_from_columnar_bytes,
     dataset_to_bytes,
     dataset_to_columnar_bytes,
+    load_dataset_mapped,
+    save_dataset_mapped,
 )
 from repro.parallel import generate_trace
 from repro.workload.trace import TraceConfig, build_trace_context, generate_day_columns
@@ -72,7 +73,7 @@ class TestAggregateEquivalence:
         assert views_per_user(columnar_dataset) == views_per_user(record_dataset)
         assert creations_per_user(columnar_dataset) == creations_per_user(record_dataset)
 
-    def test_v1_serialization_identical(self, columnar_dataset, record_dataset):
+    def test_jsonl_serialization_identical(self, columnar_dataset, record_dataset):
         assert dataset_to_bytes(columnar_dataset) == dataset_to_bytes(record_dataset)
 
     def test_merge_matches_record_merge(self, columnar_dataset, record_dataset):
@@ -105,7 +106,7 @@ class TestColumnsRoundTrip:
 
 class TestCacheFormatEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    @pytest.mark.parametrize("fmt", ["v2", "mmap"])
     def test_cached_trace_bytes_identical(self, tmp_path, workers, fmt):
         """Cache files are byte-identical across worker counts per format."""
         config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=workers)
@@ -118,11 +119,12 @@ class TestCacheFormatEquivalence:
         baseline = DatasetCache(baseline_dir, fmt=fmt).path_for(config.cache_key())
         assert path.read_bytes() == baseline.read_bytes()
 
-    def test_formats_store_identical_dataset(self, columnar_dataset):
-        via_v1 = dataset_from_bytes(dataset_to_bytes(columnar_dataset))
+    def test_formats_store_identical_dataset(self, columnar_dataset, tmp_path):
+        save_dataset_mapped(columnar_dataset, tmp_path / "d.cols")
+        via_mmap = load_dataset_mapped(tmp_path / "d.cols")
         via_v2 = dataset_from_columnar_bytes(dataset_to_columnar_bytes(columnar_dataset))
-        assert dataset_to_bytes(via_v1) == dataset_to_bytes(via_v2)
-        assert via_v1.table1_row() == via_v2.table1_row()
+        assert dataset_to_bytes(via_mmap) == dataset_to_bytes(via_v2)
+        assert via_mmap.table1_row() == via_v2.table1_row()
 
     def test_v2_serialization_deterministic(self, columnar_dataset):
         first = dataset_to_columnar_bytes(columnar_dataset)

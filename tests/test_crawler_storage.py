@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import DelayMeasurementCampaign
-from repro.crawler.arrayfile import read_arrays, write_arrays
+from repro.crawler.arrayfile import ArrayFileWriter, read_arrays, write_arrays
 from repro.crawler.storage import (
     _CACHE_FORMATS,
     DatasetCache,
@@ -133,7 +133,7 @@ class TestDatasetCache:
 
     def test_truncated_gzip_entry_treated_as_miss(self, small_dataset, tmp_path):
         """A file cut mid-byte (EOFError, not OSError) must be a miss, not a crash."""
-        cache = DatasetCache(tmp_path)
+        cache = DatasetCache(tmp_path, fmt="v2")
         path = cache.put("key", small_dataset)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
@@ -142,7 +142,7 @@ class TestDatasetCache:
 
     def test_truncated_entry_regenerated_and_overwritten(self, small_dataset, tmp_path):
         """After a truncation miss, put() restores a loadable entry in place."""
-        cache = DatasetCache(tmp_path)
+        cache = DatasetCache(tmp_path, fmt="v2")
         path = cache.put("key", small_dataset)
         intact = path.read_bytes()
         path.write_bytes(intact[:-7])  # clip the gzip trailer mid-byte
@@ -172,7 +172,7 @@ class TestColumnarStorage:
         assert restored.app_name == small_dataset.app_name
         assert restored.days == small_dataset.days
         assert restored.table1_row() == small_dataset.table1_row()
-        # Full fidelity: re-serializing through v1 gives identical bytes.
+        # Full fidelity: re-serializing through JSONL gives identical bytes.
         assert dataset_to_bytes(restored) == dataset_to_bytes(small_dataset)
 
     def test_serialization_is_byte_deterministic(self, small_dataset):
@@ -213,10 +213,10 @@ class TestColumnarStorage:
 
 
 class TestCacheFormats:
-    def test_default_format_is_v2(self, small_dataset, tmp_path):
+    def test_default_format_is_mmap(self, small_dataset, tmp_path):
         cache = DatasetCache(tmp_path)
         path = cache.put("key", small_dataset)
-        assert path.name.endswith(".cols.gz")
+        assert path.name.endswith(".cols")
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cache format"):
@@ -250,35 +250,35 @@ class TestCacheFormats:
     def test_corrupt_preferred_format_falls_through_to_valid_fallback(
         self, small_dataset, tmp_path
     ):
-        """Regression: a corrupt v2 entry must not mask a valid v1 entry."""
-        DatasetCache(tmp_path, fmt="v1").put("key", small_dataset)
-        v2_cache = DatasetCache(tmp_path, fmt="v2")
-        v2_path = v2_cache.put("key", small_dataset)
-        v2_path.write_bytes(b"not gzip at all")
-        hit = v2_cache.get("key")
+        """Regression: a corrupt mmap entry must not mask a valid v2 entry."""
+        DatasetCache(tmp_path, fmt="v2").put("key", small_dataset)
+        mmap_cache = DatasetCache(tmp_path, fmt="mmap")
+        mmap_path = mmap_cache.put("key", small_dataset)
+        mmap_path.write_bytes(b"not an array file")
+        hit = mmap_cache.get("key")
         assert hit is not None
         assert dataset_to_bytes(hit) == dataset_to_bytes(small_dataset)
         # The corrupt preferred entry is cleaned up; the fallback remains.
-        assert not v2_path.exists()
-        assert v2_cache.path_for("key", fmt="v1").exists()
+        assert not mmap_path.exists()
+        assert mmap_cache.path_for("key", fmt="v2").exists()
 
     def test_version_mismatch_is_a_miss(self, small_dataset, tmp_path):
         """An entry with the wrong embedded version is dropped, not fatal."""
         cache = DatasetCache(tmp_path, fmt="v2")
         path = cache.put("key", small_dataset)
-        # v1-format bytes under the v2 suffix: the JSON header parses but
+        # JSONL bytes under the v2 suffix: the JSON header parses but
         # carries format_version 1, which the v2 reader must reject.
         path.write_bytes(dataset_to_bytes(small_dataset))
         assert cache.get("key") is None
         assert not path.exists()
 
     def test_own_format_preferred_over_fallback(self, small_dataset, tmp_path):
-        DatasetCache(tmp_path, fmt="v1").put("key", small_dataset)
-        v2_cache = DatasetCache(tmp_path, fmt="v2")
-        v2_cache.put("key", small_dataset)
-        # Corrupt the v1 entry; the v2 cache must not even look at it.
-        v2_cache.path_for("key", fmt="v1").write_bytes(b"garbage")
-        hit = v2_cache.get("key")
+        DatasetCache(tmp_path, fmt="v2").put("key", small_dataset)
+        mmap_cache = DatasetCache(tmp_path, fmt="mmap")
+        mmap_cache.put("key", small_dataset)
+        # Corrupt the v2 entry; the mmap cache must not even look at it.
+        mmap_cache.path_for("key", fmt="v2").write_bytes(b"garbage")
+        hit = mmap_cache.get("key")
         assert hit is not None
         assert hit.table1_row() == small_dataset.table1_row()
 
@@ -333,7 +333,7 @@ class TestMappedDataset:
         assert restored.app_name == small_dataset.app_name
         assert restored.days == small_dataset.days
         assert restored.table1_row() == small_dataset.table1_row()
-        # Full fidelity: re-serializing through v1 gives identical bytes.
+        # Full fidelity: re-serializing through JSONL gives identical bytes.
         assert dataset_to_bytes(restored) == dataset_to_bytes(small_dataset)
 
     def test_columns_are_read_only_memory_maps(self, small_dataset, tmp_path):
@@ -401,6 +401,23 @@ class TestArrayFile:
             header_len = len(handle.readline())
         assert header_len % PAGE_SIZE == 0
         assert path.stat().st_size % PAGE_SIZE == 0
+
+    def test_writer_rejects_name_not_in_schema(self, tmp_path):
+        with ArrayFileWriter(tmp_path / "w.arrays", [("a", "<i8", (2,))]) as writer:
+            with pytest.raises(ValueError, match="'b' is not appendable"):
+                writer.append("b", np.arange(2, dtype=np.int64))
+            writer.append("a", np.arange(2, dtype=np.int64))
+
+    def test_writer_rejects_sealed_name(self, tmp_path):
+        """Appending a later array seals the earlier ones for good."""
+        schema = [("a", "<i8", (0,)), ("b", "<i8", (2,))]
+        with ArrayFileWriter(tmp_path / "w.arrays", schema) as writer:
+            writer.append("b", np.arange(1, dtype=np.int64))
+            with pytest.raises(ValueError, match="'a' is not appendable"):
+                writer.append("a", np.empty(0, dtype=np.int64))
+            writer.append("b", np.arange(1, dtype=np.int64))
+        arrays, _ = read_arrays(tmp_path / "w.arrays")
+        assert list(arrays["b"]) == [0, 0]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bundle.arrays"

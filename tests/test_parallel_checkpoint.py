@@ -121,11 +121,6 @@ class TestEnvValidation:
         with pytest.raises(ValueError, match=name):
             validate_environment()
 
-    def test_unknown_transport_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(ValueError, match="REPRO_TRACE_TRANSPORT"):
-            validate_environment()
-
     def test_env_checked_before_any_precompute(self, monkeypatch):
         """A bad knob fails generate_trace up front, not after the graph build."""
         import repro.parallel.generate as generate_module
@@ -134,8 +129,8 @@ class TestEnvValidation:
             raise AssertionError("graph build ran before env validation")
 
         monkeypatch.setattr(generate_module, "build_follow_graph", poisoned)
-        monkeypatch.setenv("REPRO_TRACE_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(ValueError, match="REPRO_TRACE_TRANSPORT"):
+        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "many")
+        with pytest.raises(ValueError, match="REPRO_TRACE_SHARD_RETRIES"):
             generate_trace(_config())
 
 
@@ -146,9 +141,9 @@ class TestRunCheckpoint:
         return plan_shards(8, shards=shards, workers=1)
 
     def _valid_shard(self, checkpoint: RunCheckpoint, shard_id: int):
-        checkpoint.write_shard(
-            shard_id, {"x": np.arange(16, dtype=np.int64)}, meta={"n_days": 1}
-        )
+        temp = checkpoint.temp_path(shard_id)
+        write_arrays(temp, {"x": np.arange(16, dtype=np.int64)}, meta={"n_days": 1})
+        checkpoint.publish_shard(shard_id, temp)
 
     def test_fresh_dir_journals_progress(self, tmp_path):
         checkpoint = RunCheckpoint.open(tmp_path, self.KEY, self._specs())

@@ -1,12 +1,13 @@
 """The out-of-core streaming merge (:mod:`repro.parallel.merge`).
 
-The contract under test: for every shards/workers/transport choice, the
-streamed merge's on-disk ``mmap``-format file is **byte-identical** to
-the in-memory merge followed by ``DatasetCache.put`` — the file IS the
-cache entry, so nothing less than identity will do.  Plus the edges the
-streaming path introduces: zero-row day shards, crash-orphaned writer
-temps, the ``REPRO_TRACE_MERGE`` override, and the re-key allocation
-skip in the in-memory reference path.
+The contract under test: for every shards/workers choice, the streamed
+merge's on-disk ``mmap``-format file is **byte-identical** to
+``save_dataset_mapped`` of the in-memory oracle
+(:func:`~repro.workload.trace.assemble_dataset_columns` over every day's
+columns) — the file IS the cache entry, so nothing less than identity
+will do.  Plus the edges the streaming path introduces: zero-row day
+shards, crash-orphaned writer temps, and the re-key allocation skip in
+the oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +18,16 @@ import numpy as np
 import pytest
 
 from repro.crawler.arrayfile import ArrayFileWriter
-from repro.crawler.dataset import BroadcastColumns
-from repro.crawler.storage import DatasetCache
+from repro.crawler.dataset import BroadcastColumns, BroadcastDataset
+from repro.crawler.storage import DatasetCache, save_dataset_mapped
 from repro.obs import MetricsRegistry, peak_rss_mb
-from repro.parallel import generate_trace, resolve_merge, validate_environment
-from repro.workload.trace import TraceConfig, assemble_dataset_columns
+from repro.parallel import generate_trace
+from repro.workload.trace import (
+    TraceConfig,
+    assemble_dataset_columns,
+    build_trace_context,
+    generate_day_columns,
+)
 
 SCALE = 0.0001
 SEED = 17
@@ -32,8 +38,6 @@ def _force_pool():
     """Let tiny workloads actually use worker pools (and nothing else)."""
     patcher = pytest.MonkeyPatch()
     patcher.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
-    patcher.delenv("REPRO_TRACE_TRANSPORT", raising=False)
-    patcher.delenv("REPRO_TRACE_MERGE", raising=False)
     yield
     patcher.undo()
 
@@ -42,13 +46,24 @@ def _config(shards: int = 1, workers: int = 1) -> TraceConfig:
     return TraceConfig.periscope(scale=SCALE, seed=SEED, shards=shards, workers=workers)
 
 
+def _oracle(config: TraceConfig) -> BroadcastDataset:
+    """The in-memory merge of every day's columns."""
+    context, _ = build_trace_context(config)
+    return assemble_dataset_columns(
+        config, [generate_day_columns(context, day) for day in range(config.growth.days)]
+    )
+
+
+def _mapped_bytes(dataset: BroadcastDataset, path) -> bytes:
+    save_dataset_mapped(dataset, path)
+    return path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def reference_bytes(tmp_path_factory) -> bytes:
-    """Ground truth: in-memory merge, serial, then ``put`` as mmap."""
-    config = _config()
-    trace = generate_trace(config, merge="memory")
-    cache = DatasetCache(tmp_path_factory.mktemp("reference"), fmt="mmap")
-    return cache.put(config.cache_key(), trace.dataset).read_bytes()
+    """Ground truth: ``save_dataset_mapped`` of the in-memory oracle."""
+    path = tmp_path_factory.mktemp("reference") / "oracle.cols"
+    return _mapped_bytes(_oracle(_config()), path)
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +78,11 @@ def shared_cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cache")
 
 
-@pytest.mark.parametrize("transport", ["mmap", "pickle"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("shards", [1, 4, 13])
 def test_streamed_entry_byte_identical_across_matrix(
-    shards, workers, transport, reference_bytes, shared_cache_dir, monkeypatch
+    shards, workers, reference_bytes, shared_cache_dir
 ):
-    monkeypatch.setenv("REPRO_TRACE_TRANSPORT", transport)
     for stale in shared_cache_dir.glob("trace-*"):
         stale.unlink()
     config = _config(shards=shards, workers=workers)
@@ -91,11 +104,13 @@ def test_run_dir_streamed_merge_file(tmp_path, reference_bytes):
     assert trace.dataset.broadcast_count > 0
 
 
-def test_streamed_dataset_matches_in_memory_columns(tmp_path):
-    """Not just file bytes: the returned mapped columns match too."""
+def test_streamed_dataset_matches_in_memory_columns():
+    """Not just file bytes: the returned mapped columns match too — even
+    with no run dir or cache, where the merged file lived in a scratch
+    dir that is already gone."""
     config = _config(shards=4, workers=2)
-    memory = generate_trace(config, merge="memory").dataset
-    streamed = generate_trace(config, run_dir=tmp_path / "run").dataset
+    memory = _oracle(config)
+    streamed = generate_trace(config).dataset
     for field in (
         "broadcast_id",
         "broadcaster_id",
@@ -113,12 +128,11 @@ def test_zero_row_day_shards_merge_identically(tmp_path):
     """A scale small enough that early days generate no broadcasts at all
     must stream exactly like it assembles in memory (satellite a)."""
     config = TraceConfig.periscope(scale=0.00002, seed=SEED, shards=13, workers=1)
-    memory = generate_trace(config, merge="memory").dataset
+    memory = _oracle(config)
     present = np.unique(memory.columns.start_time.astype(np.int64) // 86400)
     assert len(present) < config.growth.days, "regression needs empty days"
-    generate_trace(config, run_dir=tmp_path / "run", merge="stream")
-    reference = DatasetCache(tmp_path / "reference", fmt="mmap")
-    expected = reference.put(config.cache_key(), memory).read_bytes()
+    generate_trace(config, run_dir=tmp_path / "run")
+    expected = _mapped_bytes(memory, tmp_path / "oracle.cols")
     assert (tmp_path / "run" / "merged.cols").read_bytes() == expected
 
 
@@ -178,46 +192,18 @@ def test_writer_crash_mid_append_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_merge_env_override_forces_memory(tmp_path, monkeypatch, reference_bytes):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "memory")
-    config = _config()
-    registry = MetricsRegistry()
-    generate_trace(config, cache_dir=tmp_path, cache_format="mmap", registry=registry)
-    snapshot = registry.snapshot()
-    assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 0.0
-    # The memory path stores through cache.put — same bytes, same entry.
-    entry = DatasetCache(tmp_path, fmt="mmap").path_for(config.cache_key())
-    assert entry.read_bytes() == reference_bytes
-
-
 def test_explicit_cache_format_survives_streaming(tmp_path):
-    """A non-mmap ``cache_format`` is an explicit compression choice:
-    the merge still streams, but the entry is stored via ``put`` in the
+    """``cache_format="v2"`` is an explicit compression choice: the
+    merge still streams, but the entry is stored via ``put`` in the
     requested format, not hijacked into an mmap file."""
     config = _config(shards=4)
     registry = MetricsRegistry()
-    generate_trace(config, cache_dir=tmp_path, cache_format="v1", registry=registry)
+    generate_trace(config, cache_dir=tmp_path, cache_format="v2", registry=registry)
     assert registry.snapshot()["gauges"]["trace.merge_streamed"]["value"] == 1.0
-    cache = DatasetCache(tmp_path, fmt="v1")
+    cache = DatasetCache(tmp_path, fmt="v2")
     assert cache.path_for(config.cache_key()).exists()
     assert not cache.path_for(config.cache_key(), fmt="mmap").exists()
     assert cache.get(config.cache_key()) is not None
-
-
-def test_merge_env_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "bogus")
-    with pytest.raises(ValueError, match="REPRO_TRACE_MERGE"):
-        validate_environment()
-
-
-def test_resolve_merge_argument_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_MERGE", "memory")
-    assert resolve_merge("stream") == "stream"
-    assert resolve_merge() == "memory"
-    monkeypatch.delenv("REPRO_TRACE_MERGE")
-    assert resolve_merge(default="stream") == "stream"
-    with pytest.raises(ValueError, match="merge argument"):
-        resolve_merge("bogus")
 
 
 def test_peak_rss_observable():

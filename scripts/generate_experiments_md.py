@@ -189,6 +189,17 @@ def _rows_for(result) -> list[tuple[str, str, str]]:
             ("censored p99 delay at intensity 1", "resilient << naive",
              f"{resil.p99_e2e_delay_s:.1f} s vs {naive.p99_e2e_delay_s:.1f} s"),
         ]
+    if eid == "serving":
+        flash, unguarded = d["flash"], d["unguarded"]
+        return [
+            ("baseline sheds and errors nothing", "clean",
+             "clean" if d["baseline_clean"] else "NOT clean"),
+            ("flash crowd engages admission", "sheds the excess",
+             f"{_fmt(flash['shed'])} shed ({flash['shed_rate']:.0%} of requests)"),
+            ("p99 of admitted requests", "guarded < unguarded",
+             f"{flash['latency_p99_s'] * 1e3:.1f} ms vs "
+             f"{unguarded['latency_p99_s'] * 1e3:.1f} ms"),
+        ]
     return []
 
 

@@ -109,10 +109,6 @@ class FollowGraph:
             for followee in followees:
                 yield follower, followee
 
-    def undirected_neighbors(self, user_id: int) -> set[int]:
-        """Neighbors ignoring edge direction (for clustering/path metrics)."""
-        return set(self._followers.get(user_id, ())) | set(self._followees.get(user_id, ()))
-
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "FollowGraph":
         graph = cls()
@@ -402,15 +398,30 @@ class CompiledGraph:
         src, dst = self.edge_arrays()
         return zip(src.tolist(), dst.tolist())
 
-    def undirected_neighbors(self, user_id: int) -> set[int]:
-        """Neighbors ignoring edge direction (for clustering/path metrics)."""
-        u = self._index_of(user_id)
-        if u < 0:
-            return set()
-        out = self.indices[self.indptr[u] : self.indptr[u + 1]]
-        inc = self.rindices[self.rindptr[u] : self.rindptr[u + 1]]
-        both = np.union1d(out, inc)
-        return set(self.node_ids[both].tolist())
+    def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency ignoring edge direction, as a new ``(indptr, indices)`` pair.
+
+        Row ``u`` lists every node that follows or is followed by ``u``
+        exactly once (a reciprocated follow is one undirected link), as
+        sorted internal indices.  Built on each call and never cached: the
+        clustering and path-length metrics hold it only while they run.
+        """
+        n = len(self.node_ids)
+        if n > _PACK_MAX_NODES:
+            raise ValueError("undirected CSR requires n_nodes <= 2**31")
+        rows = np.arange(n, dtype=np.int64)
+        # Out-edges keyed (u, followee), in-edges keyed (u, follower): each
+        # half is already in key order, so the stable sort is one merge.
+        keys = np.concatenate([
+            np.left_shift(np.repeat(rows, np.diff(self.indptr)), _PACK_SHIFT) | self.indices,
+            np.left_shift(np.repeat(rows, np.diff(self.rindptr)), _PACK_SHIFT) | self.rindices,
+        ])
+        keys.sort(kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        bounds = np.left_shift(np.arange(n + 1, dtype=np.int64), _PACK_SHIFT)
+        return np.searchsorted(keys, bounds), np.bitwise_and(keys, _PACK_MASK)
 
 
 #: Either follow-graph representation; read-only consumers accept both.

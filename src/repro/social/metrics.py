@@ -13,16 +13,23 @@ Twitter/Facebook studies use) is exact on small graphs and switches to a
 seeded source-node sampling estimator above
 :data:`ASSORTATIVITY_EXACT_MAX_NODES` nodes, where the all-edges scan
 made scale >= 0.01 graphs intractable.
+
+Every metric runs on the CSR arrays of a :class:`CompiledGraph`; a
+:class:`FollowGraph` argument is compiled once at entry, so node samples
+are drawn by sorted node ID for either representation.  Clustering and
+path length walk the undirected CSR
+(:meth:`CompiledGraph.undirected_csr`) with array gathers; their link
+and hop counts stay integers, so they reproduce the per-node loop
+versions float for float.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import AnyFollowGraph, CompiledGraph, FollowGraph
+from repro.social.graph import AnyFollowGraph, CompiledGraph
 
 
 @dataclass(frozen=True)
@@ -76,56 +83,86 @@ TABLE2_REFERENCE: dict[str, dict[str, float]] = {
 }
 
 
-#: Neighbor-set size above which a hub is skipped in clustering counts.
+#: Undirected degree above which a node is a hub: a link between two of a
+#: node's neighbors is not counted when its lower-ID endpoint is a hub.
 CLUSTERING_HUB_CUTOFF = 50_000
 
+#: Hop limit of each BFS in the path-length estimator.
+PATH_CUTOFF_HOPS = 50
 
-def _node_array(graph: AnyFollowGraph) -> np.ndarray:
-    """All node IDs as an int64 array (zero-copy for compiled graphs)."""
-    if isinstance(graph, CompiledGraph):
-        return graph.node_ids
-    return np.fromiter(graph.nodes(), dtype=np.int64, count=graph.node_count)
+
+def _compiled(graph: AnyFollowGraph) -> CompiledGraph:
+    """The CSR snapshot every metric runs on (a ``FollowGraph`` is compiled).
+
+    Compiling sorts the node IDs, so node samples are drawn in ID order
+    whichever representation the caller holds.
+    """
+    return graph if isinstance(graph, CompiledGraph) else graph.compile()
 
 
 def _degree_values(graph: AnyFollowGraph, kind: str) -> np.ndarray:
     """Per-node degrees of the requested ``kind`` ("in"/"out"/"total")."""
-    if isinstance(graph, CompiledGraph):
-        if kind == "in":
-            return graph.in_degrees()
-        if kind == "out":
-            return graph.out_degrees()
-        if kind == "total":
-            return graph.total_degrees()
-        raise ValueError(f"unknown degree kind {kind!r}")
+    graph = _compiled(graph)
     if kind == "in":
-        return np.array([graph.follower_count(n) for n in graph.nodes()])
+        return graph.in_degrees()
     if kind == "out":
-        return np.array([graph.followee_count(n) for n in graph.nodes()])
+        return graph.out_degrees()
     if kind == "total":
-        return np.array([graph.degree(n) for n in graph.nodes()])
+        return graph.total_degrees()
     raise ValueError(f"unknown degree kind {kind!r}")
 
 
-def local_clustering(graph: AnyFollowGraph, node: int) -> float:
-    """Undirected local clustering coefficient of ``node``."""
-    neighbors = graph.undirected_neighbors(node)
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    neighbor_list = list(neighbors)
-    links = 0
-    for i, u in enumerate(neighbor_list):
-        u_neighbors = graph.undirected_neighbors(u)
-        # Guard against huge hubs dominating runtime.  (This check used to
-        # sit *after* the pair loop as a no-op ``continue`` — the hub's
-        # neighbor set was already materialized and scanned by then.)
-        if len(u_neighbors) > CLUSTERING_HUB_CUTOFF:
+def _sample(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Indices of ``size`` distinct nodes out of ``n`` (all of them if ``n <= size``)."""
+    if n <= size:
+        return np.arange(n, dtype=np.int64)
+    return rng.choice(n, size=size, replace=False)
+
+
+def _row_offsets(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of CSR rows ``rows`` concatenated, and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    before = np.cumsum(counts) - counts
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(starts - before, counts)
+    return offsets, counts
+
+
+def _clustering_of(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Local clustering coefficient of each node index in ``nodes``.
+
+    One ragged gather per node collects its neighbors' rows; a boolean
+    mask over the node's own neighbors marks the links among them, each
+    counted once from its lower-ID endpoint.
+    """
+    degrees = np.diff(indptr)
+    cutoff = CLUSTERING_HUB_CUTOFF
+    in_hood = np.zeros(len(degrees), dtype=bool)
+    coefficients = np.zeros(len(nodes))
+    for i, node in enumerate(nodes.tolist()):
+        k = int(degrees[node])
+        if k < 2:
             continue
-        # Count pairs once: only neighbors later in the list.
-        for v in neighbor_list[i + 1 :]:
-            if v in u_neighbors:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+        hood = indices[indptr[node] : indptr[node + 1]]
+        in_hood[hood] = True
+        # A hub's row is not gathered: links whose lower-ID end is a hub drop out.
+        rows = hood[degrees[hood] <= cutoff]
+        offsets, counts = _row_offsets(indptr, rows)
+        ends = indices[offsets]
+        links = np.count_nonzero(in_hood[ends] & (ends > np.repeat(rows, counts)))
+        in_hood[hood] = False
+        coefficients[i] = 2.0 * links / (k * (k - 1))
+    return coefficients
+
+
+def local_clustering(graph: AnyFollowGraph, node: int) -> float:
+    """Undirected local clustering coefficient of ``node`` (0.0 if unknown)."""
+    graph = _compiled(graph)
+    if node not in graph:
+        return 0.0
+    indptr, indices = graph.undirected_csr()
+    index = np.searchsorted(graph.node_ids, [node])
+    return float(_clustering_of(indptr, indices, index)[0])
 
 
 def average_clustering(
@@ -134,30 +171,12 @@ def average_clustering(
     sample_size: int = 1_000,
 ) -> float:
     """Average local clustering over a random node sample."""
-    nodes = _node_array(graph)
-    if len(nodes) == 0:
+    graph = _compiled(graph)
+    if graph.node_count == 0:
         return 0.0
-    if len(nodes) <= sample_size:
-        sample = nodes
-    else:
-        sample = rng.choice(nodes, size=sample_size, replace=False)
-    return float(np.mean([local_clustering(graph, int(node)) for node in sample]))
-
-
-def _bfs_distances(graph: AnyFollowGraph, source: int, cutoff: int = 50) -> dict[int, int]:
-    """Undirected BFS distances from ``source`` up to ``cutoff`` hops."""
-    distances = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        depth = distances[node]
-        if depth >= cutoff:
-            continue
-        for neighbor in graph.undirected_neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return distances
+    sample = _sample(graph.node_count, rng, sample_size)
+    indptr, indices = graph.undirected_csr()
+    return float(np.mean(_clustering_of(indptr, indices, sample)))
 
 
 def average_path_length(
@@ -168,29 +187,39 @@ def average_path_length(
     """Mean shortest-path length estimated from BFS on sampled sources.
 
     Paths are measured on the undirected version of the graph (the
-    convention of the studies Table 2 cites).  Unreachable pairs are
-    excluded.
+    convention of the studies Table 2 cites), up to
+    :data:`PATH_CUTOFF_HOPS` hops.  Unreachable pairs are excluded.  Each
+    BFS is level-synchronous: one ragged gather expands the whole
+    frontier, and a node mask drops duplicates and visited nodes.
     """
-    nodes = _node_array(graph)
-    if len(nodes) < 2:
+    graph = _compiled(graph)
+    n = graph.node_count
+    if n < 2:
         return 0.0
-    sources = (
-        nodes if len(nodes) <= sample_size else rng.choice(nodes, size=sample_size, replace=False)
-    )
+    sources = _sample(n, rng, sample_size)
+    indptr, indices = graph.undirected_csr()
     total = 0
     count = 0
-    for source in sources:
-        distances = _bfs_distances(graph, int(source))
-        for node, distance in distances.items():
-            if node != source:
-                total += distance
-                count += 1
+    for source in sources.tolist():
+        visited = np.zeros(n, dtype=bool)
+        visited[source] = True
+        frontier = np.array([source], dtype=np.int64)
+        for depth in range(1, PATH_CUTOFF_HOPS + 1):
+            reached = np.zeros(n, dtype=bool)
+            reached[indices[_row_offsets(indptr, frontier)[0]]] = True
+            reached &= ~visited
+            frontier = np.flatnonzero(reached)
+            if len(frontier) == 0:
+                break
+            visited |= reached
+            total += depth * len(frontier)
+            count += len(frontier)
     return total / count if count else 0.0
 
 
-#: Above this many nodes the exact all-edges assortativity scan (a Python
-#: loop over every directed edge) becomes the bottleneck of Table 2 at
-#: scale >= 0.01; the estimator samples source nodes instead.
+#: Above this many nodes the exact all-edges assortativity scan becomes
+#: the bottleneck of Table 2 at scale >= 0.01; the estimator samples
+#: source nodes instead.
 ASSORTATIVITY_EXACT_MAX_NODES = 50_000
 
 #: Source nodes drawn by the sampling estimator — every out-edge of a
@@ -210,59 +239,6 @@ def _assortativity_of_arrays(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def _compiled_assortativity(
-    graph: CompiledGraph,
-    rng: np.random.Generator | None,
-    max_exact_nodes: int,
-    source_sample: int,
-) -> float:
-    """Assortativity over CSR arrays: no per-edge Python loop either way."""
-    degrees = graph.total_degrees()
-    if rng is None or graph.node_count <= max_exact_nodes:
-        src_idx = np.repeat(
-            np.arange(graph.node_count, dtype=np.int64), graph.out_degrees()
-        )
-        return _assortativity_of_arrays(degrees[src_idx], degrees[graph.indices])
-    sample_size = min(source_sample, graph.node_count)
-    sources = rng.choice(
-        np.arange(graph.node_count, dtype=np.int64), size=sample_size, replace=False
-    )
-    counts = graph.indptr[sources + 1] - graph.indptr[sources]
-    src_idx = np.repeat(sources, counts)
-    # Ragged gather of every sampled source's out-neighbor slice.
-    total = int(counts.sum())
-    starts = np.zeros(len(sources) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    offsets = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(starts[:-1], counts)
-        + np.repeat(graph.indptr[sources], counts)
-    )
-    return _assortativity_of_arrays(degrees[src_idx], degrees[graph.indices[offsets]])
-
-
-def _assortativity_over(
-    graph: FollowGraph, edge_pairs
-) -> float:
-    """Pearson correlation of total degree over the given (u, v) edges."""
-    degree_cache: dict[int, int] = {}
-
-    def degree_of(node: int) -> int:
-        cached = degree_cache.get(node)
-        if cached is None:
-            cached = degree_cache[node] = graph.degree(node)
-        return cached
-
-    source_degrees = []
-    target_degrees = []
-    for follower, followee in edge_pairs:
-        source_degrees.append(degree_of(follower))
-        target_degrees.append(degree_of(followee))
-    return _assortativity_of_arrays(
-        np.asarray(source_degrees), np.asarray(target_degrees)
-    )
-
-
 def degree_assortativity(
     graph: AnyFollowGraph,
     rng: np.random.Generator | None = None,
@@ -276,21 +252,23 @@ def degree_assortativity(
     out-edges of a uniform source-node sample — every edge has the same
     inclusion probability, so the estimator is unbiased, and the seeded
     rng keeps it deterministic.  Pass ``rng=None`` to force the exact
-    path at any size.  Compiled graphs take a fully vectorized path.
+    path at any size.  Either way it runs over the CSR arrays, with no
+    per-edge Python loop.
     """
-    if isinstance(graph, CompiledGraph):
-        return _compiled_assortativity(graph, rng, max_exact_nodes, source_sample)
-    if rng is not None and graph.node_count > max_exact_nodes:
-        nodes = _node_array(graph)
-        sample_size = min(source_sample, len(nodes))
-        sources = rng.choice(nodes, size=sample_size, replace=False)
-        edge_pairs = (
-            (int(source), followee)
-            for source in sources
-            for followee in sorted(graph.followees_of(int(source)))
+    graph = _compiled(graph)
+    degrees = graph.total_degrees()
+    if rng is None or graph.node_count <= max_exact_nodes:
+        src_idx = np.repeat(
+            np.arange(graph.node_count, dtype=np.int64), graph.out_degrees()
         )
-        return _assortativity_over(graph, edge_pairs)
-    return _assortativity_over(graph, graph.edges())
+        return _assortativity_of_arrays(degrees[src_idx], degrees[graph.indices])
+    sample_size = min(source_sample, graph.node_count)
+    sources = rng.choice(
+        np.arange(graph.node_count, dtype=np.int64), size=sample_size, replace=False
+    )
+    offsets, counts = _row_offsets(graph.indptr, sources)
+    src_idx = np.repeat(sources, counts)
+    return _assortativity_of_arrays(degrees[src_idx], degrees[graph.indices[offsets]])
 
 
 def compute_graph_metrics(
@@ -300,6 +278,7 @@ def compute_graph_metrics(
     path_sample: int = 50,
 ) -> GraphMetrics:
     """All Table 2 metrics for ``graph``."""
+    graph = _compiled(graph)
     nodes = graph.node_count
     edges = graph.edge_count
     avg_degree = 2.0 * edges / nodes if nodes else 0.0

@@ -64,10 +64,9 @@ class TestFollowGraphCrawler:
         truth_metrics = compute_graph_metrics(
             truth, np.random.default_rng(0), clustering_sample=100, path_sample=10
         )
-        assert crawled_metrics.edges == truth_metrics.edges
-        assert crawled_metrics.assortativity == pytest.approx(
-            truth_metrics.assortativity, abs=1e-9
-        )
+        # Samples are drawn by sorted node ID, so the crawled copy's row
+        # does not depend on the order in which the crawl inserted nodes.
+        assert crawled_metrics == truth_metrics
 
     def test_request_budget_truncates_crawl(self, truth):
         api = GraphApi(truth)

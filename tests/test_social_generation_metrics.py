@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+from repro.social import metrics as social_metrics
 from repro.social.generation import (
     FollowGraphConfig,
     generate_follow_graph,
@@ -12,6 +15,7 @@ from repro.social.generation import (
 )
 from repro.social.graph import CompiledGraph, FollowGraph
 from repro.social.metrics import (
+    PATH_CUTOFF_HOPS,
     TABLE2_REFERENCE,
     average_clustering,
     average_path_length,
@@ -20,6 +24,7 @@ from repro.social.metrics import (
     local_clustering,
 )
 from repro.social.notifications import NotificationService
+from repro.workload.trace import TraceConfig, build_follow_graph
 
 
 @pytest.fixture
@@ -196,13 +201,214 @@ class TestClusteringHubGuard:
         # The guard used to be a no-op `continue` at the end of the loop
         # body; with a cutoff of 0 every neighbor counts as a hub and the
         # coefficient must collapse to zero.
-        from repro.social import metrics as social_metrics
-
         edges = [(1, 2), (2, 3), (3, 1)]  # a triangle: clustering 1.0
         graph = FollowGraph.from_edges(edges)
         assert local_clustering(graph, 1) == 1.0
         monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 0)
         assert local_clustering(graph, 1) == 0.0
+
+
+# -- loop oracles for the CSR kernels ---------------------------------------
+#
+# Dict-of-sets versions of the Table 2 estimators, walking neighbors in
+# sorted ID order.  They draw the same node samples as the kernels (by
+# sorted ID), so the kernels must reproduce them exactly, float for float.
+
+
+def _oracle_adjacency(graph) -> dict[int, list[int]]:
+    """Undirected neighbor lists, sorted, from the graph's edge list."""
+    adjacency: dict[int, set[int]] = {int(node): set() for node in graph.nodes()}
+    for follower, followee in graph.edges():
+        adjacency[follower].add(followee)
+        adjacency[followee].add(follower)
+    return {node: sorted(neighbors) for node, neighbors in adjacency.items()}
+
+
+def _oracle_sample(adjacency, rng, size: int) -> list[int]:
+    nodes = np.array(sorted(adjacency), dtype=np.int64)
+    if len(nodes) <= size:
+        return nodes.tolist()
+    return rng.choice(nodes, size=size, replace=False).tolist()
+
+
+def oracle_local_clustering(adjacency, node: int, hub_cutoff: int) -> float:
+    neighbors = adjacency.get(node, [])
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    links = 0
+    for i, u in enumerate(neighbors):
+        u_neighbors = set(adjacency[u])
+        if len(u_neighbors) > hub_cutoff:
+            continue
+        for v in neighbors[i + 1 :]:
+            if v in u_neighbors:
+                links += 1
+    return 2.0 * links / (k * (k - 1))
+
+
+def oracle_average_clustering(graph, rng, sample_size: int, hub_cutoff: int) -> float:
+    adjacency = _oracle_adjacency(graph)
+    if not adjacency:
+        return 0.0
+    sample = _oracle_sample(adjacency, rng, sample_size)
+    return float(
+        np.mean([oracle_local_clustering(adjacency, node, hub_cutoff) for node in sample])
+    )
+
+
+def oracle_bfs_distances(adjacency, source: int, cutoff: int) -> dict[int, int]:
+    distances = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        depth = distances[node]
+        if depth >= cutoff:
+            continue
+        for neighbor in adjacency[node]:
+            if neighbor not in distances:
+                distances[neighbor] = depth + 1
+                frontier.append(neighbor)
+    return distances
+
+
+def oracle_average_path_length(graph, rng, sample_size: int, cutoff: int) -> float:
+    adjacency = _oracle_adjacency(graph)
+    if len(adjacency) < 2:
+        return 0.0
+    total = 0
+    count = 0
+    for source in _oracle_sample(adjacency, rng, sample_size):
+        for node, distance in oracle_bfs_distances(adjacency, source, cutoff).items():
+            if node != source:
+                total += distance
+                count += 1
+    return total / count if count else 0.0
+
+
+def _assert_kernels_match_oracle(graph, seed: int, clustering_sample: int, path_sample: int):
+    hub_cutoff = social_metrics.CLUSTERING_HUB_CUTOFF
+    for representation in (graph, _other_representation(graph)):
+        assert average_clustering(
+            representation, np.random.default_rng(seed), clustering_sample
+        ) == oracle_average_clustering(
+            graph, np.random.default_rng(seed), clustering_sample, hub_cutoff
+        )
+        assert average_path_length(
+            representation, np.random.default_rng(seed), path_sample
+        ) == oracle_average_path_length(
+            graph, np.random.default_rng(seed), path_sample, PATH_CUTOFF_HOPS
+        )
+
+
+def _other_representation(graph):
+    """The same graph as a ``CompiledGraph`` if it is a ``FollowGraph``, and vice versa."""
+    return graph.compile() if isinstance(graph, FollowGraph) else graph.to_follow_graph()
+
+
+def _two_components_with_isolates() -> FollowGraph:
+    graph = FollowGraph.from_edges(
+        [(10, 11), (11, 12), (12, 10), (12, 13), (13, 14), (14, 12), (15, 14)]
+        + [(40, 41), (41, 40), (41, 42), (43, 42), (43, 40)]
+    )
+    for isolated in (5, 30, 99):
+        graph.add_node(isolated)
+    return graph
+
+
+class TestTable2KernelsMatchOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_graphs(self, seed):
+        config = FollowGraphConfig(n_nodes=400, mean_out_degree=6.0)
+        mutable = generate_follow_graph(config, np.random.default_rng(seed))
+        compiled = generate_follow_graph_compiled(config, np.random.default_rng(seed))
+        _assert_kernels_match_oracle(mutable, seed, clustering_sample=150, path_sample=8)
+        _assert_kernels_match_oracle(compiled, seed, clustering_sample=150, path_sample=8)
+        # Sampling goes by sorted ID, so both representations give one row.
+        assert compute_graph_metrics(
+            mutable, np.random.default_rng(seed), 150, 8
+        ) == compute_graph_metrics(compiled, np.random.default_rng(seed), 150, 8)
+
+    def test_whole_graph_when_samples_cover_it(self):
+        graph = generate_follow_graph(
+            FollowGraphConfig(n_nodes=120, mean_out_degree=4.0), np.random.default_rng(9)
+        )
+        _assert_kernels_match_oracle(graph, 9, clustering_sample=500, path_sample=500)
+
+    def test_non_contiguous_node_ids(self):
+        base = generate_follow_graph(
+            FollowGraphConfig(n_nodes=200, mean_out_degree=5.0), np.random.default_rng(4)
+        )
+        graph = FollowGraph.from_edges((7 * u + 1_000, 7 * v + 1_000) for u, v in base.edges())
+        graph.add_node(3)  # an isolated node below every other ID
+        compiled = graph.compile()
+        assert not (compiled.node_ids == np.arange(compiled.node_count)).all()
+        _assert_kernels_match_oracle(graph, 4, clustering_sample=80, path_sample=12)
+
+    def test_isolated_nodes_and_two_components(self):
+        graph = _two_components_with_isolates()
+        _assert_kernels_match_oracle(graph, 0, clustering_sample=1_000, path_sample=50)
+        _assert_kernels_match_oracle(graph, 5, clustering_sample=6, path_sample=4)
+        for node in (5, 12, 41):
+            assert local_clustering(graph, node) == oracle_local_clustering(
+                _oracle_adjacency(graph), node, social_metrics.CLUSTERING_HUB_CUTOFF
+            )
+
+    def test_chain_beyond_the_hop_cutoff(self, rng):
+        graph = FollowGraph.from_edges((i, i + 1) for i in range(59))
+        capped = average_path_length(graph, rng, sample_size=60)
+        assert capped == oracle_average_path_length(
+            graph, rng, sample_size=60, cutoff=PATH_CUTOFF_HOPS
+        )
+        # The cutoff bites: uncapped, a 60-chain averages (60 + 1) / 3 hops.
+        assert capped < oracle_average_path_length(graph, rng, sample_size=60, cutoff=60)
+        assert capped == average_path_length(graph.compile(), rng, sample_size=60)
+
+    def test_local_clustering_of_unknown_node(self):
+        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        assert local_clustering(graph, 99) == 0.0
+        assert local_clustering(graph.compile(), 99) == 0.0
+        assert local_clustering(graph.compile(), -5) == 0.0
+
+    def test_hub_cutoff_skips_links_by_lower_id_endpoint(self, monkeypatch):
+        # Node 0 sees neighbors 1..5 with links 1-2, 1-3, 2-3, 3-4, 4-5.
+        # Undirected degrees: 1 -> 3, 2 -> 3, 3 -> 4, 4 -> 3, 5 -> 2.
+        graph = FollowGraph.from_edges(
+            [(0, n) for n in range(1, 6)] + [(1, 2), (3, 1), (2, 3), (4, 3), (4, 5)]
+        )
+        assert local_clustering(graph, 0) == pytest.approx(5 / 10)
+        monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 3)
+        # Node 3 (degree 4) is now a hub: its link 3-4 is skipped, but 1-3
+        # and 2-3 still count, since their lower-ID endpoints are not hubs.
+        assert local_clustering(graph, 0) == pytest.approx(4 / 10)
+        adjacency = _oracle_adjacency(graph)
+        for node in range(6):
+            assert local_clustering(graph, node) == oracle_local_clustering(adjacency, node, 3)
+
+    @pytest.mark.parametrize("cutoff", [8, 15])
+    def test_hub_cutoff_on_a_generated_graph(self, monkeypatch, cutoff):
+        graph = generate_follow_graph(
+            FollowGraphConfig(n_nodes=300, mean_out_degree=6.0), np.random.default_rng(8)
+        )
+        degrees = [len(neighbors) for neighbors in _oracle_adjacency(graph).values()]
+        assert min(degrees) <= cutoff < max(degrees)
+        monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", cutoff)
+        _assert_kernels_match_oracle(graph, 8, clustering_sample=300, path_sample=2)
+        # The cutoff bites: some links are skipped at this cutoff.
+        assert average_clustering(graph, np.random.default_rng(8), 300) < (
+            oracle_average_clustering(graph, np.random.default_rng(8), 300, hub_cutoff=10**9)
+        )
+
+
+class TestTable2Pin:
+    def test_default_graph_row_is_pinned(self):
+        """The seed-2016 Table 2 graph at the default scale, float for float."""
+        graph = build_follow_graph(TraceConfig.periscope(scale=0.0005, seed=2016))
+        metrics = compute_graph_metrics(graph, np.random.default_rng(2016))
+        assert metrics.nodes == 6_000
+        assert metrics.clustering_coefficient == 0.13964917757524622
+        assert metrics.avg_path_length == 2.581213535589265
+        assert metrics.assortativity == -0.045151467931847496
 
 
 class TestNotifications:

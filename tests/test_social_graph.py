@@ -63,9 +63,17 @@ class TestFollowGraph:
         graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1)])
         assert set(graph.edges()) == {(1, 2), (2, 3), (3, 1)}
 
-    def test_undirected_neighbors(self):
-        graph = FollowGraph.from_edges([(1, 2), (3, 1)])
-        assert graph.undirected_neighbors(1) == {2, 3}
+    def test_undirected_csr_of_compiled_graph(self):
+        # 1 <-> 2 is reciprocated: one undirected link, listed once per end.
+        graph = FollowGraph.from_edges([(1, 2), (2, 1), (3, 1), (3, 4)])
+        graph.add_node(9)
+        compiled = graph.compile()
+        indptr, indices = compiled.undirected_csr()
+        rows = {
+            int(compiled.node_ids[u]): compiled.node_ids[indices[indptr[u] : indptr[u + 1]]].tolist()
+            for u in range(compiled.node_count)
+        }
+        assert rows == {1: [2, 3], 2: [1], 3: [1, 4], 4: [3], 9: []}
 
     def test_unknown_node_queries_are_empty(self):
         graph = FollowGraph()
@@ -124,3 +132,23 @@ class TestFollowGraph:
             graph.add_follow(follower, followee)
         total_degree = sum(graph.degree(node) for node in graph.nodes())
         assert total_degree == 2 * graph.edge_count
+
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_undirected_csr_lists_followers_and_followees(self, edges):
+        graph = FollowGraph()
+        for follower, followee in edges:
+            graph.add_follow(follower, followee)
+        compiled = graph.compile()
+        indptr, indices = compiled.undirected_csr()
+        assert len(indptr) == compiled.node_count + 1
+        for u, node in enumerate(compiled.node_ids.tolist()):
+            row = compiled.node_ids[indices[indptr[u] : indptr[u + 1]]].tolist()
+            assert row == sorted(graph.followers_of(node) | graph.followees_of(node))

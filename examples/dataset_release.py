@@ -25,40 +25,40 @@ from repro.analysis.broadcast_stats import broadcast_length_cdf, viewers_per_bro
 from repro.crawler.broadcast_monitor import anonymize_id
 from repro.crawler.dataset import BroadcastDataset, BroadcastRecord, DowntimeWindow
 from repro.crawler.storage import load_dataset, save_dataset
-from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.parallel import generate_trace
+from repro.workload.trace import TraceConfig
 
 SALT = "release-2016"
 
 
 def anonymize_dataset(dataset: BroadcastDataset, salt: str) -> BroadcastDataset:
     """One-way pseudonymize every user identifier in the dataset."""
-    released = BroadcastDataset(app_name=dataset.app_name, days=dataset.days)
-    for record in dataset:
-        released.add(
-            BroadcastRecord(
-                broadcast_id=record.broadcast_id,
-                broadcaster_id=anonymize_id(record.broadcaster_id, salt),
-                app_name=record.app_name,
-                start_time=record.start_time,
-                duration_s=record.duration_s,
-                viewer_ids=np.array(
-                    [anonymize_id(int(v), salt) for v in record.viewer_ids],
-                    dtype=np.int64,
-                ),
-                web_views=record.web_views,
-                heart_count=record.heart_count,
-                comment_count=record.comment_count,
-                commenter_count=record.commenter_count,
-                is_private=record.is_private,
-                broadcaster_followers=record.broadcaster_followers,
-            )
+    released = [
+        BroadcastRecord(
+            broadcast_id=record.broadcast_id,
+            broadcaster_id=anonymize_id(record.broadcaster_id, salt),
+            app_name=record.app_name,
+            start_time=record.start_time,
+            duration_s=record.duration_s,
+            viewer_ids=np.array(
+                [anonymize_id(int(v), salt) for v in record.viewer_ids],
+                dtype=np.int64,
+            ),
+            web_views=record.web_views,
+            heart_count=record.heart_count,
+            comment_count=record.comment_count,
+            commenter_count=record.commenter_count,
+            is_private=record.is_private,
+            broadcaster_followers=record.broadcaster_followers,
         )
-    return released
+        for record in dataset
+    ]
+    return BroadcastDataset.from_records(dataset.app_name, dataset.days, released)
 
 
 def main(output: Path) -> None:
     print("1. crawling (generating) a 1/5000-scale Periscope trace...")
-    trace = TraceGenerator(TraceConfig.periscope(scale=0.0002, seed=42)).generate()
+    trace = generate_trace(TraceConfig.periscope(scale=0.0002, seed=42))
     raw = trace.dataset
     print(f"   {raw.broadcast_count:,} broadcasts, {raw.total_views:,} views")
 

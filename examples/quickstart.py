@@ -22,14 +22,15 @@ from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient, RtmpViewerClient
 from repro.geo.coordinates import GeoPoint
+from repro.parallel import generate_trace
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
-from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.workload.trace import TraceConfig
 
 
 def generate_workload() -> None:
     print("=== 1. Workload trace (1/5000 of Periscope, 98 days) ===")
-    trace = TraceGenerator(TraceConfig.periscope(scale=0.0002, seed=1)).generate()
+    trace = generate_trace(TraceConfig.periscope(scale=0.0002, seed=1))
     row = trace.dataset.table1_row()
     print(f"broadcasts:     {row['broadcasts']:>10,}")
     print(f"broadcasters:   {row['broadcasters']:>10,}")

@@ -33,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "lint" ]]; then
     shift
-    PYTHONPATH=src python -m repro lint src benchmarks "$@"
+    PYTHONPATH=src python -m repro lint src benchmarks examples "$@"
     exit 0
 fi
 
@@ -140,7 +140,7 @@ EOF
 fi
 
 python -m compileall -q src
-PYTHONPATH=src python -m repro lint src benchmarks
+PYTHONPATH=src python -m repro lint src benchmarks examples
 PYTHONPATH=src python -m pytest -x -q -m "not tier2" "$@"
 OBS_OVERHEAD_SMOKE=1 PYTHONPATH=src python -m pytest -x -q \
     benchmarks/test_obs_overhead.py::test_null_registry_overhead_within_budget

@@ -11,9 +11,10 @@ analysis on top: every table and figure has a runner in
 
 Quick start::
 
-    from repro.workload import TraceConfig, TraceGenerator
+    from repro.parallel import generate_trace
+    from repro.workload import TraceConfig
 
-    trace = TraceGenerator(TraceConfig.periscope(scale=0.0005)).generate()
+    trace = generate_trace(TraceConfig.periscope(scale=0.0005))
     print(trace.dataset.table1_row())
 
 See README.md for the architecture overview and DESIGN.md for the full

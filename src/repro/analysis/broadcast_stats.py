@@ -19,27 +19,27 @@ def table1_rows(datasets: list[BroadcastDataset]) -> dict[str, dict[str, int]]:
 
 def broadcast_length_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 3: CDF of broadcast length (seconds)."""
-    return Cdf(np.array([record.duration_s for record in dataset]))
+    return Cdf(dataset.columns.duration_s)
 
 
 def viewers_per_broadcast_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 4: CDF of total viewers per broadcast."""
-    return Cdf(np.array([record.total_views for record in dataset], dtype=float))
+    return Cdf(dataset.columns.total_views)
 
 
 def comments_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 5 (comments series)."""
-    return Cdf(np.array([record.comment_count for record in dataset], dtype=float))
+    return Cdf(dataset.columns.comment_count)
 
 
 def hearts_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 5 (hearts series)."""
-    return Cdf(np.array([record.heart_count for record in dataset], dtype=float))
+    return Cdf(dataset.columns.heart_count)
 
 
 def views_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts viewed per (active) user."""
-    counts = views_per_user(dataset.records)
+    counts = views_per_user(dataset)
     if not counts:
         raise ValueError("dataset has no views")
     return Cdf(np.array(list(counts.values()), dtype=float))
@@ -47,7 +47,7 @@ def views_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
 
 def creations_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts created per (active) broadcaster."""
-    counts = creations_per_user(dataset.records)
+    counts = creations_per_user(dataset)
     if not counts:
         raise ValueError("dataset has no broadcasts")
     return Cdf(np.array(list(counts.values()), dtype=float))
@@ -61,7 +61,7 @@ def viewer_activity_skew(dataset: BroadcastDataset, top_fraction: float = 0.15) 
     """
     if not 0 < top_fraction < 1:
         raise ValueError("top_fraction must be in (0, 1)")
-    counts = np.sort(np.array(list(views_per_user(dataset.records).values()), dtype=float))
+    counts = np.sort(np.array(list(views_per_user(dataset).values()), dtype=float))
     if len(counts) == 0:
         raise ValueError("dataset has no views")
     median = float(np.median(counts))
@@ -72,20 +72,11 @@ def viewer_activity_skew(dataset: BroadcastDataset, top_fraction: float = 0.15) 
     return top_mean / median
 
 
-def hls_broadcast_fractions(
-    dataset: BroadcastDataset, rtmp_threshold: int = 100
-) -> dict[str, float]:
-    """§4.1's spillover statistics: the fraction of broadcasts with at
-    least one HLS viewer (audience beyond the RTMP tier), and with at
-    least ``rtmp_threshold`` HLS viewers (paper: 5.77% and ~2.2%)."""
+def hls_broadcast_fraction(dataset: BroadcastDataset, rtmp_threshold: int = 100) -> float:
+    """§4.1's spillover statistic: the fraction of broadcasts with at
+    least one HLS viewer, i.e. more than ``rtmp_threshold`` viewers, the
+    audience the RTMP tier serves (paper: 5.77%)."""
     total = dataset.broadcast_count
     if total == 0:
         raise ValueError("empty dataset")
-    at_least_one = sum(1 for r in dataset if r.total_views > rtmp_threshold)
-    at_least_hundred = sum(
-        1 for r in dataset if r.total_views > rtmp_threshold + rtmp_threshold
-    )
-    return {
-        "some_hls": at_least_one / total,
-        "many_hls": at_least_hundred / total,
-    }
+    return int(np.count_nonzero(dataset.columns.total_views > rtmp_threshold)) / total

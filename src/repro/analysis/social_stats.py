@@ -24,9 +24,8 @@ def table2_rows(
 
 def followers_vs_viewers(dataset: BroadcastDataset) -> tuple[np.ndarray, np.ndarray]:
     """Figure 7's scatter inputs: (followers, viewers) per broadcast."""
-    followers = np.array([record.broadcaster_followers for record in dataset], dtype=float)
-    viewers = np.array([record.total_views for record in dataset], dtype=float)
-    return followers, viewers
+    columns = dataset.columns
+    return columns.broadcaster_followers.astype(float), columns.total_views.astype(float)
 
 
 def follower_viewer_correlation(dataset: BroadcastDataset) -> float:

@@ -88,7 +88,7 @@ def monitor_all(
     salt: Optional[str] = None,
 ) -> BroadcastDataset:
     """Finalize monitors for every discovered, ended broadcast."""
-    dataset = BroadcastDataset(app_name=service.profile.name, days=days)
+    records = []
     for broadcast_id, found_at in sorted(discoveries.items()):
         broadcast = service.get_broadcast(broadcast_id)
         if broadcast.is_live:
@@ -96,5 +96,5 @@ def monitor_all(
         monitor = BroadcastMonitor(
             broadcast_id=broadcast_id, discovered_at=found_at, salt=salt
         )
-        dataset.add(monitor.finalize(service, graph))
-    return dataset
+        records.append(monitor.finalize(service, graph))
+    return BroadcastDataset.from_records(service.profile.name, days, records)

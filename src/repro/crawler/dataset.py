@@ -6,29 +6,24 @@ IDs with join times, and comment/heart tallies.  A :class:`BroadcastDataset`
 is the full measurement — with support for the crawler-downtime window
 (Aug 7–9, ~4.5% of broadcasts lost) that the paper reports.
 
-Datasets have two interchangeable backends.  The record backend is a
-Python list of :class:`BroadcastRecord` objects, built incrementally by
-the crawler simulators.  The columnar backend (:class:`BroadcastColumns`)
-stores the same rows as parallel numpy arrays — the ragged per-broadcast
-viewer lists as one flat array plus a CSR-style ``viewer_indptr`` — which
-is what the trace generator produces at scale: aggregates like
-:meth:`BroadcastDataset.table1_row` then run as array reductions instead
-of per-record loops, and records materialize lazily only when iterated.
+A dataset holds its rows in one form, :class:`BroadcastColumns`: parallel
+numpy arrays, with the ragged per-broadcast viewer lists stored as one
+flat array plus a CSR-style ``viewer_indptr``.  Aggregates like
+:meth:`BroadcastDataset.table1_row` are array reductions.  Records exist
+only where rows enter or leave the system — the crawler's monitors and
+the JSONL release codec build datasets with
+:meth:`BroadcastDataset.from_records`, and iterating a dataset
+materializes its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 SECONDS_PER_DAY = 86_400.0
-
-#: Bit width reserved for user IDs when packing (day, user) pairs into a
-#: single int64 for vectorized uniqueness counting.  Full-scale Periscope
-#: has 12M users, far below 2**40; day indexes stay below 2**23.
-_PACK_ID_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ class BroadcastRecord:
 
 @dataclass
 class BroadcastColumns:
-    """One batch of broadcasts as parallel arrays (the columnar backend).
+    """One batch of broadcasts as parallel arrays.
 
     Row ``i`` of every array describes the same broadcast; the ragged
     viewer lists are stored CSR-style — ``viewer_ids[viewer_indptr[i] :
@@ -149,6 +144,11 @@ class BroadcastColumns:
         """Per-row registered (mobile) view counts."""
         return np.diff(self.viewer_indptr)
 
+    @property
+    def total_views(self) -> np.ndarray:
+        """Per-row mobile plus web view counts."""
+        return self.mobile_views + self.web_views
+
     @classmethod
     def empty(cls, app_name: str) -> "BroadcastColumns":
         zero = np.empty(0, dtype=np.int64)
@@ -203,7 +203,7 @@ class BroadcastColumns:
 
         All scalar fields are converted to native Python types (via
         ``tolist``) so the records serialize exactly like ones built row
-        by row — columnar and record backends must be indistinguishable.
+        by row.
         """
         indptr = self.viewer_indptr
         return [
@@ -334,66 +334,35 @@ class BroadcastColumns:
 class BroadcastDataset:
     """A complete crawl of one application over one measurement window.
 
-    Backed either by a list of :class:`BroadcastRecord` (crawler
-    simulators build these incrementally) or by :class:`BroadcastColumns`
-    (the trace generator's bulk output).  ``records`` materializes lazily
-    from columns; aggregate statistics use the columnar fast path when it
-    is available and fall back to record loops otherwise.
+    The rows live in :attr:`columns`; every aggregate is an array
+    reduction over them.  Iterating yields :class:`BroadcastRecord` rows,
+    materialized on demand — the only row view.
     """
 
     def __init__(
         self,
         app_name: str,
         days: int,
-        records: Optional[list[BroadcastRecord]] = None,
-        downtime: Optional[DowntimeWindow] = None,
-        *,
-        columns: Optional[BroadcastColumns] = None,
-    ) -> None:
-        if records is not None and columns is not None:
-            raise ValueError("pass records or columns, not both")
-        self.app_name = app_name
-        self.days = days
-        self.downtime = downtime
-        self._columns = columns
-        self._records: Optional[list[BroadcastRecord]] = (
-            list(records) if records is not None else ([] if columns is None else None)
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        app_name: str,
-        days: int,
         columns: BroadcastColumns,
         downtime: Optional[DowntimeWindow] = None,
+    ) -> None:
+        self.app_name = app_name
+        self.days = days
+        self.columns = columns
+        self.downtime = downtime
+
+    @classmethod
+    def from_records(
+        cls, app_name: str, days: int, records: Sequence[BroadcastRecord]
     ) -> "BroadcastDataset":
-        return cls(app_name=app_name, days=days, downtime=downtime, columns=columns)
-
-    @property
-    def records(self) -> list[BroadcastRecord]:
-        """Record-object view; materialized from columns on first access."""
-        if self._records is None:
-            self._records = self._columns.to_records()
-        return self._records
-
-    @property
-    def columns(self) -> Optional[BroadcastColumns]:
-        """The columnar backend, or ``None`` for record-built datasets."""
-        return self._columns
-
-    def add(self, record: BroadcastRecord) -> None:
-        records = self.records  # materialize before mutating
-        records.append(record)
-        self._columns = None  # stale: single source of truth is now records
+        """A dataset of rows that arrive one by one (crawler, JSONL codec)."""
+        return cls(app_name, days, BroadcastColumns.from_records(app_name, records))
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self.records)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[BroadcastRecord]:
-        return iter(self.records)
+        return iter(self.columns.to_records())
 
     # -- aggregate statistics (Table 1) ---------------------------------
 
@@ -403,9 +372,7 @@ class BroadcastDataset:
 
     @property
     def broadcaster_count(self) -> int:
-        if self._columns is not None:
-            return len(np.unique(self._columns.broadcaster_id))
-        return len({record.broadcaster_id for record in self.records})
+        return len(np.unique(self.columns.broadcaster_id))
 
     @property
     def total_views(self) -> int:
@@ -413,24 +380,15 @@ class BroadcastDataset:
 
     @property
     def mobile_views(self) -> int:
-        if self._columns is not None:
-            return len(self._columns.viewer_ids)
-        return sum(record.mobile_views for record in self.records)
+        return len(self.columns.viewer_ids)
 
     @property
     def web_views(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.web_views.sum())
-        return sum(record.web_views for record in self.records)
+        return int(self.columns.web_views.sum())
 
     @property
     def unique_viewer_count(self) -> int:
-        if self._columns is not None:
-            return len(np.unique(self._columns.viewer_ids))
-        unique: set[int] = set()
-        for record in self.records:
-            unique.update(record.viewer_ids.tolist())
-        return len(unique)
+        return len(np.unique(self.columns.viewer_ids))
 
     def table1_row(self) -> dict[str, int]:
         """The Table 1 row for this dataset."""
@@ -444,51 +402,28 @@ class BroadcastDataset:
     # -- time series (Figures 1-2) ---------------------------------------
 
     def _start_days(self) -> np.ndarray:
-        """Per-row integer start day (columnar backend only)."""
-        return (self._columns.start_time / SECONDS_PER_DAY).astype(np.int64)
+        """Per-row integer start day."""
+        return (self.columns.start_time / SECONDS_PER_DAY).astype(np.int64)
 
     def daily_broadcast_counts(self) -> np.ndarray:
-        if self._columns is not None:
-            days = self._start_days()
-            valid = (days >= 0) & (days < self.days)
-            return np.bincount(days[valid], minlength=self.days)
-        counts = np.zeros(self.days, dtype=np.int64)
-        for record in self.records:
-            day = int(record.start_day)
-            if 0 <= day < self.days:
-                counts[day] += 1
-        return counts
+        days = self._start_days()
+        valid = (days >= 0) & (days < self.days)
+        return np.bincount(days[valid], minlength=self.days)
 
     def daily_active_users(self) -> tuple[np.ndarray, np.ndarray]:
         """(daily unique viewers, daily unique broadcasters)."""
-        if self._columns is not None:
-            cols = self._columns
-            days = self._start_days()
-            valid = (days >= 0) & (days < self.days)
-            # Pack (day, user) into one int64 so uniqueness is one np.unique.
-            b_pairs = (days[valid] << _PACK_ID_BITS) | cols.broadcaster_id[valid]
-            day_per_view = np.repeat(days, cols.mobile_views)
-            view_valid = (day_per_view >= 0) & (day_per_view < self.days)
-            v_pairs = (day_per_view[view_valid] << _PACK_ID_BITS) | cols.viewer_ids[
-                view_valid
-            ]
-            unique_b = np.unique(b_pairs)
-            unique_v = np.unique(v_pairs)
-            return (
-                np.bincount(unique_v >> _PACK_ID_BITS, minlength=self.days),
-                np.bincount(unique_b >> _PACK_ID_BITS, minlength=self.days),
-            )
-        viewers: list[set[int]] = [set() for _ in range(self.days)]
-        broadcasters: list[set[int]] = [set() for _ in range(self.days)]
-        for record in self.records:
-            day = int(record.start_day)
-            if not 0 <= day < self.days:
-                continue
-            broadcasters[day].add(record.broadcaster_id)
-            viewers[day].update(record.viewer_ids.tolist())
+        cols = self.columns
+        days = self._start_days()
+        valid = (days >= 0) & (days < self.days)
+        day_per_view = np.repeat(days, cols.mobile_views)
+        view_valid = (day_per_view >= 0) & (day_per_view < self.days)
+        viewer_days, _ = _distinct_pairs(
+            day_per_view[view_valid], cols.viewer_ids[view_valid]
+        )
+        broadcaster_days, _ = _distinct_pairs(days[valid], cols.broadcaster_id[valid])
         return (
-            np.array([len(s) for s in viewers], dtype=np.int64),
-            np.array([len(s) for s in broadcasters], dtype=np.int64),
+            np.bincount(viewer_days, minlength=self.days),
+            np.bincount(broadcaster_days, minlength=self.days),
         )
 
     # -- filtering --------------------------------------------------------
@@ -498,98 +433,45 @@ class BroadcastDataset:
     ) -> "BroadcastDataset":
         """Return a copy with broadcasts lost during the outage removed.
 
-        Kept on the record path deliberately: the rng is consulted only
-        for records inside the window, and that draw order is part of the
+        The rng draws one uniform per row inside the window, in row order
+        (rows outside it draw nothing); that draw order is part of the
         deterministic contract with existing seeds.
         """
-        kept = [
-            record
-            for record in self.records
-            if not (window.covers(record.start_day) and rng.random() < window.loss_fraction)
-        ]
+        cols = self.columns
+        start_day = cols.start_time / SECONDS_PER_DAY
+        inside = np.flatnonzero(
+            (window.start_day <= start_day) & (start_day < window.end_day)
+        )
+        keep = np.ones(len(cols), dtype=bool)
+        keep[inside[rng.random(len(inside)) < window.loss_fraction]] = False
         return BroadcastDataset(
-            app_name=self.app_name, days=self.days, records=kept, downtime=window
+            self.app_name, self.days, cols.take(np.flatnonzero(keep)), downtime=window
         )
 
-    def sample_records(
-        self, rng: np.random.Generator, count: int
-    ) -> list[BroadcastRecord]:
-        """Uniform random sample (the delay study drew 16,013 broadcasts)."""
-        if count >= len(self):
-            return list(self.records)
-        indices = rng.choice(len(self), size=count, replace=False)
-        return [self.records[i] for i in sorted(indices)]
+
+def _distinct_pairs(
+    groups: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(group, id)`` pairs of two parallel arrays, sorted."""
+    order = np.lexsort((ids, groups))
+    g = groups[order]
+    v = ids[order]
+    distinct = np.ones(len(g), dtype=bool)
+    distinct[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+    return g[distinct], v[distinct]
 
 
-def merge_datasets(datasets: Sequence[BroadcastDataset]) -> BroadcastDataset:
-    """Concatenate several crawls of the same app (e.g. sharded crawlers).
-
-    Duplicate broadcast IDs keep their first occurrence (in dataset
-    order).  When every input is columnar the merge is a concatenate plus
-    one vectorized first-occurrence scan — no record objects are built.
-    """
-    if not datasets:
-        raise ValueError("no datasets to merge")
-    first = datasets[0]
-    if any(d.app_name != first.app_name for d in datasets):
-        raise ValueError("cannot merge datasets from different apps")
-    days = max(d.days for d in datasets)
-    if all(d.columns is not None for d in datasets):
-        combined = BroadcastColumns.concat([d.columns for d in datasets])
-        _, first_indices = np.unique(combined.broadcast_id, return_index=True)
-        first_indices.sort()
-        if len(first_indices) != len(combined):
-            combined = combined.take(first_indices)
-        return BroadcastDataset.from_columns(
-            app_name=first.app_name, days=days, columns=combined
-        )
-    merged = BroadcastDataset(app_name=first.app_name, days=days)
-    seen: set[int] = set()
-    for dataset in datasets:
-        for record in dataset:
-            if record.broadcast_id not in seen:
-                seen.add(record.broadcast_id)
-                merged.add(record)
-    return merged
-
-
-def views_per_user(
-    records: Union[BroadcastDataset, Iterable[BroadcastRecord]]
-) -> dict[int, int]:
+def views_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts viewed per registered user (Figure 6)."""
-    if isinstance(records, BroadcastDataset) and records.columns is not None:
-        cols = records.columns
-        row = np.repeat(
-            np.arange(len(cols), dtype=np.int64), cols.mobile_views
-        )
-        # Dedup (row, viewer) pairs, then tally each viewer's rows.
-        order = np.lexsort((cols.viewer_ids, row))
-        r = row[order]
-        v = cols.viewer_ids[order]
-        distinct = np.ones(len(r), dtype=bool)
-        distinct[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
-        users, counts = np.unique(v[distinct], return_counts=True)
-        return dict(zip(users.tolist(), counts.tolist()))
-    counts_by_user: dict[int, int] = {}
-    for record in records:
-        for viewer in np.unique(record.viewer_ids):
-            key = int(viewer)
-            counts_by_user[key] = counts_by_user.get(key, 0) + 1
-    return counts_by_user
+    cols = dataset.columns
+    row = np.repeat(np.arange(len(cols), dtype=np.int64), cols.mobile_views)
+    # Dedup (row, viewer) pairs, then tally each viewer's rows.
+    _, viewers = _distinct_pairs(row, cols.viewer_ids)
+    users, counts = np.unique(viewers, return_counts=True)
+    return dict(zip(users.tolist(), counts.tolist()))
 
 
-def creations_per_user(
-    records: Union[BroadcastDataset, Iterable[BroadcastRecord]]
-) -> dict[int, int]:
+def creations_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts created per user (Figure 6)."""
-    if isinstance(records, BroadcastDataset) and records.columns is not None:
-        users, counts = np.unique(
-            records.columns.broadcaster_id, return_counts=True
-        )
-        return dict(zip(users.tolist(), counts.tolist()))
-    counts_by_user: dict[int, int] = {}
-    for record in records:
-        counts_by_user[record.broadcaster_id] = (
-            counts_by_user.get(record.broadcaster_id, 0) + 1
-        )
-    return counts_by_user
+    users, counts = np.unique(dataset.columns.broadcaster_id, return_counts=True)
+    return dict(zip(users.tolist(), counts.tolist()))

@@ -123,10 +123,10 @@ def dataset_from_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset
         version = header.get("format_version")
         if version != _FORMAT_VERSION:
             raise ValueError(f"{source}: unsupported format version {version}")
-        dataset = BroadcastDataset(app_name=header["app_name"], days=header["days"])
-        for line in handle:
-            if line.strip():
-                dataset.add(_record_from_json(json.loads(line)))
+        records = [
+            _record_from_json(json.loads(line)) for line in handle if line.strip()
+        ]
+    dataset = BroadcastDataset.from_records(header["app_name"], header["days"], records)
     expected = header.get("record_count")
     if expected is not None and expected != len(dataset):
         raise ValueError(
@@ -148,12 +148,9 @@ def dataset_to_columnar_bytes(dataset: BroadcastDataset) -> bytes:
 
     Layout: one JSON header line, then each column of
     :data:`COLUMN_LAYOUT` as raw little-endian bytes, all gzipped with
-    mtime pinned to 0.  Record-backed datasets are columnarized first;
-    either backend serializes to the identical bytes.
+    mtime pinned to 0.
     """
     columns = dataset.columns
-    if columns is None:
-        columns = BroadcastColumns.from_records(dataset.app_name, dataset.records)
     header = {
         "format_version": _COLUMNS_FORMAT_VERSION,
         "app_name": dataset.app_name,
@@ -198,9 +195,7 @@ def dataset_from_columnar_bytes(data: bytes, source: str = "<bytes>") -> Broadca
     if offset != len(payload):
         raise ValueError(f"{source}: trailing bytes after columns")
     columns = BroadcastColumns(app_name=header["app_name"], **arrays)
-    return BroadcastDataset.from_columns(
-        app_name=header["app_name"], days=header["days"], columns=columns
-    )
+    return BroadcastDataset(header["app_name"], header["days"], columns)
 
 
 def save_dataset(dataset: BroadcastDataset, path: PathLike) -> None:
@@ -249,8 +244,6 @@ def save_dataset_mapped(dataset: BroadcastDataset, path: PathLike) -> None:
     the other formats.
     """
     columns = dataset.columns
-    if columns is None:
-        columns = BroadcastColumns.from_records(dataset.app_name, dataset.records)
     write_arrays(
         path,
         {field: np.ascontiguousarray(getattr(columns, field), dtype=dtype)
@@ -281,9 +274,7 @@ def load_dataset_mapped(path: PathLike) -> BroadcastDataset:
         raise ValueError(f"{path}: truncated dataset (record count mismatch)")
     if len(columns.viewer_ids) != int(meta["viewer_count"]):
         raise ValueError(f"{path}: truncated dataset (viewer count mismatch)")
-    return BroadcastDataset.from_columns(
-        app_name=meta["app_name"], days=meta["days"], columns=columns
-    )
+    return BroadcastDataset(meta["app_name"], meta["days"], columns)
 
 
 def _save_v2(dataset: BroadcastDataset, path: Path) -> None:

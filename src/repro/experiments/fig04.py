@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.broadcast_stats import hls_broadcast_fractions, viewers_per_broadcast_cdf
+from repro.analysis.broadcast_stats import hls_broadcast_fraction, viewers_per_broadcast_cdf
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
@@ -21,13 +21,12 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
     meerkat = meerkat_trace(scale, seed).dataset
     periscope_cdf = viewers_per_broadcast_cdf(periscope)
     meerkat_cdf = viewers_per_broadcast_cdf(meerkat)
-    spillover = hls_broadcast_fractions(periscope)
 
     data = {
         "periscope_zero_viewer_fraction": periscope_cdf.at(0.0),
         "meerkat_zero_viewer_fraction": meerkat_cdf.at(0.0),
         "periscope_max_viewers": periscope_cdf.values[-1],
-        "periscope_some_hls_fraction": spillover["some_hls"],
+        "periscope_some_hls_fraction": hls_broadcast_fraction(periscope),
         "periscope_cdf": periscope_cdf,
         "meerkat_cdf": meerkat_cdf,
     }

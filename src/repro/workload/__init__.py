@@ -19,13 +19,11 @@ from repro.workload.viewers import ViewerArrivalModel
 from repro.workload.trace import (
     ShardContext,
     TraceConfig,
-    TraceGenerator,
     WorkloadTrace,
     build_follow_graph,
     build_trace_context,
     derived_notification_open_rate,
     generate_day_columns,
-    generate_day_records,
 )
 
 __all__ = [
@@ -40,11 +38,9 @@ __all__ = [
     "ViewerArrivalModel",
     "ShardContext",
     "TraceConfig",
-    "TraceGenerator",
     "WorkloadTrace",
     "build_follow_graph",
     "build_trace_context",
     "derived_notification_open_rate",
     "generate_day_columns",
-    "generate_day_records",
 ]

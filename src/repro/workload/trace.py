@@ -32,12 +32,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from repro.crawler.dataset import (
-    SECONDS_PER_DAY,
-    BroadcastColumns,
-    BroadcastDataset,
-    BroadcastRecord,
-)
+from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDataset
 from repro.simulation.distributions import zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
 from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
@@ -236,7 +231,7 @@ class WorkloadTrace:
 class ShardContext:
     """Precomputed, picklable inputs shared by every generation shard.
 
-    Holds everything :func:`generate_day_records` needs — notably the
+    Holds everything :func:`generate_day_columns` needs — notably the
     follower count per broadcaster-pool slot instead of the full graph,
     so shipping a context to a worker process is a few small arrays, not
     millions of edges.
@@ -390,11 +385,6 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     )
 
 
-def generate_day_records(context: ShardContext, day: int) -> list[BroadcastRecord]:
-    """Record-object view of :func:`generate_day_columns` (same draws)."""
-    return generate_day_columns(context, day).to_records()
-
-
 def assemble_dataset_columns(
     config: TraceConfig, day_columns: Iterable[BroadcastColumns]
 ) -> BroadcastDataset:
@@ -423,26 +413,4 @@ def assemble_dataset_columns(
     )
     if not already_keyed:
         combined.broadcast_id = np.arange(1, n + 1, dtype=np.int64)
-    return BroadcastDataset.from_columns(
-        app_name=config.app_name, days=config.growth.days, columns=combined
-    )
-
-
-class TraceGenerator:
-    """Generates a :class:`WorkloadTrace` for one application.
-
-    ``generate()`` honours ``config.workers``/``config.shards`` by
-    delegating to :func:`repro.parallel.generate_trace`; with the defaults
-    it runs fully in-process.  Either way the output is byte-identical for
-    a fixed ``(config, seed)``.
-    """
-
-    def __init__(self, config: TraceConfig) -> None:
-        self.config = config
-        self.streams = RandomStreams(config.seed)
-
-    def generate(self) -> WorkloadTrace:
-        # Imported here: repro.parallel builds on this module.
-        from repro.parallel import generate_trace
-
-        return generate_trace(self.config)
+    return BroadcastDataset(config.app_name, config.growth.days, combined)

@@ -1,10 +1,16 @@
-"""Columnar-vs-record backend equivalence.
+"""Column kernels versus row-loop oracles.
 
-The columnar :class:`BroadcastColumns` core is a pure representation
-change: every aggregate, every serialization, and every cache format
-must be indistinguishable from the row-by-row record path.  These tests
-pin that contract — a divergence here means the vectorized fast path
-changed semantics, not just speed.
+A :class:`BroadcastDataset` holds its rows only as
+:class:`BroadcastColumns`, and every aggregate is an array kernel.  The
+``oracle_*`` loops below are the row-by-row definitions those kernels
+replaced: the Table 1 row, daily broadcast counts and daily active users,
+the per-user view and creation tallies, and the crawler-downtime draw.
+Each kernel must equal its oracle exactly, on generated Periscope and
+Meerkat traces over several seeds and on hand-built edge cases.  A
+divergence here means a kernel changed semantics, not just speed.
+
+The columns' serialization and cache-format guarantees are pinned here
+too, as is the rule that the trace analyses never materialize rows.
 """
 
 from __future__ import annotations
@@ -12,26 +18,149 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.crawler.broadcast_monitor import anonymize_id
 from repro.crawler.dataset import (
+    SECONDS_PER_DAY,
     BroadcastColumns,
     BroadcastDataset,
+    BroadcastRecord,
+    DowntimeWindow,
     creations_per_user,
-    merge_datasets,
     views_per_user,
 )
 from repro.crawler.storage import (
     DatasetCache,
+    dataset_from_bytes,
     dataset_from_columnar_bytes,
     dataset_to_bytes,
     dataset_to_columnar_bytes,
     load_dataset_mapped,
     save_dataset_mapped,
 )
+from repro.experiments import context
+from repro.experiments.fig01 import CRAWLER_DOWNTIME
+from repro.experiments.registry import run_experiment
 from repro.parallel import generate_trace
 from repro.workload.trace import TraceConfig, build_trace_context, generate_day_columns
 
 SCALE = 0.0001
 SEED = 17
+SEEDS = (17, 18, 19)
+MEERKAT_SCALE = 0.005
+
+
+# -- row-loop oracles ---------------------------------------------------
+
+
+def oracle_table1_row(records: list[BroadcastRecord]) -> dict[str, int]:
+    unique_viewers: set[int] = set()
+    for record in records:
+        unique_viewers.update(record.viewer_ids.tolist())
+    return {
+        "broadcasts": len(records),
+        "broadcasters": len({record.broadcaster_id for record in records}),
+        "total_views": sum(record.mobile_views for record in records)
+        + sum(record.web_views for record in records),
+        "unique_viewers": len(unique_viewers),
+    }
+
+
+def oracle_daily_broadcast_counts(records: list[BroadcastRecord], days: int) -> np.ndarray:
+    counts = np.zeros(days, dtype=np.int64)
+    for record in records:
+        day = int(record.start_day)
+        if 0 <= day < days:
+            counts[day] += 1
+    return counts
+
+
+def oracle_daily_active_users(
+    records: list[BroadcastRecord], days: int
+) -> tuple[np.ndarray, np.ndarray]:
+    viewers: list[set[int]] = [set() for _ in range(days)]
+    broadcasters: list[set[int]] = [set() for _ in range(days)]
+    for record in records:
+        day = int(record.start_day)
+        if not 0 <= day < days:
+            continue
+        broadcasters[day].add(record.broadcaster_id)
+        viewers[day].update(record.viewer_ids.tolist())
+    return (
+        np.array([len(s) for s in viewers], dtype=np.int64),
+        np.array([len(s) for s in broadcasters], dtype=np.int64),
+    )
+
+
+def oracle_views_per_user(records: list[BroadcastRecord]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for record in records:
+        for viewer in np.unique(record.viewer_ids):
+            counts[int(viewer)] = counts.get(int(viewer), 0) + 1
+    return counts
+
+
+def oracle_creations_per_user(records: list[BroadcastRecord]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for record in records:
+        counts[record.broadcaster_id] = counts.get(record.broadcaster_id, 0) + 1
+    return counts
+
+
+def oracle_apply_downtime(
+    records: list[BroadcastRecord], window: DowntimeWindow, rng: np.random.Generator
+) -> list[BroadcastRecord]:
+    """One scalar draw per record inside the window, in row order."""
+    return [
+        record
+        for record in records
+        if not (window.covers(record.start_day) and rng.random() < window.loss_fraction)
+    ]
+
+
+def assert_aggregates_match(dataset: BroadcastDataset, label: str = "") -> None:
+    records = list(dataset)
+    assert dataset.table1_row() == oracle_table1_row(records), label
+    counts = dataset.daily_broadcast_counts()
+    assert np.array_equal(counts, oracle_daily_broadcast_counts(records, dataset.days)), label
+    viewers, broadcasters = dataset.daily_active_users()
+    want_viewers, want_broadcasters = oracle_daily_active_users(records, dataset.days)
+    assert np.array_equal(viewers, want_viewers), label
+    assert np.array_equal(broadcasters, want_broadcasters), label
+    assert views_per_user(dataset) == oracle_views_per_user(records), label
+    assert creations_per_user(dataset) == oracle_creations_per_user(records), label
+
+
+def assert_downtime_matches(
+    dataset: BroadcastDataset, window: DowntimeWindow, seed: int, label: str = ""
+) -> BroadcastDataset:
+    """Kernel and oracle keep the same rows and leave the rng in one state."""
+    kernel_rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    observed = dataset.apply_downtime(window, kernel_rng)
+    kept = oracle_apply_downtime(list(dataset), window, oracle_rng)
+    expected = BroadcastDataset.from_records(dataset.app_name, dataset.days, kept)
+    assert observed.downtime == window, label
+    assert dataset_to_bytes(observed) == dataset_to_bytes(expected), label
+    assert kernel_rng.bit_generator.state == oracle_rng.bit_generator.state, label
+    return observed
+
+
+def _record(bid, start, viewers=(), broadcaster=1, web=0):
+    return BroadcastRecord(
+        broadcast_id=bid,
+        broadcaster_id=broadcaster,
+        app_name="Periscope",
+        start_time=start,
+        duration_s=60.0,
+        viewer_ids=np.array(viewers, dtype=np.int64),
+        web_views=web,
+        heart_count=0,
+        comment_count=0,
+        commenter_count=0,
+    )
+
+
+# -- fixtures -----------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -40,50 +169,166 @@ def columnar_dataset() -> BroadcastDataset:
 
 
 @pytest.fixture(scope="module")
-def record_dataset(columnar_dataset) -> BroadcastDataset:
-    """The same dataset rebuilt through the record backend."""
-    return BroadcastDataset(
-        columnar_dataset.app_name,
-        columnar_dataset.days,
-        records=list(columnar_dataset.records),
-    )
+def generated() -> list[tuple[str, BroadcastDataset]]:
+    """Generated Periscope and Meerkat datasets over several seeds."""
+    datasets = []
+    for seed in SEEDS:
+        for config in (
+            TraceConfig.periscope(scale=SCALE, seed=seed),
+            TraceConfig.meerkat(scale=MEERKAT_SCALE, seed=seed),
+        ):
+            datasets.append((f"{config.app_name}/{seed}", generate_trace(config).dataset))
+    return datasets
+
+
+# -- kernels versus oracles ---------------------------------------------
 
 
 class TestAggregateEquivalence:
-    def test_backends_in_play(self, columnar_dataset, record_dataset):
-        assert columnar_dataset.columns is not None
-        assert record_dataset.columns is None
+    def test_table1_row_identical(self, generated):
+        for label, dataset in generated:
+            assert dataset.table1_row() == oracle_table1_row(list(dataset)), label
 
-    def test_table1_row_identical(self, columnar_dataset, record_dataset):
-        assert columnar_dataset.table1_row() == record_dataset.table1_row()
+    def test_daily_broadcast_counts_identical(self, generated):
+        for label, dataset in generated:
+            assert np.array_equal(
+                dataset.daily_broadcast_counts(),
+                oracle_daily_broadcast_counts(list(dataset), dataset.days),
+            ), label
 
-    def test_daily_broadcast_counts_identical(self, columnar_dataset, record_dataset):
-        assert np.array_equal(
-            columnar_dataset.daily_broadcast_counts(),
-            record_dataset.daily_broadcast_counts(),
+    def test_daily_active_users_identical(self, generated):
+        for label, dataset in generated:
+            viewers, broadcasters = dataset.daily_active_users()
+            want_viewers, want_broadcasters = oracle_daily_active_users(
+                list(dataset), dataset.days
+            )
+            assert np.array_equal(viewers, want_viewers), label
+            assert np.array_equal(broadcasters, want_broadcasters), label
+
+    def test_per_user_tallies_identical(self, generated):
+        for label, dataset in generated:
+            records = list(dataset)
+            assert views_per_user(dataset) == oracle_views_per_user(records), label
+            assert creations_per_user(dataset) == oracle_creations_per_user(records), label
+
+    def test_downtime_draw_identical(self, generated):
+        for label, dataset in generated:
+            partial = DowntimeWindow(0.4 * dataset.days, 0.6 * dataset.days, 0.5)
+            observed = assert_downtime_matches(dataset, partial, seed=3, label=label)
+            assert 0 < len(observed) < len(dataset), label
+            assert_downtime_matches(dataset, CRAWLER_DOWNTIME, seed=2016, label=label)
+
+    def test_jsonl_serialization_identical(self, generated):
+        """Rows read back through ``from_records`` serialize byte for byte."""
+        for label, dataset in generated:
+            rebuilt = BroadcastDataset.from_records(
+                dataset.app_name, dataset.days, list(dataset)
+            )
+            assert dataset_to_bytes(rebuilt) == dataset_to_bytes(dataset), label
+            restored = dataset_from_bytes(dataset_to_bytes(dataset))
+            assert dataset_to_bytes(restored) == dataset_to_bytes(dataset), label
+
+
+class TestEdgeCases:
+    def test_empty_dataset(self):
+        dataset = BroadcastDataset.from_records("Periscope", 3, [])
+        assert_aggregates_match(dataset)
+        assert dataset.table1_row() == dict.fromkeys(
+            ("broadcasts", "broadcasters", "total_views", "unique_viewers"), 0
         )
+        rng = np.random.default_rng(5)
+        assert len(dataset.apply_downtime(DowntimeWindow(0.0, 3.0, 0.5), rng)) == 0
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
-    def test_daily_active_users_identical(self, columnar_dataset, record_dataset):
-        col_viewers, col_casters = columnar_dataset.daily_active_users()
-        rec_viewers, rec_casters = record_dataset.daily_active_users()
-        assert np.array_equal(col_viewers, rec_viewers)
-        assert np.array_equal(col_casters, rec_casters)
+    @pytest.mark.parametrize("loss_fraction", [1.0, 0.5])
+    def test_every_row_inside_downtime(self, loss_fraction):
+        records = [
+            _record(bid=i, start=(1.0 + i / 100) * SECONDS_PER_DAY, viewers=(i,))
+            for i in range(50)
+        ]
+        dataset = BroadcastDataset.from_records("Periscope", 3, records)
+        window = DowntimeWindow(1.0, 2.0, loss_fraction)
+        observed = assert_downtime_matches(dataset, window, seed=11)
+        if loss_fraction == 1.0:
+            assert len(observed) == 0
+        assert_aggregates_match(observed)
 
-    def test_per_user_tallies_identical(self, columnar_dataset, record_dataset):
-        assert views_per_user(columnar_dataset) == views_per_user(record_dataset)
-        assert creations_per_user(columnar_dataset) == creations_per_user(record_dataset)
+    def test_broadcast_starting_on_day_days_excluded(self):
+        records = [
+            _record(bid=1, start=10.0, viewers=(7,), broadcaster=1),
+            _record(bid=2, start=1.5 * SECONDS_PER_DAY, viewers=(7, 8), broadcaster=2),
+            _record(bid=3, start=2.0 * SECONDS_PER_DAY, viewers=(9,), broadcaster=3),
+        ]
+        dataset = BroadcastDataset.from_records("Periscope", 2, records)
+        assert_aggregates_match(dataset)
+        assert dataset.daily_broadcast_counts().tolist() == [1, 1]
+        viewers, broadcasters = dataset.daily_active_users()
+        assert viewers.tolist() == [1, 2]
+        assert broadcasters.tolist() == [1, 1]
+        # The out-of-window row still counts in Table 1.
+        assert dataset.table1_row()["broadcasts"] == 3
+        assert dataset.table1_row()["unique_viewers"] == 3
 
-    def test_jsonl_serialization_identical(self, columnar_dataset, record_dataset):
-        assert dataset_to_bytes(columnar_dataset) == dataset_to_bytes(record_dataset)
+    def test_zero_viewer_rows(self):
+        records = [
+            _record(bid=1, start=10.0, viewers=()),
+            _record(bid=2, start=20.0, viewers=(), web=4),
+            _record(bid=3, start=30.0, viewers=(5, 5), broadcaster=2),
+            _record(bid=4, start=SECONDS_PER_DAY, viewers=()),
+        ]
+        dataset = BroadcastDataset.from_records("Periscope", 2, records)
+        assert_aggregates_match(dataset)
+        assert dataset.columns.total_views.tolist() == [0, 4, 2, 0]
+        assert views_per_user(dataset) == {5: 1}
+        assert_downtime_matches(dataset, DowntimeWindow(0.0, 1.0, 0.5), seed=2)
 
-    def test_merge_matches_record_merge(self, columnar_dataset, record_dataset):
-        other = generate_trace(TraceConfig.periscope(scale=SCALE, seed=SEED + 1)).dataset
-        other_records = BroadcastDataset(
-            other.app_name, other.days, records=list(other.records)
+    def test_anonymized_63_bit_ids(self):
+        """63-bit pseudonyms (the release format's IDs) count exactly."""
+        records = [
+            _record(
+                bid=i,
+                start=(i % 3) * SECONDS_PER_DAY + 5.0,
+                viewers=[anonymize_id(v) for v in (i, i + 1, 2)],
+                broadcaster=anonymize_id(i % 4),
+            )
+            for i in range(12)
+        ]
+        dataset = BroadcastDataset.from_records("Periscope", 3, records)
+        assert dataset.columns.viewer_ids.max() >= 2**40
+        assert_aggregates_match(dataset)
+
+
+class TestDowntimePin:
+    def test_fig1_downtime_at_default_seed_and_scale(self):
+        """Fig 1's outage at seed 2016 and the default scale, as recorded
+        when the downtime draw ran one scalar ``rng.random()`` per row."""
+        dataset = context.periscope_trace(context.DEFAULT_SCALE, context.DEFAULT_SEED).dataset
+        observed = dataset.apply_downtime(
+            CRAWLER_DOWNTIME, np.random.default_rng(context.DEFAULT_SEED)
         )
-        merged_columnar = merge_datasets([columnar_dataset, other])
-        merged_records = merge_datasets([record_dataset, other_records])
-        assert dataset_to_bytes(merged_columnar) == dataset_to_bytes(merged_records)
+        assert (len(dataset), len(observed)) == (9_577, 9_275)
+        assert dataset.daily_broadcast_counts()[84:86].tolist() == [147, 186]
+        assert observed.daily_broadcast_counts()[84:86].tolist() == [16, 15]
+
+
+class TestNoRowMaterialization:
+    def test_trace_experiments_read_columns_only(self, monkeypatch):
+        """Table 1 and Figs 1-7 run without building a single record."""
+
+        def forbidden(self):
+            raise AssertionError("trace analysis materialized BroadcastRecord rows")
+
+        monkeypatch.setattr(BroadcastColumns, "to_records", forbidden)
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        context.clear_caches()
+        try:
+            for exp_id in ["table1"] + [f"fig{i}" for i in range(1, 8)]:
+                run_experiment(exp_id, scale=0.0002, seed=SEED)
+        finally:
+            context.clear_caches()
+
+
+# -- representation round trips -------------------------------------------
 
 
 class TestColumnsRoundTrip:
@@ -95,8 +340,8 @@ class TestColumnsRoundTrip:
 
     def test_day_columns_match_materialized_records(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        context, _ = build_trace_context(config)
-        columns = generate_day_columns(context, 7)
+        context_, _ = build_trace_context(config)
+        columns = generate_day_columns(context_, 7)
         records = columns.to_records()
         assert len(records) == len(columns)
         for i, record in enumerate(records):
@@ -130,10 +375,8 @@ class TestCacheFormatEquivalence:
         first = dataset_to_columnar_bytes(columnar_dataset)
         second = dataset_to_columnar_bytes(columnar_dataset)
         assert first == second
-        # Record-backed serialization of the same data is also identical.
-        record_dataset = BroadcastDataset(
-            columnar_dataset.app_name,
-            columnar_dataset.days,
-            records=list(columnar_dataset.records),
+        # The same rows rebuilt through from_records serialize identically.
+        rebuilt = BroadcastDataset.from_records(
+            columnar_dataset.app_name, columnar_dataset.days, list(columnar_dataset)
         )
-        assert dataset_to_columnar_bytes(record_dataset) == first
+        assert dataset_to_columnar_bytes(rebuilt) == first

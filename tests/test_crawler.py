@@ -13,11 +13,11 @@ from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.crawler.broadcast_monitor import BroadcastMonitor, anonymize_id, monitor_all
 from repro.crawler.dataset import (
+    BroadcastColumns,
     BroadcastDataset,
     BroadcastRecord,
     DowntimeWindow,
     creations_per_user,
-    merge_datasets,
     views_per_user,
 )
 from repro.crawler.delay_crawler import DelayCrawler
@@ -45,11 +45,19 @@ def _record(bid=1, broadcaster=1, start=0.0, duration=60.0, viewers=(2, 3),
     )
 
 
+def _dataset(records, days):
+    return BroadcastDataset.from_records("Periscope", days, records)
+
+
 class TestDataset:
     def test_table1_row(self):
-        dataset = BroadcastDataset("Periscope", days=2)
-        dataset.add(_record(bid=1, broadcaster=1, viewers=(2, 3)))
-        dataset.add(_record(bid=2, broadcaster=1, viewers=(3, 4)))
+        dataset = _dataset(
+            [
+                _record(bid=1, broadcaster=1, viewers=(2, 3)),
+                _record(bid=2, broadcaster=1, viewers=(3, 4)),
+            ],
+            days=2,
+        )
         row = dataset.table1_row()
         assert row["broadcasts"] == 2
         assert row["broadcasters"] == 1
@@ -57,24 +65,31 @@ class TestDataset:
         assert row["unique_viewers"] == 3
 
     def test_daily_broadcast_counts(self):
-        dataset = BroadcastDataset("Periscope", days=3)
-        dataset.add(_record(bid=1, start=1000.0))
-        dataset.add(_record(bid=2, start=90_000.0))
-        dataset.add(_record(bid=3, start=91_000.0))
+        dataset = _dataset(
+            [
+                _record(bid=1, start=1000.0),
+                _record(bid=2, start=90_000.0),
+                _record(bid=3, start=91_000.0),
+            ],
+            days=3,
+        )
         assert list(dataset.daily_broadcast_counts()) == [1, 2, 0]
 
     def test_daily_active_users(self):
-        dataset = BroadcastDataset("Periscope", days=2)
-        dataset.add(_record(bid=1, broadcaster=1, start=0.0, viewers=(2, 3)))
-        dataset.add(_record(bid=2, broadcaster=4, start=90_000.0, viewers=(3,)))
+        dataset = _dataset(
+            [
+                _record(bid=1, broadcaster=1, start=0.0, viewers=(2, 3)),
+                _record(bid=2, broadcaster=4, start=90_000.0, viewers=(3,)),
+            ],
+            days=2,
+        )
         viewers, broadcasters = dataset.daily_active_users()
         assert list(viewers) == [2, 1]
         assert list(broadcasters) == [1, 1]
 
     def test_downtime_removes_broadcasts(self):
-        dataset = BroadcastDataset("Periscope", days=10)
-        for i in range(100):
-            dataset.add(_record(bid=i, start=i * 8640.0))  # spread over 10 days
+        # Spread over 10 days.
+        dataset = _dataset([_record(bid=i, start=i * 8640.0) for i in range(100)], days=10)
         window = DowntimeWindow(start_day=4.0, end_day=6.0, loss_fraction=1.0)
         filtered = dataset.apply_downtime(window, np.random.default_rng(0))
         assert filtered.broadcast_count == 80
@@ -83,44 +98,31 @@ class TestDataset:
         )
 
     def test_partial_downtime_loss(self):
-        dataset = BroadcastDataset("Periscope", days=1)
-        for i in range(2000):
-            dataset.add(_record(bid=i, start=float(i)))
+        dataset = _dataset([_record(bid=i, start=float(i)) for i in range(2000)], days=1)
         window = DowntimeWindow(0.0, 1.0, loss_fraction=0.5)
         filtered = dataset.apply_downtime(window, np.random.default_rng(0))
         assert 850 < filtered.broadcast_count < 1150
 
-    def test_sample_records(self):
-        dataset = BroadcastDataset("Periscope", days=1)
-        for i in range(50):
-            dataset.add(_record(bid=i))
-        sample = dataset.sample_records(np.random.default_rng(0), 10)
-        assert len(sample) == 10
-        assert len({r.broadcast_id for r in sample}) == 10
-
-    def test_merge_deduplicates(self):
-        a = BroadcastDataset("Periscope", days=1)
-        b = BroadcastDataset("Periscope", days=1)
-        a.add(_record(bid=1))
-        b.add(_record(bid=1))
-        b.add(_record(bid=2))
-        merged = merge_datasets([a, b])
-        assert merged.broadcast_count == 2
-
     def test_merge_rejects_mixed_apps(self):
-        a = BroadcastDataset("Periscope", days=1)
-        b = BroadcastDataset("Meerkat", days=1)
+        """Column batches of different apps never concatenate."""
+        periscope = BroadcastColumns.from_records("Periscope", [_record(bid=1)])
+        meerkat = BroadcastColumns.from_records("Meerkat", [_record(bid=2)])
         with pytest.raises(ValueError):
-            merge_datasets([a, b])
+            BroadcastColumns.concat([periscope, meerkat])
+        with pytest.raises(ValueError):
+            BroadcastColumns.concat([periscope], app_name="Meerkat")
 
     def test_per_user_aggregations(self):
-        records = [
-            _record(bid=1, broadcaster=1, viewers=(5, 5, 6)),
-            _record(bid=2, broadcaster=1, viewers=(6,)),
-        ]
-        views = views_per_user(records)
+        dataset = _dataset(
+            [
+                _record(bid=1, broadcaster=1, viewers=(5, 5, 6)),
+                _record(bid=2, broadcaster=1, viewers=(6,)),
+            ],
+            days=1,
+        )
+        views = views_per_user(dataset)
         assert views == {5: 1, 6: 2}  # unique per broadcast
-        creates = creations_per_user(records)
+        creates = creations_per_user(dataset)
         assert creates == {1: 2}
 
     def test_record_validation(self):

@@ -25,12 +25,13 @@ from repro.crawler.storage import (
     save_dataset_mapped,
     save_traces,
 )
-from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.parallel import generate_trace
+from repro.workload.trace import TraceConfig
 
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    return TraceGenerator(TraceConfig.periscope(scale=0.00003, seed=6)).generate().dataset
+    return generate_trace(TraceConfig.periscope(scale=0.00003, seed=6)).dataset
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,8 @@ class TestDatasetStorage:
         path = tmp_path / "d.jsonl.gz"
         save_dataset(small_dataset, path)
         loaded = load_dataset(path)
-        original = small_dataset.records[0]
-        restored = loaded.records[0]
+        original = next(iter(small_dataset))
+        restored = next(iter(loaded))
         assert restored.broadcast_id == original.broadcast_id
         assert restored.duration_s == original.duration_s
         assert np.array_equal(restored.viewer_ids, original.viewer_ids)
@@ -105,7 +106,7 @@ class TestDeterministicBytes:
         restored = dataset_from_bytes(dataset_to_bytes(small_dataset))
         assert restored.table1_row() == small_dataset.table1_row()
         assert np.array_equal(
-            restored.records[0].viewer_ids, small_dataset.records[0].viewer_ids
+            next(iter(restored)).viewer_ids, next(iter(small_dataset)).viewer_ids
         )
 
 

@@ -21,8 +21,9 @@ from repro.lint.sanitizer import (
     is_active,
     verify_hashseed_pinned,
 )
+from repro.parallel import generate_trace
 from repro.simulation.engine import Simulator
-from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.workload.trace import TraceConfig
 
 
 class TestGuards:
@@ -132,9 +133,9 @@ class TestByteIdentity:
     def test_dataset_bytes_identical_with_sanitizer_on_and_off(self):
         """Acceptance: the sanitizer alters no byte of a clean run's output."""
         config = TraceConfig.periscope(scale=0.00003, seed=6)
-        plain = TraceGenerator(config).generate().dataset
+        plain = generate_trace(config).dataset
         with DeterminismSanitizer():
-            sanitized_run = TraceGenerator(config).generate().dataset
+            sanitized_run = generate_trace(config).dataset
         assert dataset_to_bytes(plain) == dataset_to_bytes(sanitized_run)
 
 

@@ -259,9 +259,7 @@ class TestDatasetProperties:
     def test_table1_row_internally_consistent(self, spec):
         from repro.crawler.dataset import BroadcastDataset
 
-        dataset = BroadcastDataset("Periscope", days=40)
-        for record in self._records(spec):
-            dataset.add(record)
+        dataset = BroadcastDataset.from_records("Periscope", 40, self._records(spec))
         row = dataset.table1_row()
         assert row["broadcasts"] == len(spec)
         assert row["broadcasters"] <= row["broadcasts"]
@@ -269,29 +267,6 @@ class TestDatasetProperties:
         assert row["total_views"] == sum(len(v) + w for _, v, w in spec)
         # Daily counts partition the broadcasts.
         assert dataset.daily_broadcast_counts().sum() == len(spec)
-
-    @given(
-        spec=st.lists(
-            st.tuples(
-                st.integers(1, 20),
-                st.lists(st.integers(100, 130), max_size=10),
-                st.integers(0, 5),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_is_idempotent_on_duplicates(self, spec):
-        from repro.crawler.dataset import BroadcastDataset, merge_datasets
-
-        a = BroadcastDataset("Periscope", days=40)
-        b = BroadcastDataset("Periscope", days=40)
-        for record in self._records(spec):
-            a.add(record)
-            b.add(record)
-        merged = merge_datasets([a, b])
-        assert merged.table1_row() == a.table1_row()
 
 
 class TestCdfProperties:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parallel import generate_trace
 from repro.workload.arrivals import SECONDS_PER_DAY, daily_arrival_times
 from repro.workload.broadcast_model import BroadcastParamsModel
 from repro.workload.growth import (
@@ -15,7 +16,7 @@ from repro.workload.growth import (
     PERISCOPE_GROWTH,
     weekday_of_day,
 )
-from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.workload.trace import TraceConfig
 from repro.workload.viewers import ViewerArrivalModel
 
 
@@ -197,9 +198,11 @@ class TestViewerArrivals:
 
 
 class TestTraceGenerator:
+    """End-to-end trace generation through :func:`generate_trace`."""
+
     @pytest.fixture(scope="class")
     def tiny_trace(self):
-        return TraceGenerator(TraceConfig.periscope(scale=0.0001, seed=3)).generate()
+        return generate_trace(TraceConfig.periscope(scale=0.0001, seed=3))
 
     def test_dataset_days_match_growth(self, tiny_trace):
         assert tiny_trace.dataset.days == 98
@@ -213,7 +216,7 @@ class TestTraceGenerator:
 
     def test_viewers_from_pool(self, tiny_trace):
         pool = set(tiny_trace.viewer_ids.tolist())
-        for record in tiny_trace.dataset.records[:100]:
+        for record in list(tiny_trace.dataset)[:100]:
             assert set(record.viewer_ids.tolist()) <= pool
 
     def test_graph_present_for_periscope(self, tiny_trace):
@@ -221,23 +224,22 @@ class TestTraceGenerator:
         assert tiny_trace.graph.node_count == tiny_trace.config.total_users
 
     def test_meerkat_has_no_graph(self):
-        trace = TraceGenerator(TraceConfig.meerkat(scale=0.001, seed=3)).generate()
+        trace = generate_trace(TraceConfig.meerkat(scale=0.001, seed=3))
         assert trace.graph is None
 
     def test_deterministic(self):
-        a = TraceGenerator(TraceConfig.periscope(scale=0.00005, seed=5)).generate()
-        b = TraceGenerator(TraceConfig.periscope(scale=0.00005, seed=5)).generate()
+        a = generate_trace(TraceConfig.periscope(scale=0.00005, seed=5))
+        b = generate_trace(TraceConfig.periscope(scale=0.00005, seed=5))
         assert a.dataset.broadcast_count == b.dataset.broadcast_count
         assert a.dataset.total_views == b.dataset.total_views
 
     def test_follower_counts_recorded(self, tiny_trace):
-        recorded = [r.broadcaster_followers for r in tiny_trace.dataset.records[:50]]
+        columns = tiny_trace.dataset.columns
         graph = tiny_trace.graph
         expected = [
-            graph.follower_count(r.broadcaster_id)
-            for r in tiny_trace.dataset.records[:50]
+            graph.follower_count(b) for b in columns.broadcaster_id[:50].tolist()
         ]
-        assert recorded == expected
+        assert columns.broadcaster_followers[:50].tolist() == expected
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,12 @@
 #                                             # every workload runs once,
 #                                             # so a renamed entry point
 #                                             # it wraps fails here
+#   scripts/check.sh validate                 # the 20-claim scorecard at
+#                                             # seeds 1, 2, 3, 7, 2016 (default
+#                                             # scale) and 7, 2016 (scale
+#                                             # 0.002); every run must hold
+#                                             # 20/20; prints each claim's
+#                                             # pass count and spread
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -105,6 +111,42 @@ fi
 
 if [[ "${1:-}" == "perfbench" ]]; then
     python -m pytest -q perfbench
+    exit 0
+fi
+
+if [[ "${1:-}" == "validate" ]]; then
+    PYTHONPATH=src python - <<'EOF'
+from repro.cli import _kwargs_for, build_parser
+from repro.validation import CLAIMS, validate
+
+runs = [["--seed", str(seed)] for seed in (1, 2, 3, 7, 2016)]
+runs += [["--seed", str(seed), "--scale", "0.002"] for seed in (7, 2016)]
+measured = {claim.claim_id: [] for claim in CLAIMS}
+passes = {claim.claim_id: 0 for claim in CLAIMS}
+failures = []
+for flags in runs:
+    # The flags go through the CLI's own parser and argument mapping, so
+    # each run is exactly `python -m repro --validate <flags>`.
+    args = build_parser().parse_args(["--validate", *flags])
+    outcomes = validate(kwargs_for=lambda experiment_id: _kwargs_for(experiment_id, args))
+    held = sum(outcome.passed for outcome in outcomes)
+    print(f"--validate {' '.join(flags)}: {held}/{len(outcomes)} claims hold")
+    for outcome in outcomes:
+        claim_id = outcome.claim.claim_id
+        measured[claim_id].append(outcome.measured)
+        passes[claim_id] += outcome.passed
+        if not outcome.passed:
+            failures.append(f"{claim_id} at {' '.join(flags)}: measured {outcome.measured:.3g}")
+print()
+width = max(len(claim_id) for claim_id in passes)
+for claim_id, values in measured.items():
+    print(
+        f"{claim_id:<{width}}  {passes[claim_id]}/{len(runs)} pass, "
+        f"measured {min(values):.3g} .. {max(values):.3g}"
+    )
+if failures:
+    raise SystemExit("claims failed:\n  " + "\n  ".join(failures))
+EOF
     exit 0
 fi
 

@@ -24,8 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geo.datacenters import Datacenter, colocated_fastly
+from repro.geo.datacenters import WOWZA_DATACENTERS, Datacenter, colocated_fastly
 from repro.geo.latency import LatencyModel
+
+#: The gateway POP of each catalog Wowza site, a per-site constant.
+_GATEWAYS = {site: colocated_fastly(site) for site in WOWZA_DATACENTERS}
 
 
 @dataclass
@@ -41,7 +44,7 @@ class TransferModel:
     interpop_bandwidth_bps: float = 1.0e8
 
     def gateway_for(self, wowza: Datacenter) -> Datacenter:
-        return colocated_fastly(wowza)
+        return _GATEWAYS[wowza]
 
     def is_colocated(self, wowza: Datacenter, fastly: Datacenter) -> bool:
         return wowza.city == fastly.city

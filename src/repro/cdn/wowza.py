@@ -2,11 +2,12 @@
 
 One :class:`WowzaIngest` per ingest datacenter.  For each broadcast it:
 
-* accepts the broadcaster's RTMP frame uploads (recording arrival
-  timestamps — ② / ⑥ of Figure 10),
-* pushes every frame immediately to the subscribed RTMP viewers (the
-  low-latency tier),
-* assembles frames into chunks of ``frames_per_chunk`` (75 ≙ 3 s), records
+* accepts the broadcaster's RTMP upload as per-frame capture and arrival
+  arrays (timestamps ① / ⑤ and ② / ⑥ of Figure 10),
+* hands every RTMP subscriber (the low-latency tier) the frames that
+  reach the server after it subscribed, as one batch of arrays,
+* assembles frames into chunks of ``frames_per_chunk`` (75 ≙ 3 s): one
+  simulation event per chunk, at the arrival of its last frame, records
   the chunk-ready timestamp ⑦, appends to the broadcast's chunklist, and
   notifies the Fastly edges so they expire their cached copies (⑧).
 """
@@ -16,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
+import numpy as np
+
 from repro.geo.datacenters import Datacenter
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.protocols.frames import Chunk, VideoFrame
+from repro.protocols.frames import Chunk
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
 
@@ -26,28 +29,41 @@ from repro.simulation.engine import Simulator
 class RtmpSubscriber(Protocol):
     """Anything that can receive pushed RTMP frames."""
 
-    def push_frame(self, broadcast_id: int, frame: VideoFrame, pushed_at: float) -> None:
-        """Called by the ingest server the moment a frame is available."""
+    def push_frames(
+        self,
+        broadcast_id: int,
+        sequences: np.ndarray,
+        captures: np.ndarray,
+        pushed_at: np.ndarray,
+    ) -> None:
+        """Called once: frame ``sequences[i]`` (captured ``captures[i]``)
+        reaches the server and is pushed at ``pushed_at[i]``."""
 
 
 #: Callback signature for chunklist-expiry notifications (Figure 10 ⑧).
 ExpiryListener = Callable[[int, int, float], None]  # (broadcast_id, version, time)
 
+_NO_FRAMES = np.empty(0)
+
 
 @dataclass
 class IngestRecord:
-    """Per-broadcast measurements collected at the ingest server."""
+    """Per-broadcast measurements collected at the ingest server.
+
+    ``frame_arrivals`` (②/⑥) and ``frame_captures`` (①/⑤) are float64
+    arrays indexed by frame sequence.
+    """
 
     broadcast_id: int
     token: str
-    frame_arrivals: dict[int, float] = field(default_factory=dict)  # seq -> ②/⑥
-    frame_captures: dict[int, float] = field(default_factory=dict)  # seq -> ①/⑤
+    frame_arrivals: np.ndarray = field(default_factory=lambda: _NO_FRAMES)
+    frame_captures: np.ndarray = field(default_factory=lambda: _NO_FRAMES)
     chunk_ready: dict[int, float] = field(default_factory=dict)  # index -> ⑦
     chunks: dict[int, Chunk] = field(default_factory=dict)
 
     def upload_delay_s(self, sequence: int) -> float:
         """Per-frame upload delay (② − ①)."""
-        return self.frame_arrivals[sequence] - self.frame_captures[sequence]
+        return float(self.frame_arrivals[sequence] - self.frame_captures[sequence])
 
     def chunk_arrival_times(self) -> list[float]:
         """Chunk-ready times in index order (the RTMP-side chunk trace)."""
@@ -60,7 +76,8 @@ class _BroadcastIngest:
     def __init__(self, broadcast_id: int, token: str, frames_per_chunk: int) -> None:
         self.record = IngestRecord(broadcast_id=broadcast_id, token=token)
         self.frames_per_chunk = frames_per_chunk
-        self.pending_frames: list[VideoFrame] = []
+        self.frame_duration_s = 0.0
+        self.ingest_time: Optional[float] = None
         self.chunklist = Chunklist()
         self.next_chunk_index = 0
         self.rtmp_subscribers: list[RtmpSubscriber] = []
@@ -113,8 +130,12 @@ class WowzaIngest:
     def end_broadcast(self, broadcast_id: int) -> IngestRecord:
         """Flush the trailing partial chunk and close the broadcast."""
         state = self._state(broadcast_id)
-        if state.pending_frames:
-            self._complete_chunk(state)
+        arrivals = state.record.frame_arrivals
+        if state.live and arrivals.size and arrivals[-1] > self.simulator.now:
+            raise ValueError(f"broadcast {broadcast_id} ended before its last frame arrived")
+        flushed = state.next_chunk_index * state.frames_per_chunk
+        if flushed < arrivals.size:
+            self._complete_chunk(state, arrivals.size - flushed)
         if state.live:
             self._m_ends.inc()
             self._m_live.dec()
@@ -130,35 +151,52 @@ class WowzaIngest:
 
     # -- ingest ----------------------------------------------------------
 
-    def receive_frame(self, broadcast_id: int, frame: VideoFrame) -> None:
-        """A frame arrived from the broadcaster (called at arrival time)."""
+    def ingest(
+        self,
+        broadcast_id: int,
+        captures: np.ndarray,
+        arrivals: np.ndarray,
+        frame_duration_s: float,
+    ) -> None:
+        """Take a broadcast's whole upload: frame ``i`` is captured at
+        ``captures[i]`` and reaches this server at ``arrivals[i]`` (FIFO, so
+        non-decreasing).  Each full chunk becomes one event at its last
+        frame's arrival; :meth:`end_broadcast` flushes the remainder.
+        """
         state = self._state(broadcast_id)
-        if not state.live:
-            raise ValueError(f"broadcast {broadcast_id} already ended")
+        if not state.live or state.record.frame_arrivals.size:
+            raise ValueError(f"broadcast {broadcast_id} already ingested or ended")
+        if captures.shape != arrivals.shape or np.any(
+            np.diff(arrivals, prepend=self.simulator.now) < 0
+        ):
+            raise ValueError("arrivals must match captures, be ordered and not in the past")
+        state.record.frame_captures = captures
+        state.record.frame_arrivals = arrivals
+        state.frame_duration_s = frame_duration_s
+        state.ingest_time = self.simulator.now
+        self._m_frames.inc(arrivals.size)
+        size = state.frames_per_chunk
+        for last in range(size - 1, arrivals.size, size):
+            self.simulator.schedule_at(
+                float(arrivals[last]),
+                lambda: self._complete_chunk(state, size),
+                label=f"chunk:{broadcast_id}:{last // size}",
+            )
+        for subscriber in state.rtmp_subscribers:
+            self._push(state, subscriber)
+
+    def _complete_chunk(self, state: _BroadcastIngest, frame_count: int) -> None:
         now = self.simulator.now
-        state.record.frame_arrivals[frame.sequence] = now
-        state.record.frame_captures[frame.sequence] = frame.capture_time
-        self._m_frames.inc()
-
-        # RTMP tier: push immediately to every subscriber.
-        if state.rtmp_subscribers:
-            self._m_pushes.inc(len(state.rtmp_subscribers))
-            for subscriber in list(state.rtmp_subscribers):
-                subscriber.push_frame(broadcast_id, frame, now)
-
-        # HLS tier: chunk assembly.
-        state.pending_frames.append(frame)
-        if len(state.pending_frames) >= state.frames_per_chunk:
-            self._complete_chunk(state)
-
-    def _complete_chunk(self, state: _BroadcastIngest) -> None:
-        now = self.simulator.now
+        first = state.next_chunk_index * state.frames_per_chunk
         chunk = Chunk(
             index=state.next_chunk_index,
-            frames=tuple(state.pending_frames),
+            first_sequence=first,
+            frame_count=frame_count,
+            first_capture_time=float(state.record.frame_captures[first]),
+            # A per-frame sum, not count * duration: the float bits differ.
+            duration_s=sum([state.frame_duration_s] * frame_count),
             completed_time=now,
         )
-        state.pending_frames = []
         state.next_chunk_index += 1
         self._m_chunks.inc()
         state.record.chunk_ready[chunk.index] = now
@@ -170,12 +208,29 @@ class WowzaIngest:
     # -- RTMP fan-out ------------------------------------------------------
 
     def subscribe_rtmp(self, broadcast_id: int, subscriber: RtmpSubscriber) -> None:
-        self._state(broadcast_id).rtmp_subscribers.append(subscriber)
+        """Join the push tier.  A subscriber receives, in one call, every
+        frame that reaches the server after it subscribes.  A frame arriving
+        at the instant of subscription counts as already sent, except at the
+        ingest instant: frames landing then reach every subscriber of that
+        instant, as their per-frame deliveries would not have fired yet."""
+        state = self._state(broadcast_id)
+        state.rtmp_subscribers.append(subscriber)
+        self._push(state, subscriber)
 
-    def unsubscribe_rtmp(self, broadcast_id: int, subscriber: RtmpSubscriber) -> None:
-        subscribers = self._state(broadcast_id).rtmp_subscribers
-        if subscriber in subscribers:
-            subscribers.remove(subscriber)
+    def _push(self, state: _BroadcastIngest, subscriber: RtmpSubscriber) -> None:
+        arrivals = state.record.frame_arrivals
+        now = self.simulator.now
+        side = "left" if now == state.ingest_time else "right"
+        first = int(np.searchsorted(arrivals, now, side=side))
+        if first == arrivals.size:
+            return
+        self._m_pushes.inc(arrivals.size - first)
+        subscriber.push_frames(
+            state.record.broadcast_id,
+            np.arange(first, arrivals.size),
+            state.record.frame_captures[first:],
+            arrivals[first:],
+        )
 
     def rtmp_subscriber_count(self, broadcast_id: int) -> int:
         return len(self._state(broadcast_id).rtmp_subscribers)

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--validate", action="store_true",
-        help="run the full reproduction scorecard (every paper claim) and exit",
+        help="run the paper-claim scorecard (honours --seed/--scale/--broadcasts) and exit",
     )
     parser.add_argument(
         "--out", type=str, default=None, metavar="FILE",
@@ -467,7 +467,7 @@ def _dispatch(
     if args.validate:
         from repro.validation import render_scorecard, validate
 
-        outcomes = validate()
+        outcomes = validate(kwargs_for=lambda experiment_id: _kwargs_for(experiment_id, args))
         emit(render_scorecard(outcomes))
         return 0 if all(o.passed for o in outcomes) else 1
 

@@ -9,9 +9,11 @@ stamp every frame) — this is timestamp ① / ⑤ of the delay breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
+
 from repro.cdn.wowza import WowzaIngest
 from repro.client.network import LastMileLink
-from repro.protocols.frames import VideoFrame
 from repro.simulation.engine import Simulator
 
 
@@ -19,9 +21,9 @@ from repro.simulation.engine import Simulator
 class BroadcasterClient:
     """Streams one broadcast into the CDN.
 
-    ``start`` schedules every frame upfront: frame ``i`` is captured at
-    ``start_time + i * frame_interval``, spends the sampled uplink delay on
-    the wire, and lands in :meth:`WowzaIngest.receive_frame`.
+    ``start`` computes the whole upload at once: frame ``i`` is captured at
+    ``start_time + i * frame_interval``, one :meth:`LastMileLink.send_many`
+    gives every arrival, and both arrays go to :meth:`WowzaIngest.ingest`.
     """
 
     broadcast_id: int
@@ -30,31 +32,21 @@ class BroadcasterClient:
     wowza: WowzaIngest
     uplink: LastMileLink
     frame_interval_s: float = 0.040
-    keyframe_interval: int = 30
-    payload_bytes: int = 0  # >0 materializes per-frame payloads
     frames_sent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.frame_interval_s <= 0:
             raise ValueError("frame interval must be positive")
-        if self.keyframe_interval <= 0:
-            raise ValueError("keyframe interval must be positive")
 
     def start(self, start_time: float, duration_s: float) -> int:
-        """Schedule the whole broadcast; returns the number of frames."""
+        """Upload the whole broadcast; returns the number of frames."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         frame_count = int(duration_s / self.frame_interval_s)
         self.wowza.start_broadcast(self.broadcast_id, self.token)
-        for sequence in range(frame_count):
-            capture_time = start_time + sequence * self.frame_interval_s
-            frame = self._make_frame(sequence, capture_time)
-            arrival = self.uplink.send(capture_time, size_kb=self.payload_bytes / 1024.0)
-            self.simulator.schedule_at(
-                max(arrival, self.simulator.now),
-                _FrameDelivery(self.wowza, self.broadcast_id, frame),
-                label=f"upload:{self.broadcast_id}:{sequence}",
-            )
+        captures = start_time + np.arange(frame_count) * self.frame_interval_s
+        arrivals = np.maximum(self.uplink.send_many(captures), self.simulator.now)
+        self.wowza.ingest(self.broadcast_id, captures, arrivals, self.frame_interval_s)
         end_time = start_time + frame_count * self.frame_interval_s
         # End the broadcast only after the last frame has arrived.
         last_arrival = self.uplink.send(end_time)
@@ -65,27 +57,3 @@ class BroadcasterClient:
         )
         self.frames_sent = frame_count
         return frame_count
-
-    def _make_frame(self, sequence: int, capture_time: float) -> VideoFrame:
-        payload = (
-            bytes([sequence % 251]) * self.payload_bytes if self.payload_bytes else b""
-        )
-        return VideoFrame(
-            sequence=sequence,
-            capture_time=capture_time,
-            duration_s=self.frame_interval_s,
-            is_keyframe=(sequence % self.keyframe_interval == 0),
-            payload=payload,
-        )
-
-
-class _FrameDelivery:
-    """Deliver one frame to the ingest server (named for debuggability)."""
-
-    def __init__(self, wowza: WowzaIngest, broadcast_id: int, frame: VideoFrame) -> None:
-        self._wowza = wowza
-        self._broadcast_id = broadcast_id
-        self._frame = frame
-
-    def __call__(self) -> None:
-        self._wowza.receive_frame(self._broadcast_id, self._frame)

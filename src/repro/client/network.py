@@ -86,13 +86,17 @@ class OutageSchedule:
                 return end
         return time
 
+    def release_times(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`release_time` for every element of a float array."""
+        if not self.windows:
+            return times.copy()
+        index = np.searchsorted(self._starts, times, side="right") - 1
+        ends = np.array([end for _, end in self.windows])[np.maximum(index, 0)]
+        return np.where((index >= 0) & (times < ends), ends, times)
+
     def is_down(self, time: float) -> bool:
         """Whether the link is inside an outage window at ``time``."""
         return self.release_time(time) != time
-
-    @property
-    def total_outage_s(self) -> float:
-        return sum(end - start for start, end in self.windows)
 
 
 @dataclass
@@ -100,8 +104,8 @@ class LastMileLink:
     """A FIFO access link with jitter and optional outages.
 
     ``send(t)`` returns the delivery time of a packet handed to the link at
-    time ``t``.  Calls must be made in non-decreasing send-time order (the
-    link tracks FIFO state).
+    time ``t``; ``send_many(ts)`` equals one ``send`` per element.  Sends
+    must be made in non-decreasing time order (the link tracks FIFO state).
     """
 
     rng: np.random.Generator
@@ -136,6 +140,26 @@ class LastMileLink:
         # FIFO: never deliver before an earlier packet.
         delivery = max(delivery, self._last_delivery)
         self._last_delivery = delivery
+        return delivery
+
+    def send_many(self, times: np.ndarray) -> np.ndarray:
+        """``[send(t) for t in times]``, bit for bit: one lognormal draw of
+        n values equals n scalar draws (same rng state after), and FIFO is
+        a running maximum seeded with the last delivery."""
+        times = np.asarray(times, dtype=np.float64)
+        if times.size == 0:
+            return times.copy()
+        if times[0] < self._last_send or np.any(times[1:] < times[:-1]):
+            raise ValueError("sends must be time-ordered")
+        self._last_send = float(times[-1])
+        delays = np.full(times.size, self.base_delay_s)
+        if self.jitter_sigma > 0:
+            delays *= self.rng.lognormal(0.0, self.jitter_sigma, size=times.size)
+        delivery = self.outages.release_times(times) + delays
+        # FIFO: never deliver before an earlier packet.
+        delivery[0] = max(delivery[0], self._last_delivery)
+        np.maximum.accumulate(delivery, out=delivery)
+        self._last_delivery = float(delivery[-1])
         return delivery
 
     @classmethod

@@ -19,7 +19,7 @@ from repro.cdn.wowza import WowzaIngest
 from repro.client.network import LastMileLink
 from repro.faults.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.protocols.frames import Chunk, VideoFrame
+from repro.protocols.frames import Chunk
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
 
@@ -28,8 +28,9 @@ from repro.simulation.engine import Simulator
 class RtmpViewerClient:
     """A viewer on the low-latency push tier.
 
-    Subscribes to the broadcaster's Wowza server; every ingested frame is
-    pushed immediately and crosses the viewer's last-mile link.
+    Subscribes to the broadcaster's Wowza server; every frame reaching it
+    after the join is pushed immediately and crosses the viewer's last
+    mile.  Frames are kept as arrays (sequence, capture ①, arrival ③).
     """
 
     viewer_id: int
@@ -37,8 +38,9 @@ class RtmpViewerClient:
     simulator: Simulator
     downlink: LastMileLink
     metrics: MetricsRegistry = field(default=NULL_REGISTRY, repr=False)
-    frame_arrivals: dict[int, float] = field(default_factory=dict)
-    frame_captures: dict[int, float] = field(default_factory=dict)
+    frame_sequences: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    frame_arrivals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    frame_captures: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
         self._m_frames = self.metrics.counter(
@@ -48,41 +50,28 @@ class RtmpViewerClient:
     def attach(self, wowza: WowzaIngest) -> None:
         wowza.subscribe_rtmp(self.broadcast_id, self)
 
-    def push_frame(self, broadcast_id: int, frame: VideoFrame, pushed_at: float) -> None:
-        """RtmpSubscriber protocol: server pushed a frame at ``pushed_at``."""
+    def push_frames(
+        self,
+        broadcast_id: int,
+        sequences: np.ndarray,
+        captures: np.ndarray,
+        pushed_at: np.ndarray,
+    ) -> None:
+        """RtmpSubscriber protocol: the server pushed these frames."""
         if broadcast_id != self.broadcast_id:
-            raise ValueError(f"frame for wrong broadcast {broadcast_id}")
-        arrival = self.downlink.send(pushed_at)
-        self.simulator.schedule_at(
-            max(arrival, self.simulator.now),
-            _RecordFrame(self, frame),
-            label=f"rtmp-dl:{self.viewer_id}:{frame.sequence}",
-        )
-
-    def _record(self, frame: VideoFrame, time: float) -> None:
-        self.frame_arrivals[frame.sequence] = time
-        self.frame_captures[frame.sequence] = frame.capture_time
-        self._m_frames.inc()
+            raise ValueError(f"frames for wrong broadcast {broadcast_id}")
+        self.frame_sequences = sequences
+        self.frame_captures = captures
+        self.frame_arrivals = self.downlink.send_many(pushed_at)
+        self._m_frames.inc(len(sequences))
 
     def arrival_trace(self) -> np.ndarray:
         """Frame arrival times in sequence order."""
-        return np.array([self.frame_arrivals[s] for s in sorted(self.frame_arrivals)])
+        return self.frame_arrivals
 
     def end_to_end_delays(self) -> np.ndarray:
         """Per-frame network delay ③ − ① (buffering excluded)."""
-        sequences = sorted(self.frame_arrivals)
-        return np.array(
-            [self.frame_arrivals[s] - self.frame_captures[s] for s in sequences]
-        )
-
-
-class _RecordFrame:
-    def __init__(self, client: RtmpViewerClient, frame: VideoFrame) -> None:
-        self._client = client
-        self._frame = frame
-
-    def __call__(self) -> None:
-        self._client._record(self._frame, self._client.simulator.now)
+        return self.frame_arrivals - self.frame_captures
 
 
 @dataclass

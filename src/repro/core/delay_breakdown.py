@@ -165,8 +165,8 @@ class ControlledExperiment:
         record, edge, rtmp_viewer, hls_viewer, broadcast_id = self._simulate(repetition)
 
         # RTMP path: a frame past the warm-up.
-        sequences = sorted(rtmp_viewer.frame_arrivals)
-        frame_seq = sequences[len(sequences) // 2]
+        frame_index = len(rtmp_viewer.frame_sequences) // 2
+        frame_seq = int(rtmp_viewer.frame_sequences[frame_index])
         rtmp_playback = simulate_playback(
             rtmp_viewer.arrival_trace(),
             PlaybackConfig(
@@ -174,11 +174,10 @@ class ControlledExperiment:
                 unit_duration_s=self.profile.frame_interval_s,
             ),
         )
-        frame_index = sequences.index(frame_seq)
         rtmp_timeline = {
-            "1_capture": record.frame_captures[frame_seq],
-            "2_wowza_arrival": record.frame_arrivals[frame_seq],
-            "3_viewer_arrival": rtmp_viewer.frame_arrivals[frame_seq],
+            "1_capture": float(record.frame_captures[frame_seq]),
+            "2_wowza_arrival": float(record.frame_arrivals[frame_seq]),
+            "3_viewer_arrival": float(rtmp_viewer.frame_arrivals[frame_index]),
             "4_played": float(rtmp_playback.play_times[frame_index]),
         }
 
@@ -199,7 +198,7 @@ class ControlledExperiment:
         chunk_position = sorted(hls_viewer.chunk_arrivals).index(chunk_index)
         hls_timeline = {
             "5_capture": chunk.first_capture_time,
-            "6_wowza_arrival": record.frame_arrivals[chunk.first_sequence],
+            "6_wowza_arrival": float(record.frame_arrivals[chunk.first_sequence]),
             "7_chunk_ready": record.chunk_ready[chunk_index],
             "11_fastly_available": availability[chunk_index],
             "14_viewer_poll": hls_viewer.chunk_response_times[chunk_index],
@@ -249,11 +248,9 @@ class ControlledExperiment:
     def _rtmp_breakdown(
         self, record, viewer: RtmpViewerClient
     ) -> DelayBreakdown:
-        sequences = sorted(viewer.frame_arrivals)
-        uploads = np.array([record.upload_delay_s(s) for s in sequences])
-        last_mile = np.array(
-            [viewer.frame_arrivals[s] - record.frame_arrivals[s] for s in sequences]
-        )
+        sequences = viewer.frame_sequences
+        uploads = record.frame_arrivals[sequences] - record.frame_captures[sequences]
+        last_mile = viewer.frame_arrivals - record.frame_arrivals[sequences]
         playback = simulate_playback(
             viewer.arrival_trace(),
             PlaybackConfig(

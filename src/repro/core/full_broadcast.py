@@ -203,9 +203,10 @@ class FullBroadcastSimulation:
         for user_id, client in rtmp_clients.items():
             if user_id not in joined_before_moment:
                 continue
-            if moment_frame not in client.frame_arrivals:
+            received = np.flatnonzero(client.frame_sequences == moment_frame)
+            if not received.size:
                 continue  # joined after the moment or left before
-            seen_at = client.frame_arrivals[moment_frame]
+            seen_at = float(client.frame_arrivals[received[0]])
             lags["rtmp"].append(seen_at - self.moment_time_s)
             self._maybe_heart(
                 service, channel, heart_rng, broadcast.broadcast_id, user_id,

@@ -22,7 +22,7 @@ from repro.crawler.dataset import (
 from repro.crawler.rate_limit import RateLimitExceeded, TokenBucket
 from repro.crawler.global_list import CrawlerAccount, GlobalListCrawler
 from repro.crawler.broadcast_monitor import BroadcastMonitor
-from repro.crawler.delay_crawler import ChunkObservation, DelayCrawler, FrameObservation
+from repro.crawler.delay_crawler import ChunkObservation, DelayCrawler
 from repro.crawler.graph_crawler import FollowGraphCrawler, GraphApi, GraphCrawl
 from repro.crawler.arrayfile import read_arrays, write_arrays
 from repro.crawler.storage import (
@@ -50,7 +50,6 @@ __all__ = [
     "CrawlerAccount",
     "BroadcastMonitor",
     "DelayCrawler",
-    "FrameObservation",
     "ChunkObservation",
     "GraphApi",
     "FollowGraphCrawler",

@@ -3,7 +3,7 @@
 Two instruments, mirroring the paper's passive measurement setup:
 
 * an RTMP crawler that joins a broadcast immediately with a zero-length
-  stream buffer and records every frame's arrival (timestamp ②) next to
+  stream buffer and keeps every frame's arrival (timestamp ②) next to
   the capture timestamp embedded in the keyframe metadata (①);
 * an HLS crawler that polls a Fastly POP every 0.1 s — 20× faster than a
   real viewer — so it both observes chunk availability (⑪) the moment it
@@ -22,18 +22,8 @@ import numpy as np
 
 from repro.cdn.fastly import FastlyEdge
 from repro.cdn.wowza import WowzaIngest
-from repro.protocols.frames import VideoFrame
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
-
-
-@dataclass(frozen=True)
-class FrameObservation:
-    """One frame seen by the RTMP crawler."""
-
-    sequence: int
-    capture_time: float  # ① from keyframe metadata
-    server_time: float  # ② observed at the co-located crawler
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,10 @@ class DelayCrawler:
     simulator: Simulator
     poll_interval_s: float = 0.1
     stop_after: float = float("inf")
-    frames: list[FrameObservation] = field(default_factory=list)
+    #: RTMP side, in sequence order: frame, capture ① and server time ②.
+    frame_sequences: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    frame_captures: np.ndarray = field(default_factory=lambda: np.empty(0))
+    frame_arrivals: np.ndarray = field(default_factory=lambda: np.empty(0))
     _edge: FastlyEdge | None = field(default=None, init=False)
     _stopped: bool = field(default=False, init=False)
 
@@ -64,17 +57,19 @@ class DelayCrawler:
         pushes them (the crawler is co-located, last mile ≈ 0)."""
         wowza.subscribe_rtmp(self.broadcast_id, self)
 
-    def push_frame(self, broadcast_id: int, frame: VideoFrame, pushed_at: float) -> None:
+    def push_frames(
+        self,
+        broadcast_id: int,
+        sequences: np.ndarray,
+        captures: np.ndarray,
+        pushed_at: np.ndarray,
+    ) -> None:
         """RtmpSubscriber protocol."""
         if broadcast_id != self.broadcast_id:
-            raise ValueError("frame for wrong broadcast")
-        self.frames.append(
-            FrameObservation(
-                sequence=frame.sequence,
-                capture_time=frame.capture_time,
-                server_time=pushed_at,
-            )
-        )
+            raise ValueError("frames for wrong broadcast")
+        self.frame_sequences = sequences
+        self.frame_captures = captures
+        self.frame_arrivals = pushed_at
 
     # -- HLS side ----------------------------------------------------------
 
@@ -103,13 +98,7 @@ class DelayCrawler:
 
     def frame_arrival_trace(self) -> np.ndarray:
         """Frame arrival times at the ingest server, sequence order."""
-        ordered = sorted(self.frames, key=lambda f: f.sequence)
-        return np.array([f.server_time for f in ordered])
-
-    def upload_delays(self) -> np.ndarray:
-        """Per-frame ② − ①."""
-        ordered = sorted(self.frames, key=lambda f: f.sequence)
-        return np.array([f.server_time - f.capture_time for f in ordered])
+        return self.frame_arrivals
 
     def chunk_observations(self, wowza: WowzaIngest) -> list[ChunkObservation]:
         """Join the RTMP-side chunk-ready record with POP availability."""

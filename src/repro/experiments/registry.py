@@ -7,9 +7,12 @@ modules in this package via the :func:`experiment` decorator; importing
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 _RUNNERS: dict[str, "RegisteredExperiment"] = {}
 
@@ -105,3 +108,53 @@ def get_experiment(experiment_id: str) -> RegisteredExperiment:
 def run_experiment(experiment_id: str, **kwargs: Any) -> ExperimentResult:
     """Run one experiment by ID."""
     return get_experiment(experiment_id).runner(**kwargs)
+
+
+def fingerprint(value: Any) -> str:
+    """SHA-256 of a canonical encoding of nested experiment data.
+
+    Arrays hash their dtype, shape and bytes; floats their exact bits (via
+    ``float.hex``); dicts and sets are ordered by ``repr``; objects hash
+    their class name and fields.  Two runs agree on the fingerprint exactly
+    when their results are bit-identical, which is what ``GOLDEN.json``
+    pins for every registered experiment.
+    """
+    hasher = hashlib.sha256()
+    _feed(hasher, value)
+    return hasher.hexdigest()
+
+
+def _feed(hasher: Any, value: Any) -> None:
+    if isinstance(value, np.ndarray):
+        hasher.update(f"nd{value.dtype.str}{value.shape}".encode())
+        hasher.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        hasher.update(b"{")
+        for key in sorted(value, key=repr):
+            _feed(hasher, key)
+            _feed(hasher, value[key])
+        hasher.update(b"}")
+    elif isinstance(value, (list, tuple)):
+        hasher.update(b"[")
+        for item in value:
+            _feed(hasher, item)
+        hasher.update(b"]")
+    elif isinstance(value, (set, frozenset)):
+        hasher.update(b"<")
+        for item in sorted(value, key=repr):
+            _feed(hasher, item)
+        hasher.update(b">")
+    elif isinstance(value, bytes):
+        hasher.update(value)
+    elif isinstance(value, (float, np.floating)):
+        hasher.update(float(value).hex().encode())
+    elif isinstance(value, (bool, int, str, type(None), np.integer, np.bool_)):
+        hasher.update(repr(value).encode())
+    elif hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+        hasher.update(type(value).__name__.encode())
+        fields = vars(value) if hasattr(value, "__dict__") else {
+            name: getattr(value, name) for name in value.__slots__
+        }
+        _feed(hasher, fields)
+    else:
+        raise TypeError(f"cannot fingerprint {type(value).__name__}")

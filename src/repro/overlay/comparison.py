@@ -19,6 +19,7 @@ the worst per-server fan-out anywhere in the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,14 +62,32 @@ class ArchitectureResult:
 
 
 class _OverlayIngestBridge:
-    """RtmpSubscriber feeding ingested frames into the overlay root."""
+    """RtmpSubscriber feeding ingested frames into the overlay root.
+
+    The session draws hop latencies from one shared rng in event order, so
+    each frame still enters the root as its own event, at its arrival.
+    """
 
     def __init__(self, session: OverlayMulticastSession) -> None:
         self._session = session
 
-    def push_frame(self, broadcast_id: int, frame: VideoFrame, pushed_at: float) -> None:
-        del broadcast_id, pushed_at
-        self._session.publish_frame(frame)
+    def push_frames(
+        self,
+        broadcast_id: int,
+        sequences: np.ndarray,
+        captures: np.ndarray,
+        pushed_at: np.ndarray,
+    ) -> None:
+        simulator = self._session.simulator
+        for sequence, capture, arrival in zip(
+            sequences.tolist(), captures.tolist(), pushed_at.tolist()
+        ):
+            frame = VideoFrame(sequence=sequence, capture_time=capture)
+            simulator.schedule_at(
+                arrival,
+                partial(self._session.publish_frame, frame),
+                label=f"publish:{broadcast_id}:{sequence}",
+            )
 
 
 def compare_architectures(

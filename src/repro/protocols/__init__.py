@@ -11,7 +11,7 @@ these packets, so the vulnerability is demonstrated on real bytes rather
 than asserted.
 """
 
-from repro.protocols.frames import Chunk, VideoFrame, frames_to_chunks
+from repro.protocols.frames import Chunk, VideoFrame
 from repro.protocols.rtmp import (
     RtmpHandshake,
     RtmpPacket,
@@ -33,7 +33,6 @@ from repro.protocols.rtmps import RtmpsCostModel
 __all__ = [
     "VideoFrame",
     "Chunk",
-    "frames_to_chunks",
     "RtmpPacket",
     "RtmpPacketType",
     "RtmpHandshake",

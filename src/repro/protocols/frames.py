@@ -9,7 +9,7 @@ of the delay breakdown, and the §7 defense embeds signatures next to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -59,57 +59,15 @@ class VideoFrame:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A group of consecutive frames served as one HLS unit."""
+    """A run of consecutive frames served as one HLS unit (range and timing)."""
 
     index: int
-    frames: tuple[VideoFrame, ...]
+    first_sequence: int
+    frame_count: int
+    first_capture_time: float  # capture time of the first frame (timestamp ⑤)
+    duration_s: float  # summed frame durations
     completed_time: float  # when the last frame reached the ingest server
 
     def __post_init__(self) -> None:
-        if not self.frames:
+        if self.frame_count <= 0:
             raise ValueError("chunk must contain at least one frame")
-        sequences = [frame.sequence for frame in self.frames]
-        if sequences != sorted(sequences):
-            raise ValueError("chunk frames must be in sequence order")
-
-    @property
-    def duration_s(self) -> float:
-        return sum(frame.duration_s for frame in self.frames)
-
-    @property
-    def first_capture_time(self) -> float:
-        """Capture time of the first frame (timestamp ⑤ of the breakdown)."""
-        return self.frames[0].capture_time
-
-    @property
-    def first_sequence(self) -> int:
-        return self.frames[0].sequence
-
-
-def frames_to_chunks(
-    frames: Sequence[VideoFrame],
-    frames_per_chunk: int,
-    arrival_times: Optional[Sequence[float]] = None,
-) -> list[Chunk]:
-    """Group frames into fixed-size chunks.
-
-    ``arrival_times`` gives each frame's ingest-arrival time; a chunk
-    completes when its last frame arrives.  Without arrival times the
-    capture time of the last frame is used.  A trailing partial chunk is
-    emitted (broadcast end flushes the chunker).
-    """
-    if frames_per_chunk <= 0:
-        raise ValueError("frames_per_chunk must be positive")
-    if arrival_times is not None and len(arrival_times) != len(frames):
-        raise ValueError("arrival_times length must match frames")
-    chunks: list[Chunk] = []
-    for start in range(0, len(frames), frames_per_chunk):
-        group = tuple(frames[start : start + frames_per_chunk])
-        last_index = start + len(group) - 1
-        completed = (
-            arrival_times[last_index]
-            if arrival_times is not None
-            else group[-1].capture_time + group[-1].duration_s
-        )
-        chunks.append(Chunk(index=len(chunks), frames=group, completed_time=completed))
-    return chunks

@@ -1,9 +1,10 @@
 """A minimal, deterministic discrete-event simulation engine.
 
 The engine is intentionally simple: a priority queue of timestamped events,
-a clock that only moves forward, and cancellation support.  Determinism
-matters more than raw speed here — ties are broken by insertion order so two
-runs with the same seed produce identical traces.
+a clock that only moves forward, and cancellation support.  Ties are broken
+by insertion order so two runs with the same seed produce identical traces.
+The heap holds ``(time, sequence, event)`` tuples, so ordering is a C-level
+tuple comparison.
 
 Example
 -------
@@ -35,9 +36,9 @@ class SimulationError(Exception):
 class Event:
     """A single scheduled callback.
 
-    Events order by ``(time, sequence)`` — the sequence number is a global
-    insertion counter, which makes simultaneous events fire in the order
-    they were scheduled.  This keeps runs deterministic.
+    The queue orders events by ``(time, sequence)`` — the sequence number is
+    a global insertion counter, which makes simultaneous events fire in the
+    order they were scheduled.  This keeps runs deterministic.
 
     A ``__slots__`` class rather than a dataclass: events are created once
     per scheduled callback, so construction and attribute access sit on the
@@ -61,11 +62,6 @@ class Event:
         self.label = label
         self._queue = _queue
         self._in_heap = _queue is not None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
 
     def __repr__(self) -> str:
         return (
@@ -95,7 +91,8 @@ class EventQueue:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        # Sequences are unique, so comparisons never reach the event itself.
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._dead = 0  # cancelled events still sitting in the heap
@@ -115,8 +112,9 @@ class EventQueue:
         return len(self._heap)
 
     def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        event = Event(time, next(self._counter), action, label, self)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, action, label, self)
+        heapq.heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
@@ -134,31 +132,32 @@ class EventQueue:
         ``heapify`` preserves the ``(time, sequence)`` ordering contract, so
         pop order — and therefore simulation determinism — is unaffected.
         """
-        for event in self._heap:
+        for _, _, event in self._heap:
             if event.cancelled:
                 event._in_heap = False
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
 
-    def pop(self) -> Optional[Event]:
-        """Return the next non-cancelled event, or ``None`` when drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event._in_heap = False
-            if not event.cancelled:
-                self._live -= 1
-                return event
-            self._dead -= 1
-        return None
+    def pop(self, until: Optional[float] = None) -> Optional[Event]:
+        """Return the next non-cancelled event, or ``None`` when drained or
+        when it fires after ``until`` (it then stays queued)."""
+        time = self.peek_time()
+        if time is None or (until is not None and time > until):
+            return None
+        event = heapq.heappop(self._heap)[2]
+        event._in_heap = False
+        self._live -= 1
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._in_heap = False
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2]._in_heap = False
             self._dead -= 1
-        if self._heap:
-            return self._heap[0].time
+        if heap:
+            return heap[0][0]
         return None
 
 
@@ -258,16 +257,10 @@ class Simulator:
         self._running = True
         processed_this_run = 0
         spans = self._spans
+        pop = self._queue.pop
         try:
-            while True:
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                event = self._queue.pop()
+            while max_events is None or processed_this_run < max_events:
+                event = pop(until)
                 if event is None:
                     break
                 self._now = event.time

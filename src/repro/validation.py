@@ -15,7 +15,7 @@ across seeds but tight enough that a broken model fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.experiments.registry import ExperimentResult, run_experiment
 
@@ -197,13 +197,19 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
-def validate(claims: tuple[Claim, ...] = CLAIMS) -> list[ClaimOutcome]:
-    """Run every claim's experiment (cached per experiment) and evaluate."""
+def validate(
+    claims: tuple[Claim, ...] = CLAIMS,
+    kwargs_for: Callable[[str], dict[str, Any]] = lambda experiment_id: {},
+) -> list[ClaimOutcome]:
+    """Run every claim's experiment (cached per experiment) and evaluate;
+    ``kwargs_for(experiment_id)`` gives its arguments (the CLI's flags)."""
     results: dict[str, ExperimentResult] = {}
     outcomes = []
     for claim in claims:
         if claim.experiment_id not in results:
-            results[claim.experiment_id] = run_experiment(claim.experiment_id)
+            results[claim.experiment_id] = run_experiment(
+                claim.experiment_id, **kwargs_for(claim.experiment_id)
+            )
         outcomes.append(claim.evaluate(results[claim.experiment_id]))
     return outcomes
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,16 @@ from repro.platform.users import UserRegistry
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.social.generation import FollowGraphConfig, generate_follow_graph
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """``scripts/golden.py``, the GOLDEN.json recorder and checker."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

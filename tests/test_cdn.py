@@ -12,12 +12,29 @@ from repro.cdn.transfer import TransferModel
 from repro.cdn.wowza import WowzaIngest
 from repro.geo.coordinates import GeoPoint
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
-from repro.protocols.frames import VideoFrame
 from repro.simulation.engine import Simulator
 
 
-def _frame(sequence: int) -> VideoFrame:
-    return VideoFrame(sequence=sequence, capture_time=sequence * 0.04)
+def _ingest(wowza: WowzaIngest, arrivals, broadcast_id: int = 1) -> None:
+    """Hand ``wowza`` frames captured every 40 ms arriving at ``arrivals``."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    captures = np.arange(arrivals.size) * 0.04
+    wowza.ingest(broadcast_id, captures, arrivals, 0.04)
+
+
+def _spaced(count: int, step: float = 0.1) -> list[float]:
+    """Arrivals at ``step``, ``2 * step``, ... (one frame per ``step``)."""
+    return [step * (i + 1) for i in range(count)]
+
+
+class _Recorder:
+    """An RtmpSubscriber that keeps every push it receives."""
+
+    def __init__(self) -> None:
+        self.pushes = []
+
+    def push_frames(self, broadcast_id, sequences, captures, pushed_at):
+        self.pushes.append((broadcast_id, sequences.tolist(), pushed_at.tolist()))
 
 
 @pytest.fixture
@@ -51,7 +68,7 @@ class TestAssignment:
 class TestWowzaIngest:
     def test_records_frame_arrivals(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
-        simulator.schedule(0.5, lambda: wowza.receive_frame(1, _frame(0)))
+        _ingest(wowza, [0.5])
         simulator.run()
         record = wowza.record_for(1)
         assert record.frame_arrivals[0] == 0.5
@@ -59,8 +76,7 @@ class TestWowzaIngest:
 
     def test_chunk_completes_after_n_frames(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
-        for i in range(5):
-            simulator.schedule(0.1 * (i + 1), lambda i=i: wowza.receive_frame(1, _frame(i)))
+        _ingest(wowza, _spaced(5))
         simulator.run()
         record = wowza.record_for(1)
         assert list(record.chunk_ready) == [0]
@@ -69,46 +85,43 @@ class TestWowzaIngest:
 
     def test_end_flushes_partial_chunk(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
-        simulator.schedule(0.1, lambda: wowza.receive_frame(1, _frame(0)))
-        simulator.run()
+        _ingest(wowza, [0.1])
+        simulator.run(until=0.1)  # the frame has arrived
         record = wowza.end_broadcast(1)
         assert 0 in record.chunk_ready
-        assert len(record.chunks[0].frames) == 1
+        assert record.chunks[0].frame_count == 1
+
+    def test_end_before_last_arrival_rejected(self, simulator, wowza):
+        wowza.start_broadcast(1, "tok")
+        _ingest(wowza, [0.1, 0.2])
+        with pytest.raises(ValueError):
+            wowza.end_broadcast(1)
 
     def test_rtmp_push_to_subscribers(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
-        pushed = []
-
-        class Subscriber:
-            def push_frame(self, broadcast_id, frame, pushed_at):
-                pushed.append((frame.sequence, pushed_at))
-
-        wowza.subscribe_rtmp(1, Subscriber())
-        simulator.schedule(0.2, lambda: wowza.receive_frame(1, _frame(0)))
+        early, late = _Recorder(), _Recorder()
+        wowza.subscribe_rtmp(1, early)
+        _ingest(wowza, [0.2, 0.3])
+        wowza.subscribe_rtmp(1, late)
+        # One push each, made at subscribe or ingest time, never again.
         simulator.run()
-        assert pushed == [(0, 0.2)]
+        assert early.pushes == [(1, [0, 1], [0.2, 0.3])]
+        assert late.pushes == [(1, [0, 1], [0.2, 0.3])]
+        assert wowza.rtmp_subscriber_count(1) == 2
 
-    def test_unsubscribe_stops_push(self, simulator, wowza):
+    def test_subscriber_after_last_frame_gets_nothing(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
-        pushed = []
-
-        class Subscriber:
-            def push_frame(self, broadcast_id, frame, pushed_at):
-                pushed.append(frame.sequence)
-
-        subscriber = Subscriber()
-        wowza.subscribe_rtmp(1, subscriber)
-        wowza.unsubscribe_rtmp(1, subscriber)
-        simulator.schedule(0.2, lambda: wowza.receive_frame(1, _frame(0)))
+        _ingest(wowza, [0.2])
+        recorder = _Recorder()
+        simulator.schedule(0.5, lambda: wowza.subscribe_rtmp(1, recorder))
         simulator.run()
-        assert pushed == []
+        assert recorder.pushes == []
 
     def test_expiry_listener_fires_per_chunk(self, simulator, wowza):
         wowza.start_broadcast(1, "tok")
         expiries = []
         wowza.add_expiry_listener(1, lambda bid, version, t: expiries.append(version))
-        for i in range(10):
-            simulator.schedule(0.1 * (i + 1), lambda i=i: wowza.receive_frame(1, _frame(i)))
+        _ingest(wowza, _spaced(10))
         simulator.run()
         assert expiries == [1, 2]  # two chunks of 5 frames
 
@@ -121,11 +134,25 @@ class TestWowzaIngest:
         wowza.start_broadcast(1, "tok")
         wowza.end_broadcast(1)
         with pytest.raises(ValueError):
-            wowza.receive_frame(1, _frame(0))
+            _ingest(wowza, [0.1])
+
+    def test_second_ingest_rejected(self, simulator, wowza):
+        wowza.start_broadcast(1, "tok")
+        _ingest(wowza, [0.1])
+        with pytest.raises(ValueError):
+            _ingest(wowza, [0.2])
+
+    def test_unordered_or_past_arrivals_rejected(self, simulator, wowza):
+        wowza.start_broadcast(1, "tok")
+        with pytest.raises(ValueError):
+            _ingest(wowza, [0.2, 0.1])
+        simulator.run(until=1.0)
+        with pytest.raises(ValueError):
+            _ingest(wowza, [0.5])
 
     def test_unknown_broadcast_rejected(self, wowza):
         with pytest.raises(KeyError):
-            wowza.receive_frame(99, _frame(0))
+            _ingest(wowza, [0.1], broadcast_id=99)
 
 
 class TestFastlyEdge:
@@ -140,10 +167,7 @@ class TestFastlyEdge:
         return simulator, wowza, edge
 
     def _feed_frames(self, simulator, wowza, count):
-        for i in range(count):
-            simulator.schedule(
-                0.1 * (i + 1), lambda i=i: wowza.receive_frame(1, _frame(i))
-            )
+        _ingest(wowza, _spaced(count))
 
     def test_poll_fresh_cache_responds_immediately(self, setup):
         simulator, wowza, edge = setup
@@ -297,8 +321,7 @@ class TestEdgePlaylistWire:
         edge = FastlyEdge(pop, simulator, TransferModel(), np.random.default_rng(1))
         wowza.start_broadcast(1, "tok")
         edge.attach_broadcast(1, wowza)
-        for i in range(15):  # 3 chunks of 5 frames
-            simulator.schedule(0.1 * (i + 1), lambda i=i: wowza.receive_frame(1, _frame(i)))
+        _ingest(wowza, _spaced(15))  # 3 chunks of 5 frames
 
         def poll_loop():
             edge.poll(1, lambda cl, t: None)

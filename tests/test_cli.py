@@ -7,8 +7,9 @@ import warnings
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
-from repro.experiments.registry import list_experiments
+from repro.experiments.registry import list_experiments, run_experiment
 
 
 class TestCli:
@@ -60,11 +61,41 @@ class TestCli:
         assert "--list" in help_text
 
     @pytest.mark.slow
-    def test_all_runs_every_experiment(self, capsys):
+    def test_all_runs_every_experiment(self, capsys, monkeypatch, golden):
+        """``--all`` runs every experiment, and every result still has the
+        ``data`` and ``text`` fingerprints recorded in GOLDEN.json."""
+        results = {}
+
+        def recording(experiment_id, **kwargs):
+            results[experiment_id] = run_experiment(experiment_id, **kwargs)
+            return results[experiment_id]
+
+        monkeypatch.setattr(repro.cli, "run_experiment", recording)
         assert main(["--all"]) == 0
         out = capsys.readouterr().out
         for experiment_id in list_experiments():
             assert f"[{experiment_id} regenerated" in out
+        assert golden.check_experiments(golden.load_golden(), results) == []
+
+    def test_validate_passes_seed_scale_and_broadcasts(self, monkeypatch, capsys):
+        import repro.validation as validation
+
+        seen = {}
+
+        def fake_validate(claims=validation.CLAIMS, kwargs_for=lambda _: {}):
+            seen.update({eid: kwargs_for(eid) for eid in ("table1", "fig12", "fig11", "fig14")})
+            return []
+
+        monkeypatch.setattr(validation, "validate", fake_validate)
+        monkeypatch.setattr(validation, "render_scorecard", lambda outcomes: "scorecard")
+        argv = ["--validate", "--seed", "7", "--scale", "0.002", "--broadcasts", "12"]
+        assert main(argv) == 0
+        assert seen == {
+            "table1": {"scale": 0.002, "seed": 7},
+            "fig12": {"n_broadcasts": 12, "seed": 7},
+            "fig11": {"seed": 7},
+            "fig14": {},
+        }
 
     def test_out_flag_tees_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"

@@ -246,29 +246,6 @@ class TestBroadcasterClient:
         # 25 frames -> chunks of 10/10/5 after the end-flush.
         assert len(wowza.record_for(1).chunk_ready) == 3
 
-    def test_keyframe_cadence(self, simulator, rng):
-        wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator)
-        client = BroadcasterClient(
-            broadcast_id=1, token="t", simulator=simulator, wowza=wowza,
-            uplink=LastMileLink.stable_wifi(rng), keyframe_interval=30,
-        )
-        client.start(start_time=0.0, duration_s=3.0)
-        simulator.run()
-        chunks = wowza.record_for(1).chunks
-        keyframes = [f.sequence for c in chunks.values() for f in c.frames if f.is_keyframe]
-        assert keyframes == [0, 30, 60]
-
-    def test_payload_materialization(self, simulator, rng):
-        wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator)
-        client = BroadcasterClient(
-            broadcast_id=1, token="t", simulator=simulator, wowza=wowza,
-            uplink=LastMileLink.stable_wifi(rng), payload_bytes=32,
-        )
-        client.start(start_time=0.0, duration_s=0.5)
-        simulator.run()
-        frame = wowza.record_for(1).chunks[0].frames[0]
-        assert len(frame.payload) == 32
-
     def test_invalid_duration_rejected(self, simulator, rng):
         wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator)
         client = BroadcasterClient(
@@ -368,7 +345,5 @@ class TestViewerClients:
             viewer_id=1, broadcast_id=1, simulator=simulator,
             downlink=LastMileLink.stable_wifi(rng),
         )
-        from repro.protocols.frames import VideoFrame
-
         with pytest.raises(ValueError):
-            viewer.push_frame(2, VideoFrame(sequence=0, capture_time=0.0), 0.0)
+            viewer.push_frames(2, np.array([0]), np.array([0.0]), np.array([0.0]))

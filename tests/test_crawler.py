@@ -413,7 +413,8 @@ class TestDelayCrawler:
         frames = crawler.frame_arrival_trace()
         assert len(frames) == 250
         assert np.all(np.diff(frames) >= 0)
-        assert np.all(crawler.upload_delays() > 0)
+        assert crawler.frame_sequences.tolist() == list(range(250))
+        assert np.all(crawler.frame_arrivals - crawler.frame_captures > 0)
 
         availability = crawler.chunk_availability_trace()
         assert len(availability) == 10

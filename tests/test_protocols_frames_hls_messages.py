@@ -5,17 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.protocols.frames import Chunk, VideoFrame, frames_to_chunks
+from repro.cdn.wowza import WowzaIngest
+from repro.geo.datacenters import WOWZA_DATACENTERS
+from repro.protocols.frames import Chunk, VideoFrame
 from repro.protocols.hls import Chunklist, HlsPollSchedule
 from repro.protocols.messages import MessageChannel, MessageKind, StreamMessage
 from repro.protocols.rtmps import RtmpsCostModel
+from repro.simulation.engine import Simulator
 
 
-def _frames(count: int, interval: float = 0.04) -> list[VideoFrame]:
-    return [
-        VideoFrame(sequence=i, capture_time=i * interval, duration_s=interval)
-        for i in range(count)
-    ]
+def _chunks(count: int, frames_per_chunk: int, arrivals=None, interval: float = 0.04):
+    """Chunks a Wowza server assembles from ``count`` frames captured every
+    ``interval`` (arriving on capture unless ``arrivals`` says otherwise)."""
+    simulator = Simulator()
+    wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator, frames_per_chunk=frames_per_chunk)
+    wowza.start_broadcast(1, "tok")
+    captures = np.arange(count) * interval
+    arrivals = captures if arrivals is None else np.asarray(arrivals)
+    wowza.ingest(1, captures, arrivals, interval)
+    simulator.run(until=float(arrivals[-1]))  # every frame has arrived
+    record = wowza.end_broadcast(1)
+    return [record.chunks[index] for index in sorted(record.chunks)]
 
 
 class TestFrames:
@@ -41,38 +51,42 @@ class TestFrames:
 
 class TestChunking:
     def test_75_frames_make_3s_chunk(self):
-        chunks = frames_to_chunks(_frames(75), frames_per_chunk=75)
+        chunks = _chunks(75, frames_per_chunk=75)
         assert len(chunks) == 1
         assert chunks[0].duration_s == pytest.approx(3.0)
 
     def test_partial_trailing_chunk(self):
-        chunks = frames_to_chunks(_frames(100), frames_per_chunk=75)
+        chunks = _chunks(100, frames_per_chunk=75)
         assert len(chunks) == 2
-        assert len(chunks[1].frames) == 25
+        assert chunks[1].frame_count == 25
 
     def test_arrival_times_set_completion(self):
-        frames = _frames(10)
-        arrivals = [f.capture_time + 0.5 for f in frames]
-        chunks = frames_to_chunks(frames, frames_per_chunk=10, arrival_times=arrivals)
+        arrivals = np.arange(10) * 0.04 + 0.5
+        chunks = _chunks(10, frames_per_chunk=10, arrivals=arrivals)
         assert chunks[0].completed_time == arrivals[-1]
 
     def test_chunk_first_capture_time(self):
-        chunks = frames_to_chunks(_frames(150), frames_per_chunk=75)
+        chunks = _chunks(150, frames_per_chunk=75)
         assert chunks[1].first_capture_time == pytest.approx(75 * 0.04)
         assert chunks[1].first_sequence == 75
 
     def test_chunk_requires_ordered_frames(self):
-        frames = _frames(3)
         with pytest.raises(ValueError):
-            Chunk(index=0, frames=(frames[1], frames[0]), completed_time=1.0)
+            _chunks(3, frames_per_chunk=3, arrivals=[0.2, 0.1, 0.3])
 
     def test_empty_chunk_rejected(self):
         with pytest.raises(ValueError):
-            Chunk(index=0, frames=(), completed_time=0.0)
+            Chunk(
+                index=0, first_sequence=0, frame_count=0,
+                first_capture_time=0.0, duration_s=0.0, completed_time=0.0,
+            )
 
     def test_mismatched_arrivals_rejected(self):
+        simulator = Simulator()
+        wowza = WowzaIngest(WOWZA_DATACENTERS[0], simulator, frames_per_chunk=5)
+        wowza.start_broadcast(1, "tok")
         with pytest.raises(ValueError):
-            frames_to_chunks(_frames(5), frames_per_chunk=5, arrival_times=[1.0])
+            wowza.ingest(1, np.zeros(5), np.array([1.0]), 0.04)
 
 
 class TestChunklist:

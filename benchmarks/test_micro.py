@@ -81,7 +81,7 @@ def test_follow_graph_generation_throughput(benchmark):
 
 def test_global_list_sampling_throughput(benchmark):
     """The 50-of-N global-list sample under heavy live load."""
-    from repro.platform.service import LivestreamService
+    from repro.service import LivestreamService
 
     service = LivestreamService()
     service.users.register_many(5_000)

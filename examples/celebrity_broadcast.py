@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.delay_breakdown import ControlledExperiment
-from repro.platform.service import LivestreamService
 from repro.platform.broadcasts import DeliveryTier
 from repro.protocols.messages import MessageChannel, MessageKind, StreamMessage
+from repro.service import LivestreamService
 from repro.simulation.randomness import RandomStreams
 from repro.social.graph import FollowGraph
 from repro.social.notifications import NotificationService

@@ -17,9 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crawler.global_list import GlobalListCrawler
-from repro.crawler.rate_limit import TokenBucket
-from repro.platform.service import LivestreamService
-from repro.simulation.engine import Simulator
+from repro.service import LivestreamService
+from repro.simulation import Simulator, TokenBucket
 
 SIM_HORIZON_S = 400.0
 BROADCASTS = 2000

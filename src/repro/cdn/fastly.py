@@ -23,7 +23,7 @@ hammering a dead origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,9 +34,7 @@ from repro.geo.datacenters import Datacenter
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
-
-if TYPE_CHECKING:  # avoid a runtime repro.faults <-> repro.cdn cycle
-    from repro.faults.resilience import CircuitBreaker
+from repro.simulation.resilience import CircuitBreaker
 
 #: Poll response callback: (chunklist snapshot, response time).
 PollCallback = Callable[[Chunklist, float], None]
@@ -46,7 +44,7 @@ class EdgeUnavailable(Exception):
     """Raised by :meth:`FastlyEdge.poll` while the POP is down.
 
     The synchronous failure channel viewers retry and fail over on (see
-    :class:`repro.faults.resilience.RetryPolicy` and
+    :class:`repro.simulation.resilience.RetryPolicy` and
     :class:`repro.client.viewer_client.HlsViewerClient`).
     """
 
@@ -63,7 +61,7 @@ class _EdgeBroadcastState:
     origin_pulls: int = 0
     pull_failures: int = 0
     stale_served: int = 0
-    breaker: Optional["CircuitBreaker"] = None
+    breaker: Optional[CircuitBreaker] = None
 
     @property
     def is_stale(self) -> bool:
@@ -81,7 +79,7 @@ class FastlyEdge:
         rng: np.random.Generator,
         metrics: MetricsRegistry = NULL_REGISTRY,
         queue: Optional[ServerQueue] = None,
-        breaker_factory: Optional[Callable[[], "CircuitBreaker"]] = None,
+        breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
     ) -> None:
         self.datacenter = datacenter
         self.simulator = simulator
@@ -247,7 +245,7 @@ class FastlyEdge:
     def stale_served(self, broadcast_id: int) -> int:
         return self._state(broadcast_id).stale_served
 
-    def breaker_for(self, broadcast_id: int) -> Optional["CircuitBreaker"]:
+    def breaker_for(self, broadcast_id: int) -> Optional[CircuitBreaker]:
         """The origin-pull circuit breaker for this broadcast (None when
         the edge was built without a ``breaker_factory``)."""
         return self._state(broadcast_id).breaker

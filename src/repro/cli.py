@@ -394,7 +394,7 @@ class _TargetExit(Exception):
 
 def _render_metrics(args: argparse.Namespace) -> str:
     """Run the instrumented scenario and dump its registry as JSON."""
-    from repro.obs.scenario import run_metrics_scenario
+    from repro.experiments.metrics_scenario import run_metrics_scenario
 
     return run_metrics_scenario(seed=args.seed if args.seed is not None else 7).as_json()
 

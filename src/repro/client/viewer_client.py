@@ -17,11 +17,11 @@ import numpy as np
 from repro.cdn.fastly import EdgeUnavailable, FastlyEdge
 from repro.cdn.wowza import WowzaIngest
 from repro.client.network import LastMileLink
-from repro.faults.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.protocols.frames import Chunk
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
+from repro.simulation.resilience import RetryPolicy
 
 
 @dataclass

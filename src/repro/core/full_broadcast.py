@@ -36,8 +36,8 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.regions import sample_user_location
 from repro.platform.apps import PERISCOPE_PROFILE, AppProfile
 from repro.platform.broadcasts import DeliveryTier
-from repro.platform.service import LivestreamService
 from repro.protocols.messages import MessageChannel, MessageKind, StreamMessage
+from repro.service.facade import LivestreamService
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.workload.viewers import ViewerArrivalModel

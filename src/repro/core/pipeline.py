@@ -25,6 +25,7 @@ from repro.cdn.transfer import TransferModel
 from repro.cdn.wowza import WowzaIngest
 from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
+from repro.core.playback import poll_pickup_times
 from repro.crawler.delay_crawler import DelayCrawler
 from repro.geo.regions import sample_user_location
 from repro.platform.apps import AppProfile, PERISCOPE_PROFILE
@@ -110,6 +111,7 @@ class DelayMeasurementCampaign:
 
         chunk_duration_s = self.profile.chunk_duration_s
         if self.chunk_duration_mix is not None:
+            # Deferred: chunk_stats imports this module at module scope.
             from repro.core.chunk_stats import sample_chunk_duration
 
             chunk_duration_s = sample_chunk_duration(
@@ -183,8 +185,6 @@ def hls_viewer_traces(
     Per §6, each HLS viewer polls at 2.8 s with a random phase; a chunk is
     picked up at the first poll after it becomes available at the POP.
     """
-    from repro.core.playback import poll_pickup_times
-
     pickups = []
     for trace in traces:
         if trace.chunk_count == 0:

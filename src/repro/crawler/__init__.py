@@ -19,7 +19,6 @@ from repro.crawler.dataset import (
     BroadcastRecord,
     DowntimeWindow,
 )
-from repro.crawler.rate_limit import RateLimitExceeded, TokenBucket
 from repro.crawler.global_list import CrawlerAccount, GlobalListCrawler
 from repro.crawler.broadcast_monitor import BroadcastMonitor
 from repro.crawler.delay_crawler import ChunkObservation, DelayCrawler
@@ -44,8 +43,6 @@ __all__ = [
     "BroadcastDataset",
     "BroadcastRecord",
     "DowntimeWindow",
-    "TokenBucket",
-    "RateLimitExceeded",
     "GlobalListCrawler",
     "CrawlerAccount",
     "BroadcastMonitor",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.crawler.dataset import BroadcastDataset, BroadcastRecord
 from repro.platform.broadcasts import Broadcast
-if TYPE_CHECKING:  # break the import cycle: the facade imports repro.service
-    from repro.platform.service import LivestreamService
+from repro.service.facade import LivestreamService
 from repro.social.graph import FollowGraph
 
 

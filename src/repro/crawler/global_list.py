@@ -12,18 +12,16 @@ trade-off can be measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.crawler.rate_limit import TokenBucket
-from repro.faults.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.service.errors import ServiceUnavailable
-
-if TYPE_CHECKING:  # break the import cycle: the facade imports repro.service
-    from repro.platform.service import LivestreamService
+from repro.service.facade import LivestreamService
 from repro.simulation.engine import Simulator
+from repro.simulation.rate_limit import TokenBucket
+from repro.simulation.resilience import RetryPolicy
 
 #: Called when a broadcast is first discovered: (broadcast_id, time).
 DiscoveryCallback = Callable[[int, float], None]

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.crawler.rate_limit import TokenBucket
+from repro.simulation.rate_limit import TokenBucket
 from repro.social.graph import FollowGraph
 
 #: Periscope-era list endpoints returned pages of this many users.

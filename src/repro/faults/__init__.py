@@ -7,11 +7,13 @@ The subsystem has two halves that meet only through component state:
   :class:`FaultInjector` purely through simulator events: POPs go down or
   degrade, origins stop serving pulls, front-end queues slow down, the
   platform API browns out, crawler token buckets starve.
-* **Resilience** — :class:`RetryPolicy` (exponential backoff, deterministic
-  jitter, attempt timeouts, deadlines) adopted by the crawler and the HLS
-  viewer, edge failover in the viewer, a :class:`CircuitBreaker` on the
-  Fastly origin-pull path, and platform load shedding (stale global-list
-  snapshots instead of errors).
+* **Resilience** — :class:`~repro.simulation.RetryPolicy` (exponential
+  backoff, deterministic jitter, attempt timeouts, deadlines) adopted by
+  the crawler and the HLS viewer, edge failover in the viewer, a
+  :class:`~repro.simulation.CircuitBreaker` on the Fastly origin-pull
+  path, and platform load shedding (stale global-list snapshots instead
+  of errors).  The primitives live in :mod:`repro.simulation` because the
+  delivery and crawler tiers below this package use them.
 
 Identical seeds and plans yield byte-identical runs, and an armed injector
 with an empty plan leaves the simulation bit-for-bit on the faultless seed
@@ -22,21 +24,12 @@ and a resilient system through the same fault schedule and reports the
 degradation side by side.
 """
 
-from repro.cdn.fastly import EdgeUnavailable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultWindow
-from repro.faults.resilience import CircuitBreaker, RetryPolicy
-from repro.service.errors import ServiceUnavailable
 
 __all__ = [
     "FaultKind",
     "FaultWindow",
     "FaultPlan",
     "FaultInjector",
-    "RetryPolicy",
-    "CircuitBreaker",
-    # Both error types are injected *by* this subsystem, so FAULTS.md docs
-    # import them from here; their canonical homes stay cdn/service.
-    "EdgeUnavailable",  # repro: allow[export-drift] fault-surface convenience re-export; canonical home is repro.cdn
-    "ServiceUnavailable",  # repro: allow[export-drift] fault-surface convenience re-export; canonical home is repro.service
 ]

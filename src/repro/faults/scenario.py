@@ -30,15 +30,16 @@ from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient
 from repro.crawler.global_list import GlobalListCrawler
-from repro.crawler.rate_limit import TokenBucket
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultWindow
-from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.geo.datacenters import WOWZA_DATACENTERS
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.platform.service import LivestreamService, ServiceUnavailable
+from repro.service.errors import ServiceUnavailable
+from repro.service.facade import LivestreamService
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
+from repro.simulation.rate_limit import TokenBucket
+from repro.simulation.resilience import CircuitBreaker, RetryPolicy
 
 
 @dataclass(frozen=True)

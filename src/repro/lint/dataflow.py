@@ -1,27 +1,18 @@
-"""RNG-stream dataflow and worker-purity passes.
+"""RNG-stream dataflow pass (rule ``rng-escapes-to-global``).
 
 The determinism invariant — a run is a pure function of (config, seed) —
-dies in two specific ways the per-file rules cannot see:
+dies when an RNG stream escapes into module-global state: draw order then
+starts depending on import order and call history, which the per-file
+rules cannot see.
 
-* an RNG stream escapes into module-global state, so draw order starts
-  depending on import order and call history
-  (``rng-escapes-to-global``), or one stream object is shared across
-  shard-scoped work, so ``workers=1`` and ``workers=N`` diverge
-  (``shared-stream-across-shards``); shard independence is what makes
-  the generation pipeline schedule-independent
-  (:mod:`repro.parallel.generate`);
-* a function that runs inside a pool worker mutates module-global state,
-  which silently forks per-process copies of that state
-  (``worker-global-mutation``).
-
-The passes are conservative taint tracking over the ASTs: a value is an
+The pass is conservative taint tracking over the ASTs: a value is an
 *RNG stream* if it comes from ``numpy.random.default_rng`` /
 ``Generator`` construction, a ``RandomStreams`` instance, or a
 ``.spawn()`` / ``.get()`` call on an already-tainted value; taint follows
 simple assignments within a scope and parameter annotations naming
 ``Generator`` / ``RandomStreams``.  Sequential reuse of one stream inside
 a loop is *sanctioned* (event-order draws are the repo's idiom) — only
-module-global storage and process-boundary crossings are flagged.
+module-global storage is flagged.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.findings import Finding
-from repro.lint.graph import ModuleInfo, ProjectGraph
+from repro.lint.graph import ProjectGraph
 from repro.lint.rules import ProjectRule, register_project
 
 #: Callable names that construct an RNG stream when called directly.
@@ -39,24 +30,6 @@ _RNG_FACTORY_NAMES = frozenset({"default_rng", "RandomStreams"})
 _RNG_FACTORY_ATTRS = frozenset({"default_rng", "RandomStreams", "spawn"})
 #: Annotation names that mark a parameter as carrying a stream.
 _RNG_ANNOTATION_NAMES = frozenset({"Generator", "RandomStreams"})
-#: Method names that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-    }
-)
 
 
 def _annotation_names(annotation: Optional[ast.expr]) -> set[str]:
@@ -85,31 +58,6 @@ def _is_rng_expr(node: ast.expr, tainted: set[str]) -> bool:
             if func.attr == "get" and _is_rng_expr(func.value, tainted):
                 return True
     return False
-
-
-def _scope_locals(func: ast.AST) -> set[str]:
-    """Names assigned anywhere in a function scope (params included)."""
-    names: set[str] = set()
-    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = func.args
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            names.add(arg.arg)
-    declared_global: set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, (ast.Name, ast.arg)):
-            if isinstance(node, ast.arg):
-                names.add(node.arg)
-            elif isinstance(node.ctx, ast.Store):
-                names.add(node.id)
-    return names - declared_global
 
 
 def _tainted_names(func: ast.AST) -> set[str]:
@@ -197,7 +145,7 @@ class RngEscapesToGlobalRule(ProjectRule):
                         if (
                             isinstance(target, ast.Name)
                             and target.id in declared
-                            and _is_rng_expr(node.value, tainted | _tainted_names(func))
+                            and _is_rng_expr(node.value, tainted)
                         ):
                             yield Finding(
                                 path=info.relpath,
@@ -209,275 +157,3 @@ class RngEscapesToGlobalRule(ProjectRule):
                                     f"'{target.id}' via a global statement"
                                 ),
                             )
-
-
-def _lambda_free_tainted(node: ast.Lambda, tainted: set[str]) -> bool:
-    bound = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
-    for leaf in ast.walk(node.body):
-        if isinstance(leaf, ast.Name) and leaf.id in tainted and leaf.id not in bound:
-            return True
-    return False
-
-
-@register_project
-class SharedStreamAcrossShardsRule(ProjectRule):
-    """One stream object crossing a process boundary (or feeding multiple
-    shard-scoped calls) makes output depend on shard scheduling; shards
-    must derive independent substreams from the seed instead
-    (``day_substream_seed`` / :meth:`RandomStreams.spawn`)."""
-
-    rule_id = "shared-stream-across-shards"
-    description = "RNG stream passed across shard/process boundaries"
-
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for name in sorted(graph.modules):
-            info = graph.modules[name]
-            for func in _function_nodes(info.tree):
-                tainted = _tainted_names(func)
-                if not tainted:
-                    continue
-                local_defs = {
-                    child.name: child
-                    for child in ast.walk(func)
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and child is not func
-                }
-                shard_calls: dict[str, list[ast.Call]] = {}
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    finding = self._check_call(
-                        info, node, tainted, local_defs, shard_calls
-                    )
-                    if finding is not None:
-                        yield finding
-                for stream, calls in sorted(shard_calls.items()):
-                    if len(calls) < 2:
-                        continue
-                    for call in calls[1:]:
-                        yield Finding(
-                            path=info.relpath,
-                            line=call.lineno,
-                            col=call.col_offset + 1,
-                            rule_id=self.rule_id,
-                            message=(
-                                f"stream '{stream}' feeds multiple shard-scoped "
-                                "calls; derive one substream per shard instead"
-                            ),
-                        )
-
-    def _check_call(
-        self,
-        info: ModuleInfo,
-        node: ast.Call,
-        tainted: set[str],
-        local_defs: dict,
-        shard_calls: dict[str, list[ast.Call]],
-    ) -> Optional[Finding]:
-        func = node.func
-        callee = None
-        if isinstance(func, ast.Name):
-            callee = func.id
-        elif isinstance(func, ast.Attribute):
-            callee = func.attr
-
-        def crossing(detail: str) -> Finding:
-            return Finding(
-                path=info.relpath,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                rule_id=self.rule_id,
-                message=f"RNG stream crosses a process boundary: {detail}",
-            )
-
-        if isinstance(func, ast.Attribute) and func.attr in ("submit", "map"):
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in tainted:
-                    return crossing(f"'{arg.id}' passed to .{func.attr}()")
-                if isinstance(arg, ast.Lambda) and _lambda_free_tainted(arg, tainted):
-                    return crossing(f"lambda capturing a stream passed to .{func.attr}()")
-                if isinstance(arg, ast.Name) and arg.id in local_defs:
-                    inner = local_defs[arg.id]
-                    bound = _scope_locals(inner)
-                    for leaf in ast.walk(inner):
-                        if (
-                            isinstance(leaf, ast.Name)
-                            and isinstance(leaf.ctx, ast.Load)
-                            and leaf.id in tainted
-                            and leaf.id not in bound
-                        ):
-                            return crossing(
-                                f"'{arg.id}' closes over stream '{leaf.id}'"
-                            )
-            return None
-
-        for keyword in node.keywords:
-            if keyword.arg == "initargs":
-                for leaf in ast.walk(keyword.value):
-                    if isinstance(leaf, ast.Name) and leaf.id in tainted:
-                        return crossing(f"'{leaf.id}' shipped through initargs")
-            if keyword.arg == "initializer":
-                value = keyword.value
-                if isinstance(value, ast.Lambda) and _lambda_free_tainted(
-                    value, tainted
-                ):
-                    return crossing("initializer lambda captures a stream")
-
-        if callee and "shard" in callee.lower():
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in tainted:
-                    shard_calls.setdefault(arg.id, []).append(node)
-        return None
-
-
-def _pool_entry_points(graph: ProjectGraph) -> list[tuple[str, str]]:
-    """``(module, function)`` pairs submitted to executors or installed as
-    pool initializers, anywhere in the project."""
-    entries: list[tuple[str, str]] = []
-
-    def resolve(info: ModuleInfo, target: ast.expr) -> Optional[tuple[str, str]]:
-        if not isinstance(target, ast.Name):
-            return None
-        return _resolve_function(graph, info, target.id)
-
-    for name in sorted(graph.modules):
-        info = graph.modules[name]
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in ("submit", "map"):
-                if node.args:
-                    resolved = resolve(info, node.args[0])
-                    if resolved is not None:
-                        entries.append(resolved)
-            for keyword in node.keywords:
-                if keyword.arg == "initializer":
-                    resolved = resolve(info, keyword.value)
-                    if resolved is not None:
-                        entries.append(resolved)
-    return sorted(set(entries))
-
-
-def _module_functions(info: ModuleInfo) -> dict[str, ast.AST]:
-    return {
-        node.name: node
-        for node in info.tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def _resolve_function(
-    graph: ProjectGraph, info: ModuleInfo, name: str
-) -> Optional[tuple[str, str]]:
-    """``(module, function)`` a local name refers to, following one
-    from-import hop into the analyzed set."""
-    if name in _module_functions(info):
-        return (info.name, name)
-    for record in info.imports:
-        if not record.is_from:
-            continue
-        for original, local in record.names:
-            if local != name:
-                continue
-            target = graph.modules.get(record.target)
-            if target is not None and original in _module_functions(target):
-                return (target.name, original)
-    return None
-
-
-@register_project
-class WorkerGlobalMutationRule(ProjectRule):
-    """Functions that run inside pool workers must not mutate module
-    globals: each worker process would fork its own copy, making results
-    depend on task placement.  The pass walks every function statically
-    reachable (direct calls) from pool entry points — ``.submit``/``.map``
-    targets and ``initializer=`` callables."""
-
-    rule_id = "worker-global-mutation"
-    description = "module-global mutation inside pool-worker-reachable code"
-
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        entries = _pool_entry_points(graph)
-        seen: set[tuple[str, str]] = set()
-        queue = list(entries)
-        reachable: list[tuple[str, str]] = []
-        while queue:
-            key = queue.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            module_name, func_name = key
-            info = graph.modules.get(module_name)
-            if info is None:
-                continue
-            func = _module_functions(info).get(func_name)
-            if func is None:
-                continue
-            reachable.append(key)
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    resolved = _resolve_function(graph, info, node.func.id)
-                    if resolved is not None:
-                        queue.append(resolved)
-
-        for module_name, func_name in sorted(reachable):
-            info = graph.modules[module_name]
-            func = _module_functions(info)[func_name]
-            yield from self._check_function(info, func)
-
-    def _check_function(self, info: ModuleInfo, func: ast.AST) -> Iterator[Finding]:
-        declared_global: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-        local_names = _scope_locals(func)
-
-        def module_level(name: str) -> bool:
-            return name in info.bindings and name not in local_names
-
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and target.id in declared_global:
-                        yield self._finding(
-                            info,
-                            node,
-                            f"assigns module global '{target.id}' "
-                            f"(declared global in {func.name})",
-                        )
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        if module_level(target.value.id):
-                            yield self._finding(
-                                info,
-                                node,
-                                f"writes into module-global '{target.value.id}'",
-                            )
-            elif isinstance(node, ast.Call):
-                func_expr = node.func
-                if (
-                    isinstance(func_expr, ast.Attribute)
-                    and func_expr.attr in _MUTATOR_METHODS
-                    and isinstance(func_expr.value, ast.Name)
-                    and module_level(func_expr.value.id)
-                ):
-                    yield self._finding(
-                        info,
-                        node,
-                        f"mutates module-global '{func_expr.value.id}' "
-                        f"via .{func_expr.attr}()",
-                    )
-
-    def _finding(self, info: ModuleInfo, node: ast.AST, detail: str) -> Finding:
-        return Finding(
-            path=info.relpath,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule_id=self.rule_id,
-            message=f"pool-worker-reachable code {detail}; workers must stay pure",
-        )

@@ -15,10 +15,10 @@ Vocabulary (used by every project rule):
   dotted path.  A package's ``__init__.py`` *is* the package module.
 * **module-scope import** — executed when the module is imported; these
   are the edges that can deadlock initialization and the only ones the
-  cycle/layering rules count.
-* **deferred import** — inside a function body: executed at call time,
-  the sanctioned way to point *up* the layer stack (see
-  :mod:`repro.lint.architecture`).
+  cycle rule counts.
+* **deferred import** — inside a function body: executed at call time.
+  It cannot deadlock initialization, but it still runs, so the layering
+  rule counts it (see :mod:`repro.lint.architecture`).
 * **typing-only import** — under ``if TYPE_CHECKING:``: never executed,
   exempt from cycle and layering checks but still resolution-checked.
 
@@ -26,9 +26,7 @@ Cycle detection is Tarjan's strongly-connected-components pass over the
 module-scope edges.  Implicit parent-package edges (importing ``a.b.c``
 executes ``a/__init__.py`` first) are deliberately *not* modeled: every
 re-exporting package would form a Python-legal two-cycle with each of its
-submodules.  The one hazard that semantics creates here — the
-platform↔service initialization order — is pinned explicitly by
-``REQUIRED_DEFERRED`` in :mod:`repro.lint.architecture` instead.
+submodules.
 """
 
 from __future__ import annotations
@@ -289,10 +287,6 @@ class ProjectGraph:
     """Every analyzed module, keyed by dotted name, plus derived views."""
 
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
-
-    def module_for_path(self, relpath: str) -> Optional[ModuleInfo]:
-        name, _ = module_name_for(relpath)
-        return self.modules.get(name)
 
     def resolve_target(self, record: ImportRecord) -> Optional[ModuleInfo]:
         """The analyzed module an import record names, if any."""

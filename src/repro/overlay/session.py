@@ -20,7 +20,7 @@ import numpy as np
 from repro.client.network import LastMileLink
 from repro.geo.coordinates import GeoPoint
 from repro.geo.latency import LatencyModel
-from repro.overlay.tree import ForwardingNode, OverlayTree
+from repro.overlay.tree import ForwardingNode, OverlayTree, repair_after_failure
 from repro.protocols.frames import VideoFrame
 from repro.simulation.engine import Simulator
 
@@ -192,8 +192,6 @@ def fail_and_repair(session: OverlayMulticastSession, node: ForwardingNode) -> N
     session keeps pushing frames without interruption — the property §8's
     "reverse forwarding path" setup makes cheap to restore.
     """
-    from repro.overlay.tree import repair_after_failure
-
     repair_after_failure(session.tree, node)
     # Re-point attached-viewer leaf records at their new server.
     for viewer in session._viewers.values():

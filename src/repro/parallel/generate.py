@@ -66,6 +66,7 @@ from typing import Callable, Optional, Union
 
 from repro.obs import NULL_REGISTRY, peak_rss_mb
 from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
+from repro.crawler.storage import DatasetCache
 from repro.parallel.checkpoint import RunCheckpoint, shard_filename
 from repro.parallel.merge import stream_merge_shards
 from repro.parallel.faults import (
@@ -210,7 +211,7 @@ def _init_worker(config: TraceConfig, audience_cap: int, context_path: str) -> N
     )
     # Written exactly once per worker process, by the pool initializer,
     # before any shard runs — worker-local configuration, not shared state.
-    _WORKER_CONTEXT = context  # repro: allow[worker-global-mutation] set once by the pool initializer before any shard task runs
+    _WORKER_CONTEXT = context
 
 
 def _write_shard(
@@ -654,9 +655,6 @@ def generate_trace(
     cache = None
     dataset: Optional[BroadcastDataset] = None
     if cache_dir is not None:
-        # Imported here: storage has no dependency on this module.
-        from repro.crawler.storage import DatasetCache
-
         cache = DatasetCache(cache_dir, fmt=cache_format)
         dataset = cache.get(config.cache_key())
 

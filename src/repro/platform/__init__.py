@@ -1,12 +1,12 @@
-"""A simulated personalized livestreaming service.
+"""The domain model of a personalized livestreaming service.
 
-This package stands in for the live Periscope/Meerkat backends the paper
-measured (both services are defunct).  It implements the application-level
-behaviour the paper's crawlers interacted with: user registration with
-sequential IDs, broadcast lifecycle, the global broadcast list API that
-returns 50 random active broadcasts, viewer joins with the RTMP-to-HLS
-spillover at ~100 viewers, the 100-commenter cap, hearts, and follower
-notifications.
+This package holds the records and parameters of the Periscope/Meerkat
+backends the paper measured (both services are defunct): app profiles
+(spillover threshold, comment cap, chunk duration), users with sequential
+IDs, broadcasts with their viewers, comments and hearts, and the viewer
+engagement model behind Fig 5.  The service that operates on these
+records — the global list, joins with the RTMP-to-HLS spillover, the
+100-commenter cap — is :class:`repro.service.LivestreamService`.
 """
 
 from repro.platform.apps import (
@@ -16,12 +16,6 @@ from repro.platform.apps import (
     PERISCOPE_PROFILE,
 )
 from repro.platform.broadcasts import Broadcast, BroadcastState, Comment, Heart, ViewRecord
-from repro.platform.service import (
-    GlobalListPage,
-    LivestreamService,
-    ServiceError,
-    ServiceUnavailable,
-)
 from repro.platform.users import User, UserRegistry
 from repro.platform.engagement import EngagementModel, ViewerSessionPlan
 
@@ -35,12 +29,6 @@ __all__ = [
     "Comment",
     "Heart",
     "ViewRecord",
-    "LivestreamService",
-    # The facade re-exports the canonical repro.service error/page types so
-    # pre-split callers keep importing them from repro.platform.
-    "GlobalListPage",  # repro: allow[export-drift] facade compatibility re-export; canonical home is repro.service
-    "ServiceError",  # repro: allow[export-drift] facade compatibility re-export; canonical home is repro.service
-    "ServiceUnavailable",  # repro: allow[export-drift] facade compatibility re-export; canonical home is repro.service
     "User",
     "UserRegistry",
     "EngagementModel",

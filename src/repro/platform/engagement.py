@@ -11,11 +11,14 @@ by the service, reproducing the flattening.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.platform.service import LivestreamService
 from repro.simulation.distributions import lognormal_from_median
+
+if TYPE_CHECKING:  # annotation only; repro.service imports repro.platform
+    from repro.service.facade import LivestreamService
 
 
 @dataclass(frozen=True)

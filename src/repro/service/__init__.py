@@ -1,20 +1,22 @@
-"""The tiered serving layer: storage, services, frontend, load generation.
+"""The livestreaming service and its tiered serving stack.
 
-This package is the request-driven serving stack the platform facade
-(:class:`repro.platform.service.LivestreamService`) now delegates to,
-split the way the paper's production system is described: a storage tier
-(:mod:`repro.service.store` — sharded broadcast store plus per-region
-list-snapshot caches), a service tier (:mod:`repro.service.services` —
-lifecycle/engagement policy and the global-list API over storage, sharing
-one brownout fault gate), an API tier (:mod:`repro.service.frontend` — a
-deterministic event-loop frontend with token-bucket admission control from
-:mod:`repro.service.admission`), and a closed-loop benchmark driver
-(:mod:`repro.service.loadgen`, surfaced as ``repro serve-bench``).
+:class:`LivestreamService` (:mod:`repro.service.facade`) is the API the
+paper's crawlers spoke to (§3.1): broadcast lifecycle, viewer joins with
+the RTMP-to-HLS spillover, the 100-commenter cap, hearts, and the global
+list of 50 random live broadcasts.  It operates on the
+:mod:`repro.platform` records and delegates to a request-driven serving
+stack split the way the paper's production system is described: a
+storage tier (:mod:`repro.service.store` — sharded broadcast store plus
+per-region list-snapshot caches), a service tier
+(:mod:`repro.service.services` — lifecycle/engagement policy and the
+global-list API over storage, sharing one brownout fault gate), an API
+tier (:mod:`repro.service.frontend` — a deterministic event-loop frontend
+with token-bucket admission control from :mod:`repro.service.admission`),
+and a closed-loop benchmark driver (:mod:`repro.service.loadgen`,
+surfaced as ``repro serve-bench``).
 
-The canonical API error types (:class:`ServiceError`,
-:class:`ServiceUnavailable`) and :class:`GlobalListPage` live here, in
-:mod:`repro.service.errors`; the facade re-exports them for backward
-compatibility.
+The API error types (:class:`ServiceError`, :class:`ServiceUnavailable`)
+and :class:`GlobalListPage` live in :mod:`repro.service.errors`.
 """
 
 from repro.service.admission import (
@@ -26,6 +28,7 @@ from repro.service.admission import (
     SHED_RATE_LIMITED,
 )
 from repro.service.errors import GlobalListPage, ServiceError, ServiceUnavailable
+from repro.service.facade import LivestreamService
 from repro.service.frontend import (
     ACTION_CLASSES,
     Request,
@@ -57,6 +60,7 @@ __all__ = [
     "FlashCrowdConfig",
     "GlobalListPage",
     "ListService",
+    "LivestreamService",
     "LoadGenConfig",
     "RegionCache",
     "Request",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.simulation.rate_limit import TokenBucket
 
 #: The API classes the serving layer distinguishes.  ``list`` is the
 #: global-list poll (the dominant load), ``join`` the per-broadcast join,
@@ -87,11 +88,6 @@ class AdmissionController:
     def __init__(
         self, policy: Optional[AdmissionPolicy] = None, metrics: MetricsRegistry = NULL_REGISTRY
     ) -> None:
-        # Deferred import: ``repro.crawler``'s package __init__ transitively
-        # imports the platform facade, which imports this package — at
-        # construction time every module involved is fully initialized.
-        from repro.crawler.rate_limit import TokenBucket
-
         self.policy = policy if policy is not None else AdmissionPolicy()
         # The buckets run on simulated time; their own metrics stay off so
         # the crawler.ratelimit.* names remain the crawler's alone.

@@ -1,10 +1,7 @@
-"""Canonical API error types and response pages for the serving layer.
+"""API error types and response pages for the serving layer.
 
-Historically these lived in :mod:`repro.platform.service`; they are defined
-here so the storage/service/frontend tiers can raise them without importing
-the facade (which imports the tiers — the other direction).  The facade
-module re-exports every name, so ``from repro.platform.service import
-ServiceError`` keeps working unchanged.
+They sit in their own module so the storage, service and frontend tiers
+can raise them without importing the facade, which imports those tiers.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ class ServiceUnavailable(ServiceError):
     Raised (probabilistically, at the injected failure rate) while a
     :class:`~repro.faults.injector.FaultInjector` marks the service browned
     out.  Callers are expected to retry — this is the error class
-    :class:`~repro.faults.resilience.RetryPolicy` treats as retryable.
+    :class:`~repro.simulation.resilience.RetryPolicy` treats as retryable.
     """
 
 

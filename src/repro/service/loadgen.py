@@ -6,7 +6,7 @@ with N closed-loop polling clients.  Each client thinks (exponential think
 time from its own named rng substream), polls the global list, joins a
 broadcast off the page with some probability, maybe comments or hearts,
 and goes back to thinking; 503-style responses (shed / browned out) are
-retried through the existing :class:`~repro.faults.resilience.RetryPolicy`
+retried through the existing :class:`~repro.simulation.resilience.RetryPolicy`
 with exponential backoff.  A churn driver starts and ends broadcasts on
 the control plane so the live set the clients poll keeps moving.
 
@@ -28,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.faults.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.apps import PERISCOPE_PROFILE, AppProfile
 from repro.platform.users import UserRegistry
@@ -38,6 +37,7 @@ from repro.service.services import BroadcastService, FaultGate, ListService
 from repro.service.store import BroadcastStore, RegionCache
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
+from repro.simulation.resilience import RetryPolicy
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,17 @@ crawler, the security experiments — runs on top of this small engine.  The
 engine provides a deterministic event queue with a simulated clock, plus
 seeded random-number streams so that every experiment in the repository is
 reproducible bit-for-bit from its seed.
+
+The simulated-time control primitives every tier above shares live here
+too: :class:`RetryPolicy` and :class:`CircuitBreaker`
+(:mod:`repro.simulation.resilience`) and the :class:`TokenBucket` rate
+limiter (:mod:`repro.simulation.rate_limit`).
 """
 
 from repro.simulation.engine import Event, EventQueue, Simulator
 from repro.simulation.randomness import RandomStreams, substream_seed
+from repro.simulation.rate_limit import RateLimitExceeded, TokenBucket
+from repro.simulation.resilience import CircuitBreaker, RetryPolicy
 from repro.simulation.distributions import (
     bounded_pareto,
     lognormal_from_median,
@@ -23,6 +30,10 @@ __all__ = [
     "Simulator",
     "RandomStreams",
     "substream_seed",
+    "RateLimitExceeded",
+    "TokenBucket",
+    "CircuitBreaker",
+    "RetryPolicy",
     "bounded_pareto",
     "lognormal_from_median",
     "sample_zipf",

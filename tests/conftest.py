@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.platform.service import LivestreamService
 from repro.platform.users import UserRegistry
+from repro.service import LivestreamService
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.social.generation import FollowGraphConfig, generate_follow_graph
@@ -23,6 +25,19 @@ def golden():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def tree_lint():
+    """One lint of ``src``, ``benchmarks`` and ``examples`` — the set
+    ``scripts/check.sh lint`` gates — shared by every test that needs the
+    real tree's report (``.report``) or its wall time (``.seconds``)."""
+    from repro.lint import lint_paths
+
+    root = Path(__file__).resolve().parents[1]
+    started = time.perf_counter()
+    report = lint_paths([root / "src", root / "benchmarks", root / "examples"])
+    return SimpleNamespace(report=report, seconds=time.perf_counter() - started)
 
 
 @pytest.fixture

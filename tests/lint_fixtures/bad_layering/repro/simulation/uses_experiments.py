@@ -1,6 +1,6 @@
 """Fixture: the simulation kernel (tier 1) importing the experiments tier
 (tier 6) at module scope — an upward dependency the layering contract
-requires to be deferred or inverted."""
+forbids."""
 
 from repro.experiments.registry import run_experiment
 

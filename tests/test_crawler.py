@@ -22,9 +22,9 @@ from repro.crawler.dataset import (
 )
 from repro.crawler.delay_crawler import DelayCrawler
 from repro.crawler.global_list import GlobalListCrawler
-from repro.crawler.rate_limit import RateLimitExceeded, TokenBucket
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
-from repro.platform.service import LivestreamService
+from repro.service import LivestreamService
+from repro.simulation import RateLimitExceeded, TokenBucket
 from repro.simulation.engine import Simulator
 
 

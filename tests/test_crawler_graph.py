@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crawler.graph_crawler import FollowGraphCrawler, GraphApi
-from repro.crawler.rate_limit import TokenBucket
+from repro.simulation import TokenBucket
 from repro.social.generation import FollowGraphConfig, generate_follow_graph
 from repro.social.graph import FollowGraph
 from repro.social.metrics import compute_graph_metrics

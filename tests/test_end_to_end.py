@@ -15,7 +15,7 @@ from repro.crawler.broadcast_monitor import monitor_all
 from repro.crawler.global_list import GlobalListCrawler
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
 from repro.platform.engagement import EngagementModel
-from repro.platform.service import LivestreamService
+from repro.service import LivestreamService
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 

@@ -5,15 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultWindow,
-    RetryPolicy,
-)
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultWindow
 from repro.obs.metrics import MetricsRegistry
+from repro.simulation import CircuitBreaker, RetryPolicy
 from repro.simulation.engine import Simulator
 
 

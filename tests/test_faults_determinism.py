@@ -21,11 +21,12 @@ from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient
 from repro.crawler.global_list import GlobalListCrawler
-from repro.faults import CircuitBreaker, FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.scenario import run_chaos_pair, run_chaos_scenario
 from repro.geo.datacenters import WOWZA_DATACENTERS
 from repro.obs.metrics import MetricsRegistry
-from repro.platform.service import LivestreamService
+from repro.service import LivestreamService
+from repro.simulation import CircuitBreaker, RetryPolicy
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 

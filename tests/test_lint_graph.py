@@ -4,21 +4,19 @@ Three layers of coverage:
 
 1. **Graph mechanics** — module naming, relative-import resolution, and
    DOT rendering on small in-memory projects.
-2. **Real-tree pins** — the committed ``src/`` tree's import graph is
-   acyclic, the platform↔service facade break exists exactly as the two
-   pinned deferred imports, and the layering contract assigns the tiers
-   DESIGN.md documents.
+2. **Real-tree pins** — the committed tree's import graph is acyclic,
+   the layering contract assigns the tiers DESIGN.md documents, and the
+   service tier sits on the platform records, never the reverse.
 3. **Acceptance, both directions** — the committed facade lints clean,
-   while *deleting* its deferred imports, *lifting* them to module
-   scope, or adding a storage→service module-scope import each make the
-   linter exit 1 naming the responsible rule.
+   while a storage→service module-scope import, or an upward import at
+   module scope or inside a function, makes the linter exit 1 naming
+   the responsible rule.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
 
 from repro.cli import main as repro_main
 from repro.lint import (
@@ -29,34 +27,13 @@ from repro.lint import (
     render_dot,
     render_text,
 )
-from repro.lint.architecture import (
-    REQUIRED_DEFERRED,
-    tier_of,
-)
+from repro.lint.architecture import tier_of
 from repro.lint.graph import module_name_for
 from repro.lint.runner import iter_python_files, parse_unit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
-FACADE_RELPATH = "src/repro/platform/service.py"
-
-#: The facade's two pinned deferred imports, verbatim (the acceptance
-#: tests below delete / lift these lines and expect the linter to bite).
-DEFERRED_IMPORT_LINES = (
-    "from repro.service.services import BroadcastService, FaultGate, ListService",
-    "from repro.service.store import BroadcastStore",
-)
-
-
-@pytest.fixture(scope="module")
-def src_report():
-    """One full lint of ``src/`` shared by the real-tree pin tests."""
-    return lint_paths([REPO_ROOT / "src"])
-
-
-@pytest.fixture(scope="module")
-def facade_source():
-    return (REPO_ROOT / FACADE_RELPATH).read_text(encoding="utf-8")
+FACADE_RELPATH = "src/repro/service/facade.py"
 
 
 class TestGraphMechanics:
@@ -98,56 +75,42 @@ class TestGraphMechanics:
 
 
 class TestRealTreePins:
-    def test_src_import_graph_is_acyclic(self, src_report):
-        """Acceptance pin: the real tree has no module-scope import cycle
-        — the facade break exists only as deferred imports."""
-        assert src_report.graph is not None
-        assert src_report.graph.cycles() == []
-        assert src_report.project["cycles"] == 0
+    def test_src_import_graph_is_acyclic(self, tree_lint):
+        """Acceptance pin: the real tree has no module-scope import cycle."""
+        report = tree_lint.report
+        assert report.graph is not None
+        assert report.graph.cycles() == []
+        assert report.project["cycles"] == 0
 
-    def test_graph_covers_the_whole_tree(self, src_report):
-        assert src_report.project["modules"] >= 100
-        assert src_report.project["import_edges"] >= 300
-
-    def test_pinned_facade_break_is_deferred(self, src_report):
-        """Each pinned platform→service edge exists, and only deferred."""
-        for source_name, target in REQUIRED_DEFERRED:
-            info = src_report.graph.modules[source_name]
-            matching = [
-                record
-                for record in info.imports
-                if record.target == target or record.target.startswith(target + ".")
-            ]
-            assert any(record.deferred for record in matching), (
-                f"{source_name} no longer defer-imports {target}"
-            )
-            assert not any(record.module_scope for record in matching), (
-                f"{source_name} imports {target} at module scope"
-            )
+    def test_graph_covers_the_whole_tree(self, tree_lint):
+        assert tree_lint.report.project["modules"] >= 100
+        assert tree_lint.report.project["import_edges"] >= 300
 
     def test_layering_contract_tiers(self):
-        """The tiers DESIGN.md documents, including the three overrides."""
+        """The tiers DESIGN.md documents; a module's tier is its package's."""
         assert tier_of("repro.geo.distance") == 0
         assert tier_of("repro.lint.graph") == 0
         assert tier_of("repro.simulation.engine") == 1
-        assert tier_of("repro.service.errors") == 1  # override: shared kernel types
-        assert tier_of("repro.faults.resilience") == 1  # override
+        assert tier_of("repro.simulation.resilience") == 1
         assert tier_of("repro.cdn.edge") == 2
-        assert tier_of("repro.platform.service") == 3
+        assert tier_of("repro.platform.broadcasts") == 3
+        assert tier_of("repro.service.facade") == 3
+        assert tier_of("repro.service.errors") == 3
         assert tier_of("repro.analysis.sessions") == 4
-        assert tier_of("repro.service.services") == 5
-        assert tier_of("repro.obs.scenario") == 6  # override: experiment-facing
+        assert tier_of("repro.faults.injector") == 5
+        assert tier_of("repro.experiments.metrics_scenario") == 6
         assert tier_of("repro.experiments.registry") == 6
         assert tier_of("repro.cli") == 7
         assert tier_of("repro") == 7
 
-    def test_render_dot_real_tree(self, src_report):
-        dot = render_dot(src_report.graph, tier_of=tier_of)
+    def test_render_dot_real_tree(self, tree_lint):
+        dot = render_dot(tree_lint.report.graph, tier_of=tier_of)
         assert dot.startswith("digraph repro_imports {")
         assert '"repro.platform"' in dot and '"repro.service"' in dot
-        # The platform package depends on repro.service (the error types at
-        # module scope, the tiers deferred) — one condensed solid edge.
-        assert '"repro.platform" -> "repro.service"' in dot
+        # The service tier operates on the platform records; the platform
+        # package never reaches back up into it.
+        assert '"repro.service" -> "repro.platform"' in dot
+        assert '"repro.platform" -> "repro.service"' not in dot
         # Tier clusters exist so the diagram reads bottom-up.
         assert "cluster_tier_0" in dot and "cluster_tier_7" in dot
 
@@ -155,46 +118,18 @@ class TestRealTreePins:
 class TestFacadeAcceptance:
     """The issue's acceptance criterion, test-enforced in both directions."""
 
-    def test_committed_facade_is_clean(self, facade_source):
-        report = lint_source(facade_source, FACADE_RELPATH)
+    def test_committed_facade_is_clean(self):
+        source = (REPO_ROOT / FACADE_RELPATH).read_text(encoding="utf-8")
+        report = lint_source(source, FACADE_RELPATH)
         assert report.exit_code() == 0, "\n" + render_text(report)
-        for line in DEFERRED_IMPORT_LINES:
-            assert line in facade_source, "facade deferred import moved; update pins"
-
-    def test_deleting_the_deferred_imports_fails(self, facade_source):
-        patched = "\n".join(
-            line
-            for line in facade_source.splitlines()
-            if line.strip() not in DEFERRED_IMPORT_LINES
-        )
-        report = lint_source(patched, FACADE_RELPATH)
-        assert report.exit_code() == 1
-        assert report.by_rule().get("deferred-import-required") == 2, report.by_rule()
-
-    def test_lifting_the_imports_to_module_scope_fails(self, facade_source):
-        deleted = "\n".join(
-            line
-            for line in facade_source.splitlines()
-            if line.strip() not in DEFERRED_IMPORT_LINES
-        )
-        lifted = deleted.replace(
-            "import numpy as np\n",
-            "import numpy as np\n" + "\n".join(DEFERRED_IMPORT_LINES) + "\n",
-        )
-        report = lint_source(lifted, FACADE_RELPATH)
-        assert report.exit_code() == 1
-        assert "deferred-import-required" in report.by_rule(), report.by_rule()
-        assert any(
-            "pinned deferred" in finding.message
-            for finding in report.findings
-            if finding.rule_id == "deferred-import-required"
-        )
 
     def test_storage_importing_the_service_tier_fails(self):
-        """Adding a storage→service module-scope import to the *real* tree
-        closes the loop services→store already has: import-cycle."""
+        """Adding a storage→service module-scope import to the *real*
+        service and platform sources closes the loop services→store
+        already has: import-cycle."""
         sources = {}
-        for path in iter_python_files([REPO_ROOT / "src"]):
+        packages = [REPO_ROOT / "src" / "repro" / name for name in ("service", "platform")]
+        for path in iter_python_files(packages):
             relpath = path.resolve().relative_to(REPO_ROOT).as_posix()
             sources[relpath] = path.read_text(encoding="utf-8")
         sources["src/repro/service/store.py"] += (
@@ -212,18 +147,25 @@ class TestFacadeAcceptance:
 
     def test_low_tier_importing_high_tier_fails(self):
         """A foundation module importing the orchestration tier is a
-        layering violation even when the target is not in the lint set."""
+        layering violation even when the target is not in the lint set,
+        and deferring an upward import into a function does not exempt
+        it (only ``TYPE_CHECKING`` imports are)."""
         report = lint_sources(
             {
                 "src/repro/geo/bad.py": (
-                    "from repro.service.loadgen import LoadGenerator\n"
+                    "from repro.parallel.generate import generate_trace\n"
                     "\n"
-                    "GEN = LoadGenerator\n"
+                    "GEN = generate_trace\n"
                 )
             }
         )
         assert report.exit_code() == 1
         assert report.by_rule() == {"layering-violation": 1}, report.by_rule()
+
+        fixture = lint_paths([FIXTURES / "bad_layering"])
+        assert fixture.by_rule() == {"layering-violation": 2}, fixture.by_rule()
+        deferred = [f for f in fixture.findings if f.path.endswith("defers_faults.py")]
+        assert len(deferred) == 1 and "inside a function" in deferred[0].message
 
 
 class TestChangedMode:

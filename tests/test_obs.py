@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.analysis.exports import export_metrics_json
+from repro.experiments.metrics_scenario import run_metrics_scenario
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -18,7 +19,6 @@ from repro.obs.metrics import (
     NullRegistry,
     StreamingQuantile,
 )
-from repro.obs.scenario import run_metrics_scenario
 from repro.obs.tracing import span
 from repro.simulation.engine import Simulator
 

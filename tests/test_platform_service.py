@@ -7,8 +7,8 @@ import pytest
 
 from repro.platform.apps import MEERKAT_PROFILE, PERISCOPE_PROFILE
 from repro.platform.broadcasts import BroadcastState, DeliveryTier
-from repro.platform.service import LivestreamService, ServiceError
 from repro.platform.users import UserRegistry
+from repro.service import LivestreamService, ServiceError, ServiceUnavailable
 
 
 class TestLifecycle:
@@ -361,8 +361,6 @@ class TestBrownoutGuardAudit:
         return rng.bit_generator.state["state"]
 
     def test_guarded_apis_draw_exactly_one_coin(self, service):
-        from repro.platform.service import ServiceUnavailable
-
         broadcast = service.start_broadcast(1, time=0.0)
         bid = broadcast.broadcast_id
         fault_rng = np.random.default_rng(99)
@@ -400,8 +398,6 @@ class TestBrownoutGuardAudit:
         assert self._state(fault_rng) == self._state(control)
 
     def test_no_draws_while_healthy(self, service):
-        from repro.platform.service import ServiceUnavailable
-
         broadcast = service.start_broadcast(1, time=0.0)
         fault_rng = np.random.default_rng(99)
         before = self._state(fault_rng)

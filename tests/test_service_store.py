@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.broadcasts import Broadcast
-from repro.platform.service import LivestreamService
 from repro.service.errors import GlobalListPage
+from repro.service.facade import LivestreamService
 from repro.service.store import BroadcastStore, RegionCache, StoreError
 
 

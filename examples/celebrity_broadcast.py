@@ -24,7 +24,7 @@ from repro.platform.broadcasts import DeliveryTier
 from repro.protocols.messages import MessageChannel, MessageKind, StreamMessage
 from repro.service import LivestreamService
 from repro.simulation.randomness import RandomStreams
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 from repro.social.notifications import NotificationService
 
 FOLLOWERS = 5_000
@@ -35,10 +35,10 @@ MOMENT_TIME_S = 30.0  # the broadcaster does something heart-worthy here
 def build_audience() -> tuple[LivestreamService, int, list[int]]:
     """Create the celebrity, their followers, and the notified joiners."""
     streams = RandomStreams(11)
-    graph = FollowGraph()
     celebrity = 1
-    for follower in range(2, 2 + FOLLOWERS):
-        graph.add_follow(follower, celebrity)
+    graph = CompiledGraph.from_edges(
+        (follower, celebrity) for follower in range(2, 2 + FOLLOWERS)
+    )
 
     service = LivestreamService()
     service.users.register_many(2 + FOLLOWERS)

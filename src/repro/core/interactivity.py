@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.delay_breakdown import ControlledExperiment
 from repro.protocols.messages import MessageChannel
+from repro.simulation.randomness import substream_seed
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class InteractivityStudy:
         """
         if video_lag_s < 0:
             raise ValueError("video lag must be non-negative")
-        rng = np.random.default_rng(self.seed + hash(tier) % 1000)
+        rng = np.random.default_rng(substream_seed(self.seed, f"interactivity/{tier}"))
         reactions = rng.exponential(self.reaction_time_s, size=self.samples_per_tier)
         message_delays = np.array(
             [self.message_channel.delivery_latency(rng) for _ in range(self.samples_per_tier)]

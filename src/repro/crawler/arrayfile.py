@@ -23,9 +23,8 @@ record of each block's CRC-32 — itself padded to a page boundary.  The
 footer is what lets the resumable-generation layer
 (:mod:`repro.parallel.checkpoint`) tell a valid shard file from one a
 crashed writer or a flaky disk corrupted: ``read_arrays(verify=True)``
-recomputes every block checksum against it.  Files written before the
-footer existed (``footer_size`` absent from the header) still load —
-they simply have nothing to verify against.
+recomputes every block checksum against it.  A header without a
+``footer_size`` is rejected, so a file that verifies really was checked.
 
 Writes are deterministic — no timestamps, no environment — so identical
 arrays always produce identical files, which the byte-identity suite
@@ -102,79 +101,33 @@ def atomic_output(path: PathLike) -> Iterator[Path]:
         temp.unlink(missing_ok=True)
 
 
-def _disk_dtype(array: np.ndarray) -> np.dtype:
-    """The on-disk dtype: little-endian, never objects."""
-    if array.dtype.hasobject:
-        raise ValueError(f"cannot store object arrays (dtype {array.dtype})")
-    return array.dtype.newbyteorder("<") if array.dtype.byteorder == ">" else array.dtype
-
-
-def _convert(array: np.ndarray) -> np.ndarray:
-    """Contiguous little-endian view/copy of ``array`` (the disk bytes)."""
-    array = np.ascontiguousarray(array)
-    return array.astype(_disk_dtype(array), copy=False)
+def _disk_dtype(dtype: Union[str, np.dtype]) -> np.dtype:
+    """The on-disk form of ``dtype``: little-endian, never objects."""
+    dtype = np.dtype(dtype)
+    if dtype.hasobject:
+        raise ValueError(f"cannot store object arrays (dtype {dtype})")
+    return dtype.newbyteorder("<") if dtype.byteorder == ">" else dtype
 
 
 def write_arrays(
     path: PathLike,
     arrays: Mapping[str, np.ndarray],
     meta: Optional[dict] = None,
-    footer: bool = True,
 ) -> None:
     """Write named arrays as one page-aligned, mappable file.
 
     Insertion order of ``arrays`` is preserved; the write is
-    byte-deterministic for fixed inputs.  ``footer=True`` (the default)
-    appends the per-block CRC-32 checksum footer that
-    ``read_arrays(verify=True)`` validates against — that path *is* the
-    incremental :class:`ArrayFileWriter` fed whole arrays, so monolithic
-    and streamed writes of the same data are byte-identical by
-    construction.  ``footer=False`` reproduces the pre-footer format (and
-    is how the legacy-file tests manufacture old files).
+    byte-deterministic for fixed inputs, and the file ends with the
+    per-block CRC-32 checksum footer that ``read_arrays(verify=True)``
+    validates against.  This *is* the incremental :class:`ArrayFileWriter`
+    fed whole arrays, so monolithic and streamed writes of the same data
+    are byte-identical by construction.
     """
-    if footer:
-        converted = {str(name): _convert(array) for name, array in arrays.items()}
-        writer = ArrayFileWriter(
-            path,
-            [(name, array.dtype, array.shape) for name, array in converted.items()],
-            meta=meta,
-        )
-        with writer:
-            for name, array in converted.items():
-                writer.append(name, array)
-        return
-
-    entries = []
-    blocks = []
-    offset = 0
-    for name, array in arrays.items():
-        array = _convert(array)
-        entries.append(
-            {
-                "name": str(name),
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "offset": offset,
-            }
-        )
-        blocks.append(array)
-        offset += _aligned(array.nbytes)
-
-    header = {
-        "format": _MAGIC,
-        "format_version": ARRAY_FILE_VERSION,
-        "page_size": PAGE_SIZE,
-        "data_size": offset,
-        "meta": meta or {},
-        "arrays": entries,
-    }
-    header_line = _padded_json_line(header)
-
-    with open(path, "wb") as handle:
-        handle.write(header_line)
-        for entry, array in zip(entries, blocks):
-            handle.write(array.tobytes())
-            handle.write(b"\x00" * (_aligned(array.nbytes) - array.nbytes))
+    arrays = {str(name): np.ascontiguousarray(array) for name, array in arrays.items()}
+    schema = [(name, array.dtype, array.shape) for name, array in arrays.items()]
+    with ArrayFileWriter(path, schema, meta=meta) as writer:
+        for name, array in arrays.items():
+            writer.append(name, array)
 
 
 @dataclass(frozen=True)
@@ -237,11 +190,7 @@ class ArrayFileWriter:
             if name in self._positions:
                 raise ValueError(f"duplicate array {name!r} in schema")
             self._positions[name] = len(self._specs)
-            dtype = np.dtype(dtype)
-            if dtype.hasobject:
-                raise ValueError(f"cannot store object arrays (dtype {dtype})")
-            if dtype.byteorder == ">":
-                dtype = dtype.newbyteorder("<")
+            dtype = _disk_dtype(dtype)
             spec = _ArraySpec(name, dtype, tuple(int(dim) for dim in shape))
             self._specs.append(spec)
             entries.append(
@@ -394,12 +343,10 @@ def read_arrays(path: PathLike, verify: bool = False) -> tuple[dict[str, np.ndar
     the checksum footer and raises ``ValueError`` naming the first
     corrupt array — the probe resumable generation runs before trusting
     a checkpointed shard file.  It costs a full read of the data, so the
-    default (mapping-only) path never pays it.  Files written before the
-    footer existed carry no checksums and verify vacuously.
+    default (mapping-only) path never pays it.
     """
     path = Path(path)
     header, data_start = _load_header(path)
-    footer_size = int(header.get("footer_size", 0))
     data_end = data_start + int(header["data_size"])
 
     arrays: dict[str, np.ndarray] = {}
@@ -419,17 +366,19 @@ def read_arrays(path: PathLike, verify: bool = False) -> tuple[dict[str, np.ndar
                 path, dtype=dtype, mode="r", offset=start, shape=shape
             )
 
-    if verify and footer_size:
-        _verify_checksums(path, arrays, _read_footer(path, data_end, footer_size))
+    if verify:
+        footer = _read_footer(path, data_end, int(header["footer_size"]))
+        _verify_checksums(path, arrays, footer)
     return arrays, header.get("meta", {})
 
 
 def _load_header(path: Path) -> tuple[dict, int]:
     """Parse and structurally validate a file's header line.
 
-    Returns ``(header, data_start)``; checks magic, version, and that the
-    file's size matches header + data + footer exactly (truncation and
-    trailing garbage are both errors).
+    Returns ``(header, data_start)``; checks magic, version, that a
+    checksum footer is declared, and that the file's size matches header
+    + data + footer exactly (truncation and trailing garbage are both
+    errors).
     """
     with path.open("rb") as handle:
         header_line = handle.readline()
@@ -445,8 +394,10 @@ def _load_header(path: Path) -> tuple[dict, int]:
         raise ValueError(
             f"{path}: unsupported array-file version {header.get('format_version')!r}"
         )
+    if "footer_size" not in header:
+        raise ValueError(f"{path}: array-file header declares no checksum footer")
     data_start = len(header_line)
-    expected = data_start + int(header["data_size"]) + int(header.get("footer_size", 0))
+    expected = data_start + int(header["data_size"]) + int(header["footer_size"])
     actual = path.stat().st_size
     if actual < expected:
         raise ValueError(f"{path}: truncated array file ({actual} < {expected} bytes)")

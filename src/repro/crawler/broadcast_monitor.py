@@ -18,7 +18,7 @@ import numpy as np
 from repro.crawler.dataset import BroadcastDataset, BroadcastRecord
 from repro.platform.broadcasts import Broadcast
 from repro.service.facade import LivestreamService
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 
 
 def anonymize_id(raw_id: int, salt: str = "repro") -> int:
@@ -39,7 +39,7 @@ class BroadcastMonitor:
     def finalize(
         self,
         service: LivestreamService,
-        graph: Optional[FollowGraph] = None,
+        graph: Optional[CompiledGraph] = None,
     ) -> BroadcastRecord:
         """Produce the dataset record once the broadcast has ended."""
         if self.finalized:
@@ -52,7 +52,7 @@ class BroadcastMonitor:
         return record
 
     def _record_from(
-        self, broadcast: Broadcast, graph: Optional[FollowGraph]
+        self, broadcast: Broadcast, graph: Optional[CompiledGraph]
     ) -> BroadcastRecord:
         mobile_ids = [
             view.viewer_id for view in broadcast.views if view.tier.value != "web"
@@ -83,7 +83,7 @@ def monitor_all(
     service: LivestreamService,
     discoveries: dict[int, float],
     days: int,
-    graph: Optional[FollowGraph] = None,
+    graph: Optional[CompiledGraph] = None,
     salt: Optional[str] = None,
 ) -> BroadcastDataset:
     """Finalize monitors for every discovered, ended broadcast."""

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.simulation.rate_limit import TokenBucket
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 
 #: Periscope-era list endpoints returned pages of this many users.
 DEFAULT_PAGE_SIZE = 100
@@ -31,7 +33,7 @@ class GraphApi:
     limits bound.
     """
 
-    graph: FollowGraph
+    graph: CompiledGraph
     page_size: int = DEFAULT_PAGE_SIZE
     requests_served: int = field(default=0, init=False)
 
@@ -39,11 +41,11 @@ class GraphApi:
         if self.page_size <= 0:
             raise ValueError("page size must be positive")
 
-    def _paged(self, members: Iterable[int], page: int) -> tuple[list[int], bool]:
-        ordered = sorted(members)
+    def _paged(self, members: np.ndarray, page: int) -> tuple[list[int], bool]:
+        """One page of an adjacency slice (already in ID order)."""
         start = page * self.page_size
-        chunk = ordered[start : start + self.page_size]
-        has_more = start + self.page_size < len(ordered)
+        chunk = members[start : start + self.page_size].tolist()
+        has_more = start + self.page_size < len(members)
         return chunk, has_more
 
     def follower_page(self, user_id: int, page: int) -> tuple[list[int], bool]:
@@ -61,12 +63,12 @@ class GraphApi:
 class GraphCrawl:
     """Outcome of one crawl: the recovered graph and its cost."""
 
-    crawled: FollowGraph
+    crawled: CompiledGraph
     users_visited: int
     requests_made: int
     frontier_remaining: int
 
-    def edge_coverage(self, truth: FollowGraph) -> float:
+    def edge_coverage(self, truth: CompiledGraph) -> float:
         if truth.edge_count == 0:
             return 1.0
         return self.crawled.edge_count / truth.edge_count
@@ -108,7 +110,7 @@ class FollowGraphCrawler:
         """
         if not seeds:
             raise ValueError("need at least one seed user")
-        crawled = FollowGraph()
+        pairs: set[tuple[int, int]] = set()
         visited: set[int] = set()
         frontier: deque[int] = deque(seeds)
         clock = now
@@ -119,7 +121,6 @@ class FollowGraphCrawler:
             if user in visited:
                 continue
             visited.add(user)
-            crawled.add_node(user)
             for fetch, direction in (
                 (self.api.follower_page, "in"),
                 (self.api.followee_page, "out"),
@@ -133,10 +134,7 @@ class FollowGraphCrawler:
                     clock += request_spacing_s
                     members, has_more = fetch(user, page)
                     for other in members:
-                        if direction == "in":
-                            crawled.add_follow(other, user)
-                        else:
-                            crawled.add_follow(user, other)
+                        pairs.add((other, user) if direction == "in" else (user, other))
                         if other not in visited:
                             frontier.append(other)
                     if not has_more:
@@ -145,7 +143,7 @@ class FollowGraphCrawler:
                 if exhausted:
                     break
         return GraphCrawl(
-            crawled=crawled,
+            crawled=CompiledGraph.from_edges(pairs, nodes=sorted(visited)),
             users_visited=len(visited),
             requests_made=self._requests,
             frontier_remaining=len(frontier),

@@ -66,14 +66,17 @@ def _imported_from(tree: ast.AST, module: str) -> dict[str, str]:
 class UnseededRandomRule(Rule):
     """Stdlib ``random`` and numpy's legacy global RNG are process-global
     mutable state: any import reorder or extra draw silently perturbs every
-    downstream sequence.  All randomness must come from named substreams
-    (:class:`repro.simulation.randomness.RandomStreams`) or an explicitly
-    seeded ``numpy.random.default_rng``."""
+    downstream sequence.  Builtin ``hash()`` is salted per process for
+    ``str`` and ``bytes`` (``PYTHONHASHSEED``), so a seed derived from it
+    changes from run to run.  All randomness must come from named
+    substreams (:class:`repro.simulation.randomness.RandomStreams`, or
+    :func:`~repro.simulation.randomness.substream_seed` for a seed) or an
+    explicitly seeded ``numpy.random.default_rng``."""
 
     rule_id = "unseeded-random"
     description = (
-        "stdlib random / numpy legacy global RNG forbidden; "
-        "use RandomStreams named substreams"
+        "stdlib random / numpy legacy global RNG / builtin hash() forbidden; "
+        "use RandomStreams named substreams or substream_seed"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -99,6 +102,17 @@ class UnseededRandomRule(Rule):
                     self.rule_id,
                     "import from the process-global stdlib 'random' module; "
                     "draw from a RandomStreams named substream instead",
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "hash"
+            ):
+                yield ctx.finding(
+                    node,
+                    self.rule_id,
+                    "builtin hash() is salted per process (PYTHONHASHSEED); "
+                    "derive seeds with repro.simulation.substream_seed",
                 )
             elif isinstance(node, ast.Attribute):
                 # numpy.random.<legacy fn>: np.random.X or npr.X

@@ -6,8 +6,8 @@ the RTMP-to-HLS spillover, the 100-commenter cap, hearts, and the global
 list of 50 random live broadcasts.  It operates on the
 :mod:`repro.platform` records and delegates to a request-driven serving
 stack split the way the paper's production system is described: a
-storage tier (:mod:`repro.service.store` — sharded broadcast store plus
-per-region list-snapshot caches), a service tier
+storage tier (:mod:`repro.service.store` — the broadcast store with its
+live list, plus per-region list-snapshot caches), a service tier
 (:mod:`repro.service.services` — lifecycle/engagement policy and the
 global-list API over storage, sharing one brownout fault gate), an API
 tier (:mod:`repro.service.frontend` — a deterministic event-loop frontend

@@ -6,7 +6,7 @@ the first 100 commenters), heart, and the global broadcast list that
 returns 50 randomly-selected active broadcasts per query (§3.1).
 
 :class:`LivestreamService` is a thin facade over the tiered serving stack
-in this package — a sharded :class:`~repro.service.store.BroadcastStore`
+in this package — a :class:`~repro.service.store.BroadcastStore`
 (storage tier) operated by :class:`~repro.service.services.BroadcastService`
 and :class:`~repro.service.services.ListService` (service tier), sharing one
 :class:`~repro.service.services.FaultGate` brownout surface.  The error and
@@ -36,7 +36,7 @@ class LivestreamService:
     The service is deliberately small: the heavy lifting (video transport)
     lives in :mod:`repro.cdn`; this facade wires up the serving tiers, which
     own the policy decisions (spillover threshold, comment cap, list
-    sampling) over the sharded broadcast store.
+    sampling) over the broadcast store.
     """
 
     profile: AppProfile = field(default_factory=lambda: PERISCOPE_PROFILE)
@@ -47,14 +47,12 @@ class LivestreamService:
     #: would otherwise fail with the last good (stale) snapshot instead of
     #: raising :class:`ServiceUnavailable` — graceful degradation.
     load_shedding: bool = False
-    #: Storage-tier shard count (``broadcast_id % n_shards``).
-    n_shards: int = 8
     #: Optional region cache shared with a frontend tier; the facade alone
     #: never populates it (``global_list`` passes no region).
     region_cache: Optional[RegionCache] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.store = BroadcastStore(n_shards=self.n_shards, metrics=self.metrics)
+        self.store = BroadcastStore(metrics=self.metrics)
         self.gate = FaultGate(metrics=self.metrics)
         self.broadcasts = BroadcastService(
             self.store,
@@ -115,7 +113,7 @@ class LivestreamService:
 
     @property
     def live_broadcast_count(self) -> int:
-        """Broadcasts currently live (across all storage shards)."""
+        """Broadcasts currently live."""
         return self.store.live_count
 
     @property

@@ -1,8 +1,9 @@
 """Closed-loop load generation and the ``repro serve-bench`` harness.
 
-:func:`run_serve_bench` stands up the full serving stack — sharded store,
-region cache, service tier, admission-controlled frontend — and drives it
-with N closed-loop polling clients.  Each client thinks (exponential think
+:func:`run_serve_bench` stands up the full serving stack — a
+:class:`~repro.service.facade.LivestreamService` (store, service tier)
+with a region cache, behind an admission-controlled frontend — and drives
+it with N closed-loop polling clients.  Each client thinks (exponential think
 time from its own named rng substream), polls the global list, joins a
 broadcast off the page with some probability, maybe comments or hearts,
 and goes back to thinking; 503-style responses (shed / browned out) are
@@ -29,12 +30,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.platform.apps import PERISCOPE_PROFILE, AppProfile
-from repro.platform.users import UserRegistry
 from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.facade import LivestreamService
 from repro.service.frontend import ERROR, OK, Response, ServiceFrontend
-from repro.service.services import BroadcastService, FaultGate, ListService
-from repro.service.store import BroadcastStore, RegionCache
+from repro.service.services import BroadcastService
+from repro.service.store import RegionCache
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.resilience import RetryPolicy
@@ -372,8 +372,8 @@ def run_serve_bench(
 ) -> ServeBenchReport:
     """Run one closed-loop serving benchmark and summarize it.
 
-    Builds the tiered stack (store + region cache, services, frontend) and
-    drives it with ``config.n_clients`` polling clients for
+    Builds the tiered stack (the service facade with a region cache, the
+    frontend) and drives it with ``config.n_clients`` polling clients for
     ``config.duration_s`` simulated seconds, plus the configured flash
     crowd.  Deterministic: the report (including exact latency histogram
     buckets) is a pure function of ``seed`` and ``config``.
@@ -383,16 +383,9 @@ def run_serve_bench(
     simulator = Simulator(metrics=metrics)
     streams = RandomStreams(seed=seed)
 
-    users = UserRegistry()
-    profile: AppProfile = PERISCOPE_PROFILE
-    store = BroadcastStore(metrics=metrics)
-    region_cache = RegionCache(ttl_s=config.cache_ttl_s, metrics=metrics)
-    gate = FaultGate(metrics=metrics)
-    broadcast_service = BroadcastService(
-        store, users, profile, gate, region_cache=region_cache, metrics=metrics
-    )
-    list_service = ListService(
-        store, gate, region_cache=region_cache, metrics=metrics
+    service = LivestreamService(
+        metrics=metrics,
+        region_cache=RegionCache(ttl_s=config.cache_ttl_s, metrics=metrics),
     )
     controller = (
         AdmissionController(policy=admission_policy, metrics=metrics)
@@ -401,17 +394,17 @@ def run_serve_bench(
     )
     frontend = ServiceFrontend(
         simulator,
-        broadcast_service,
-        list_service,
+        service.broadcasts,
+        service.lists,
         rng=streams.get("service.list"),
         admission=controller,
         concurrency=config.concurrency,
         metrics=metrics,
     )
 
-    broadcasters = users.register_many(config.n_broadcasters)
+    broadcasters = service.users.register_many(config.n_broadcasters)
     churn = _ChurnDriver(
-        broadcast_service,
+        service.broadcasts,
         simulator,
         [user.user_id for user in broadcasters],
         config.churn_interval_s,
@@ -422,7 +415,7 @@ def run_serve_bench(
     stats = _ClientStats()
     flash = config.flash_crowd
     extra = flash.extra_clients if flash is not None else 0
-    viewers = users.register_many(config.n_clients + extra)
+    viewers = service.users.register_many(config.n_clients + extra)
 
     for index in range(config.n_clients):
         _Client(

@@ -1,20 +1,15 @@
-"""The storage tier: a sharded broadcast store and per-region list caches.
+"""The storage tier: the broadcast store and per-region list caches.
 
-:class:`BroadcastStore` owns every broadcast record.  Broadcasts are
-assigned to ``broadcast_id % n_shards`` (the modulo scheme the related
-sharding designs use for uniform spread over a dense key space), and each
-shard maintains its own live set with O(1) insert/remove.  The store
-*also* keeps one global, insertion-ordered live list with swap-remove
-bookkeeping — the exact structure the pre-split ``LivestreamService``
-used — so global-list sampling visits candidates in the same order as
-before the refactor and seeded runs stay byte-identical.
+:class:`BroadcastStore` owns every broadcast record and one live list:
+the ids of the live broadcasts in insertion order, with a position index
+for O(1) swap-remove.  Global-list sampling walks that list, so seeded
+runs visit candidates in the same order on every run.
 
-The swap-remove bookkeeping is an explicit, checkable invariant here
-(:meth:`BroadcastStore.check_invariants`): the position index, the global
-live list, and the per-shard live sets must always agree.  The double-end
-``KeyError`` this PR fixes in the facade is structurally impossible at
-this layer — :meth:`retire` refuses to retire a broadcast that is not
-live.
+The swap-remove bookkeeping is an explicit, checkable invariant
+(:meth:`BroadcastStore.check_invariants`): the position index must match
+the live list, and every listed id must still be live.  Ending a
+broadcast twice cannot corrupt it — :meth:`retire` refuses to retire a
+broadcast that is not live.
 
 :class:`RegionCache` holds the last good global-list snapshot per region
 with simulated-time TTL expiry and explicit whole-cache invalidation
@@ -31,81 +26,55 @@ from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.platform.broadcasts import Broadcast
 from repro.service.errors import GlobalListPage
 
-#: Default shard count for the facade's store (small: the facade is also
-#: used by unit tests with a handful of broadcasts).
-DEFAULT_N_SHARDS = 8
-
 
 class StoreError(Exception):
     """Raised on storage-tier contract violations (retiring a dead id...)."""
 
 
 class BroadcastStore:
-    """Sharded broadcast storage with O(1) live-set maintenance per shard."""
+    """Broadcast storage with an O(1)-maintained, insertion-ordered live list."""
 
     __slots__ = (
-        "n_shards",
         "_broadcasts",
         "_live_ids",
         "_live_positions",
-        "_shard_live",
         "_m_inserts",
         "_m_retired",
         "_g_live",
     )
 
-    def __init__(
-        self,
-        n_shards: int = DEFAULT_N_SHARDS,
-        metrics: MetricsRegistry = NULL_REGISTRY,
-    ) -> None:
-        if n_shards < 1:
-            raise StoreError(f"n_shards must be at least 1, got {n_shards}")
-        self.n_shards = n_shards
+    def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self._broadcasts: dict[int, Broadcast] = {}
-        # Global live view: insertion-ordered ids + position index for O(1)
-        # swap-remove.  Kept alongside the shards so sampling order is
-        # independent of the shard count.
+        # Insertion-ordered live ids + position index for O(1) swap-remove.
         self._live_ids: list[int] = []
         self._live_positions: dict[int, int] = {}
-        self._shard_live: tuple[set[int], ...] = tuple(set() for _ in range(n_shards))
         self._m_inserts = metrics.counter(
             "service.store.inserts", help="broadcasts inserted into the store"
         )
         self._m_retired = metrics.counter(
-            "service.store.retired", help="broadcasts retired from the live sets"
+            "service.store.retired", help="broadcasts retired from the live list"
         )
-        self._g_live = metrics.gauge(
-            "service.store.live", help="live broadcasts across all shards"
-        )
-
-    # -- shard mapping ----------------------------------------------------
-
-    def shard_of(self, broadcast_id: int) -> int:
-        """The shard that owns ``broadcast_id`` (``id % n_shards``)."""
-        return broadcast_id % self.n_shards
+        self._g_live = metrics.gauge("service.store.live", help="live broadcasts")
 
     # -- writes -----------------------------------------------------------
 
     def insert(self, broadcast: Broadcast) -> None:
-        """Add a new live broadcast to the store and every live view."""
+        """Add a new live broadcast to the store and the live list."""
         broadcast_id = broadcast.broadcast_id
         if broadcast_id in self._broadcasts:
             raise StoreError(f"broadcast {broadcast_id} already stored")
         self._broadcasts[broadcast_id] = broadcast
         self._live_positions[broadcast_id] = len(self._live_ids)
         self._live_ids.append(broadcast_id)
-        self._shard_live[self.shard_of(broadcast_id)].add(broadcast_id)
         self._m_inserts.inc()
         self._g_live.set(float(len(self._live_ids)))
 
     def retire(self, broadcast_id: int) -> None:
-        """Remove a broadcast from the live sets (it stays retrievable).
+        """Remove a broadcast from the live list (it stays retrievable).
 
-        O(1): the global list swap-removes against its position index, the
-        owning shard drops the id from its set.  Retiring an id that is not
-        live raises :class:`StoreError` — this is the guard that turns the
-        old facade's double-end ``KeyError`` into a typed error.
+        O(1): the list swap-removes against its position index.  Retiring
+        an id that is not live raises :class:`StoreError`, so ending a
+        broadcast twice is a typed error rather than a raw ``KeyError``.
         """
         position = self._live_positions.pop(broadcast_id, None)
         if position is None:
@@ -115,7 +84,6 @@ class BroadcastStore:
         self._live_ids.pop()
         if last_id != broadcast_id:
             self._live_positions[last_id] = position
-        self._shard_live[self.shard_of(broadcast_id)].discard(broadcast_id)
         self._m_retired.inc()
         self._g_live.set(float(len(self._live_ids)))
 
@@ -126,12 +94,12 @@ class BroadcastStore:
         return self._broadcasts.get(broadcast_id)
 
     def is_live(self, broadcast_id: int) -> bool:
-        """True while the broadcast is in the live sets."""
+        """True while the broadcast is in the live list."""
         return broadcast_id in self._live_positions
 
     @property
     def live_ids(self) -> list[int]:
-        """The global live list, in insertion-then-swap order.
+        """The live list, in insertion-then-swap order.
 
         Callers must treat this as read-only; it is exposed (rather than
         copied) because global-list sampling walks it on every query.
@@ -150,21 +118,12 @@ class BroadcastStore:
         """Every broadcast ever stored, in insertion order."""
         return list(self._broadcasts.values())
 
-    def shard_live_ids(self, shard: int) -> tuple[int, ...]:
-        """The shard's live set as a sorted (deterministic) tuple."""
-        return tuple(sorted(self._shard_live[shard]))
-
-    def shard_live_counts(self) -> tuple[int, ...]:
-        """Live broadcasts per shard."""
-        return tuple(len(live) for live in self._shard_live)
-
     # -- invariants -------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the three live views agree; raise :class:`StoreError` if not.
+        """Verify the live bookkeeping; raise :class:`StoreError` if it is off.
 
-        Checked: the position index matches the global list exactly, the
-        per-shard sets partition the global list by ``id % n_shards``, and
+        Checked: the position index matches the live list exactly, and
         every live id resolves to a stored, still-live broadcast.  Tests
         call this after every mutation; it is O(live) and allocation-light,
         so harnesses can afford to run it continuously.
@@ -183,24 +142,6 @@ class BroadcastStore:
             broadcast = self._broadcasts.get(broadcast_id)
             if broadcast is None or not broadcast.is_live:
                 raise StoreError(f"live list contains dead id {broadcast_id}")
-        total_sharded = 0
-        for shard, live in enumerate(self._shard_live):
-            total_sharded += len(live)
-            for broadcast_id in sorted(live):
-                if self.shard_of(broadcast_id) != shard:
-                    raise StoreError(
-                        f"broadcast {broadcast_id} in shard {shard}, "
-                        f"belongs to {self.shard_of(broadcast_id)}"
-                    )
-                if broadcast_id not in self._live_positions:
-                    raise StoreError(
-                        f"shard {shard} holds non-live id {broadcast_id}"
-                    )
-        if total_sharded != len(self._live_ids):
-            raise StoreError(
-                f"shards hold {total_sharded} live ids, global list "
-                f"{len(self._live_ids)}"
-            )
 
 
 class RegionCache:

@@ -8,22 +8,15 @@ relationships — more than Facebook.  This package generates such graphs
 and computes the Table 2 metrics.
 """
 
-from repro.social.graph import AnyFollowGraph, CompiledGraph, FollowGraph
-from repro.social.generation import (
-    FollowGraphConfig,
-    generate_follow_graph,
-    generate_follow_graph_compiled,
-)
+from repro.social.graph import CompiledGraph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph
 from repro.social.metrics import GraphMetrics, compute_graph_metrics
 from repro.social.notifications import NotificationService
 
 __all__ = [
-    "AnyFollowGraph",
     "CompiledGraph",
-    "FollowGraph",
     "FollowGraphConfig",
     "generate_follow_graph",
-    "generate_follow_graph_compiled",
     "GraphMetrics",
     "compute_graph_metrics",
     "NotificationService",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import CompiledGraph, FollowGraph
+from repro.social.graph import CompiledGraph
 
 #: Packed-pair encoding shared with :meth:`CompiledGraph.from_packed_keys`:
 #: ``(a, b)`` sorts as the int64 ``a << 32 | b``.
@@ -215,7 +215,7 @@ def _chunk_targets(
     return owner_rel, targets
 
 
-def generate_follow_graph_compiled(
+def generate_follow_graph(
     config: FollowGraphConfig,
     rng: np.random.Generator,
 ) -> CompiledGraph:
@@ -321,16 +321,3 @@ def generate_follow_graph_compiled(
     # deduped against [0, n)), so skip the validation pass.
     return CompiledGraph.from_packed_keys(keys, n_nodes=n, validate=False)
 
-
-def generate_follow_graph(
-    config: FollowGraphConfig,
-    rng: np.random.Generator,
-) -> FollowGraph:
-    """Generate a follow graph as a mutable :class:`FollowGraph`.
-
-    Thin wrapper over :func:`generate_follow_graph_compiled` for callers
-    that go on to mutate the graph (the platform simulator's incremental
-    follow/unfollow path); large read-only consumers should use the
-    compiled CSR form directly.
-    """
-    return generate_follow_graph_compiled(config, rng).to_follow_graph()

@@ -1,135 +1,28 @@
-"""Directed follow graphs: a mutable dict-of-sets and a frozen CSR view.
+"""The directed follow graph as a frozen CSR snapshot.
 
-:class:`FollowGraph` is the mutable representation the platform simulator
-uses for incremental follow/unfollow updates.  :class:`CompiledGraph` is a
-frozen compressed-sparse-row (CSR) snapshot — two int64 arrays per
-direction — that the trace-generation and graph-metrics hot paths consume:
-``follower_count`` is an O(1) array lookup instead of a set materialization,
-and ``followees_of`` is an array slice instead of a frozenset copy.
+:class:`CompiledGraph` is the one follow-graph representation: a
+compressed-sparse-row (CSR) pair of int64 arrays per direction, which
+trace generation, the Table 2 metrics, the §3.1 graph crawler and
+follower notifications all read.  ``follower_count`` is an O(1) array
+lookup, and ``followers_of``/``followees_of`` are sorted array slices.
+Hand-built graphs (tests, examples, a crawled copy) come from
+:meth:`CompiledGraph.from_edges`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-#: Edge packing for the sort-based CSR fast path: an edge ``(src, dst)``
-#: becomes the single int64 ``src << 32 | dst``, so lexicographic
-#: ``(src, dst)`` order equals numeric key order and one ``np.sort`` of
-#: keys replaces a two-pass ``np.lexsort`` plus a gather.  Valid whenever
-#: node indices fit 31 bits (2.1B nodes — far above the paper's 12M).
+#: Edge packing for CSR compilation: an edge ``(src, dst)`` becomes the
+#: single int64 ``src << 32 | dst``, so lexicographic ``(src, dst)`` order
+#: equals numeric key order and one ``np.sort`` of keys replaces a
+#: two-pass ``np.lexsort`` plus a gather.  Valid whenever node indices fit
+#: 31 bits (2.1B nodes — far above the paper's 12M).
 _PACK_SHIFT = 32
 _PACK_MASK = np.int64((1 << _PACK_SHIFT) - 1)
 _PACK_MAX_NODES = 1 << 31
-
-
-class FollowGraph:
-    """A directed graph where an edge ``u -> v`` means "u follows v".
-
-    Nodes are integer user IDs.  Followers of ``v`` are the in-neighbors;
-    followees of ``u`` are the out-neighbors.  Duplicate edges and
-    self-follows are rejected, matching platform semantics.
-    """
-
-    def __init__(self) -> None:
-        self._followees: dict[int, set[int]] = {}
-        self._followers: dict[int, set[int]] = {}
-        self._edge_count = 0
-
-    # -- construction -------------------------------------------------
-
-    def add_node(self, user_id: int) -> None:
-        """Register a user with no follow relationships yet."""
-        self._followees.setdefault(user_id, set())
-        self._followers.setdefault(user_id, set())
-
-    def add_follow(self, follower: int, followee: int) -> bool:
-        """Add edge ``follower -> followee``; returns False if it existed."""
-        if follower == followee:
-            raise ValueError(f"self-follow not allowed (user {follower})")
-        self.add_node(follower)
-        self.add_node(followee)
-        if followee in self._followees[follower]:
-            return False
-        self._followees[follower].add(followee)
-        self._followers[followee].add(follower)
-        self._edge_count += 1
-        return True
-
-    def remove_follow(self, follower: int, followee: int) -> bool:
-        """Remove edge ``follower -> followee``; returns False if absent."""
-        if follower not in self._followees or followee not in self._followees[follower]:
-            return False
-        self._followees[follower].discard(followee)
-        self._followers[followee].discard(follower)
-        self._edge_count -= 1
-        return True
-
-    # -- queries ------------------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return len(self._followees)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._followees
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self._followees)
-
-    def follows(self, follower: int, followee: int) -> bool:
-        return followee in self._followees.get(follower, ())
-
-    def followers_of(self, user_id: int) -> frozenset[int]:
-        """Users following ``user_id`` (notified when they broadcast)."""
-        return frozenset(self._followers.get(user_id, ()))
-
-    def followees_of(self, user_id: int) -> frozenset[int]:
-        """Users that ``user_id`` follows."""
-        return frozenset(self._followees.get(user_id, ()))
-
-    def follower_count(self, user_id: int) -> int:
-        return len(self._followers.get(user_id, ()))
-
-    def followee_count(self, user_id: int) -> int:
-        return len(self._followees.get(user_id, ()))
-
-    def degree(self, user_id: int) -> int:
-        """Total degree (in + out), used for average-degree statistics."""
-        return self.follower_count(user_id) + self.followee_count(user_id)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate all ``(follower, followee)`` edges."""
-        for follower, followees in self._followees.items():
-            for followee in followees:
-                yield follower, followee
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "FollowGraph":
-        graph = cls()
-        for follower, followee in edges:
-            graph.add_follow(follower, followee)
-        return graph
-
-    def compile(self) -> "CompiledGraph":
-        """Freeze this graph into a :class:`CompiledGraph` CSR snapshot."""
-        node_ids = np.fromiter(self._followees, dtype=np.int64, count=len(self._followees))
-        node_ids.sort()
-        count = self._edge_count
-        src = np.empty(count, dtype=np.int64)
-        dst = np.empty(count, dtype=np.int64)
-        cursor = 0
-        for follower, followees in self._followees.items():
-            for followee in sorted(followees):
-                src[cursor] = follower
-                dst[cursor] = followee
-                cursor += 1
-        return CompiledGraph.from_edge_arrays(src, dst, node_ids=node_ids)
 
 
 class CompiledGraph:
@@ -139,8 +32,7 @@ class CompiledGraph:
     ``indptr``/``indices`` for out-adjacency (followees, sorted per node)
     and ``rindptr``/``rindices`` for in-adjacency (followers).  All arrays
     are int64.  Queries accept *original* user IDs; unknown IDs behave like
-    isolated nodes (count 0, empty adjacency), matching the ``dict.get``
-    defaults of :class:`FollowGraph`.
+    isolated nodes (count 0, empty adjacency).
 
     When ``node_ids`` is exactly ``0..n-1`` (the shape the synthetic
     generator produces), ID-to-index translation is the identity and every
@@ -168,6 +60,26 @@ class CompiledGraph:
         )
 
     @classmethod
+    def from_edges(
+        cls, edges: Iterable[tuple[int, int]], nodes: Iterable[int] = ()
+    ) -> "CompiledGraph":
+        """Compile ``(follower, followee)`` pairs under the platform's follow rules.
+
+        A repeated pair counts once, and a self-follow raises
+        ``ValueError``.  The node set is every edge endpoint plus
+        ``nodes`` (users with no follows at all).
+        """
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"self-follow not allowed (user {int(pairs[loops][0, 0])})")
+        pairs = np.unique(pairs, axis=0)
+        node_ids = np.unique(
+            np.concatenate([pairs.ravel(), np.fromiter(nodes, dtype=np.int64)])
+        )
+        return cls.from_edge_arrays(pairs[:, 0], pairs[:, 1], node_ids=node_ids)
+
+    @classmethod
     def from_edge_arrays(
         cls,
         src: np.ndarray,
@@ -179,7 +91,8 @@ class CompiledGraph:
 
         Pass ``n_nodes`` for contiguous ``0..n-1`` node IDs, or an explicit
         sorted ``node_ids`` array otherwise.  Edges must reference known
-        nodes and contain no duplicates or self-loops.
+        nodes and contain no duplicates or self-loops, and there may be at
+        most 2**31 nodes.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -190,6 +103,8 @@ class CompiledGraph:
                 raise ValueError("need n_nodes or node_ids")
             node_ids = np.arange(n_nodes, dtype=np.int64)
         n = len(node_ids)
+        if n > _PACK_MAX_NODES:
+            raise ValueError("CSR compilation requires n_nodes <= 2**31")
         contiguous = bool(n == 0 or (node_ids[0] == 0 and node_ids[-1] == n - 1))
         if contiguous:
             src_idx, dst_idx = src, dst
@@ -200,25 +115,9 @@ class CompiledGraph:
             src_idx.min() < 0 or src_idx.max() >= n or dst_idx.min() < 0 or dst_idx.max() >= n
         ):
             raise ValueError("edge endpoints outside the node set")
-
-        if n <= _PACK_MAX_NODES:
-            # Sort-based fast path: one int64 sort per direction instead
-            # of a two-key lexsort plus a permutation gather.
-            keys = np.left_shift(src_idx, _PACK_SHIFT)
-            np.bitwise_or(keys, dst_idx, out=keys)
-            return cls._from_packed_keys(keys, node_ids)
-
-        order = np.lexsort((dst_idx, src_idx))
-        indices = dst_idx[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src_idx, minlength=n), out=indptr[1:])
-
-        rorder = np.lexsort((src_idx, dst_idx))
-        rindices = src_idx[rorder]
-        rindptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst_idx, minlength=n), out=rindptr[1:])
-
-        return cls(node_ids, indptr, indices, rindptr, rindices)
+        keys = np.left_shift(src_idx, _PACK_SHIFT)
+        np.bitwise_or(keys, dst_idx, out=keys)
+        return cls._from_packed_keys(keys, node_ids)
 
     @classmethod
     def from_packed_keys(
@@ -272,23 +171,6 @@ class CompiledGraph:
         np.bitwise_and(rkeys, _PACK_MASK, out=keys)  # keys := rindices
         rindptr = np.searchsorted(rkeys, bounds)
         return cls(node_ids, indptr, indices, rindptr, keys)
-
-    @classmethod
-    def from_follow_graph(cls, graph: FollowGraph) -> "CompiledGraph":
-        return graph.compile()
-
-    def to_follow_graph(self) -> FollowGraph:
-        """Thaw into a mutable :class:`FollowGraph` (Python-loop cost O(E))."""
-        graph = FollowGraph()
-        ids = self.node_ids.tolist()
-        for node in ids:
-            graph.add_node(node)
-        src_idx = np.repeat(
-            np.arange(len(ids), dtype=np.int64), np.diff(self.indptr)
-        )
-        for u, v in zip(self.node_ids[src_idx].tolist(), self.node_ids[self.indices].tolist()):
-            graph.add_follow(u, v)
-        return graph
 
     # -- index translation --------------------------------------------
 
@@ -423,6 +305,3 @@ class CompiledGraph:
         bounds = np.left_shift(np.arange(n + 1, dtype=np.int64), _PACK_SHIFT)
         return np.searchsorted(keys, bounds), np.bitwise_and(keys, _PACK_MASK)
 
-
-#: Either follow-graph representation; read-only consumers accept both.
-AnyFollowGraph = Union[FollowGraph, CompiledGraph]

@@ -14,13 +14,11 @@ seeded source-node sampling estimator above
 :data:`ASSORTATIVITY_EXACT_MAX_NODES` nodes, where the all-edges scan
 made scale >= 0.01 graphs intractable.
 
-Every metric runs on the CSR arrays of a :class:`CompiledGraph`; a
-:class:`FollowGraph` argument is compiled once at entry, so node samples
-are drawn by sorted node ID for either representation.  Clustering and
-path length walk the undirected CSR
-(:meth:`CompiledGraph.undirected_csr`) with array gathers; their link
-and hop counts stay integers, so they reproduce the per-node loop
-versions float for float.
+Every metric runs on the CSR arrays of a :class:`CompiledGraph`, so node
+samples are drawn by sorted node ID.  Clustering and path length walk
+the undirected CSR (:meth:`CompiledGraph.undirected_csr`) with array
+gathers; their link and hop counts stay integers, so they reproduce the
+per-node loop versions float for float.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import AnyFollowGraph, CompiledGraph
+from repro.social.graph import CompiledGraph
 
 
 @dataclass(frozen=True)
@@ -91,18 +89,8 @@ CLUSTERING_HUB_CUTOFF = 50_000
 PATH_CUTOFF_HOPS = 50
 
 
-def _compiled(graph: AnyFollowGraph) -> CompiledGraph:
-    """The CSR snapshot every metric runs on (a ``FollowGraph`` is compiled).
-
-    Compiling sorts the node IDs, so node samples are drawn in ID order
-    whichever representation the caller holds.
-    """
-    return graph if isinstance(graph, CompiledGraph) else graph.compile()
-
-
-def _degree_values(graph: AnyFollowGraph, kind: str) -> np.ndarray:
+def _degree_values(graph: CompiledGraph, kind: str) -> np.ndarray:
     """Per-node degrees of the requested ``kind`` ("in"/"out"/"total")."""
-    graph = _compiled(graph)
     if kind == "in":
         return graph.in_degrees()
     if kind == "out":
@@ -155,9 +143,8 @@ def _clustering_of(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -
     return coefficients
 
 
-def local_clustering(graph: AnyFollowGraph, node: int) -> float:
+def local_clustering(graph: CompiledGraph, node: int) -> float:
     """Undirected local clustering coefficient of ``node`` (0.0 if unknown)."""
-    graph = _compiled(graph)
     if node not in graph:
         return 0.0
     indptr, indices = graph.undirected_csr()
@@ -166,12 +153,11 @@ def local_clustering(graph: AnyFollowGraph, node: int) -> float:
 
 
 def average_clustering(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     sample_size: int = 1_000,
 ) -> float:
     """Average local clustering over a random node sample."""
-    graph = _compiled(graph)
     if graph.node_count == 0:
         return 0.0
     sample = _sample(graph.node_count, rng, sample_size)
@@ -180,7 +166,7 @@ def average_clustering(
 
 
 def average_path_length(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     sample_size: int = 50,
 ) -> float:
@@ -192,7 +178,6 @@ def average_path_length(
     BFS is level-synchronous: one ragged gather expands the whole
     frontier, and a node mask drops duplicates and visited nodes.
     """
-    graph = _compiled(graph)
     n = graph.node_count
     if n < 2:
         return 0.0
@@ -240,7 +225,7 @@ def _assortativity_of_arrays(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def degree_assortativity(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator | None = None,
     max_exact_nodes: int = ASSORTATIVITY_EXACT_MAX_NODES,
     source_sample: int = ASSORTATIVITY_SOURCE_SAMPLE,
@@ -255,7 +240,6 @@ def degree_assortativity(
     path at any size.  Either way it runs over the CSR arrays, with no
     per-edge Python loop.
     """
-    graph = _compiled(graph)
     degrees = graph.total_degrees()
     if rng is None or graph.node_count <= max_exact_nodes:
         src_idx = np.repeat(
@@ -272,13 +256,12 @@ def degree_assortativity(
 
 
 def compute_graph_metrics(
-    graph: AnyFollowGraph,
+    graph: CompiledGraph,
     rng: np.random.Generator,
     clustering_sample: int = 1_000,
     path_sample: int = 50,
 ) -> GraphMetrics:
     """All Table 2 metrics for ``graph``."""
-    graph = _compiled(graph)
     nodes = graph.node_count
     edges = graph.edge_count
     avg_degree = 2.0 * edges / nodes if nodes else 0.0
@@ -293,7 +276,7 @@ def compute_graph_metrics(
 
 
 def degree_ccdf(
-    graph: AnyFollowGraph, kind: str = "in"
+    graph: CompiledGraph, kind: str = "in"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complementary CDF of node degree (Figure 7's x-axis spans decades).
 
@@ -310,7 +293,7 @@ def degree_ccdf(
 
 
 def estimate_powerlaw_alpha(
-    graph: AnyFollowGraph, kind: str = "in", x_min: int = 5
+    graph: CompiledGraph, kind: str = "in", x_min: int = 5
 ) -> float:
     """Discrete MLE power-law exponent of the degree tail.
 

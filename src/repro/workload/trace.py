@@ -35,8 +35,8 @@ import numpy as np
 from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDataset
 from repro.simulation.distributions import zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
-from repro.social.generation import FollowGraphConfig, generate_follow_graph_compiled
-from repro.social.graph import AnyFollowGraph, CompiledGraph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.graph import CompiledGraph
 from repro.workload.arrivals import daily_arrival_times
 from repro.workload.broadcast_model import BroadcastParamsModel
 from repro.workload.growth import GrowthModel, MEERKAT_GROWTH, PERISCOPE_GROWTH
@@ -200,7 +200,7 @@ class WorkloadTrace:
         self,
         config: TraceConfig,
         dataset: BroadcastDataset,
-        graph: Union[Optional[AnyFollowGraph], Callable[[], Optional[AnyFollowGraph]]],
+        graph: Union[Optional[CompiledGraph], Callable[[], Optional[CompiledGraph]]],
         broadcaster_ids: np.ndarray,
         viewer_ids: np.ndarray,
     ) -> None:
@@ -209,14 +209,14 @@ class WorkloadTrace:
         self.broadcaster_ids = broadcaster_ids  # pool of broadcaster user IDs
         self.viewer_ids = viewer_ids  # pool of registered mobile viewer IDs
         if callable(graph):
-            self._graph: Optional[AnyFollowGraph] = None
-            self._graph_factory: Optional[Callable[[], Optional[AnyFollowGraph]]] = graph
+            self._graph: Optional[CompiledGraph] = None
+            self._graph_factory: Optional[Callable[[], Optional[CompiledGraph]]] = graph
         else:
             self._graph = graph
             self._graph_factory = None
 
     @property
-    def graph(self) -> Optional[AnyFollowGraph]:
+    def graph(self) -> Optional[CompiledGraph]:
         if self._graph_factory is not None:
             self._graph = self._graph_factory()
             self._graph_factory = None
@@ -263,13 +263,13 @@ def build_follow_graph(config: TraceConfig) -> Optional[CompiledGraph]:
     graph_config = FollowGraphConfig(
         n_nodes=config.total_users, mean_out_degree=config.graph_mean_out_degree
     )
-    return generate_follow_graph_compiled(graph_config, streams.get("graph"))
+    return generate_follow_graph(graph_config, streams.get("graph"))
 
 
 def build_trace_context(
     config: TraceConfig,
     graph: object = _BUILD_GRAPH,
-) -> tuple[ShardContext, Optional[AnyFollowGraph]]:
+) -> tuple[ShardContext, Optional[CompiledGraph]]:
     """Deterministic per-run precompute: pools, activity CDFs, graph.
 
     Draws only from the ``trace/{app}/pools`` and ``graph`` substreams, so

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +55,25 @@ class TestInteractivityStudy:
         results = study.run(repetitions=2, duration_s=60.0)
         assert results["hls"].video_lag_s > results["rtmp"].video_lag_s
         assert results["hls"].misattribution_rate > results["rtmp"].misattribution_rate
+
+    def test_evaluate_tier_ignores_the_hash_seed(self):
+        """``str`` hashes are salted per process, so a tier's stream must
+        not come from ``hash(tier)``: two interpreters with different
+        ``PYTHONHASHSEED`` values give the same result."""
+        code = (
+            "from repro.core.interactivity import InteractivityStudy\n"
+            "print(repr(InteractivityStudy(seed=31).evaluate_tier('hls', 11.7)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            process = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert process.returncode == 0, process.stderr
+            outputs.append(process.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from repro.crawler.graph_crawler import FollowGraphCrawler, GraphApi
 from repro.simulation import TokenBucket
 from repro.social.generation import FollowGraphConfig, generate_follow_graph
-from repro.social.graph import FollowGraph
+from repro.social.graph import CompiledGraph
 from repro.social.metrics import compute_graph_metrics
 
 
@@ -19,9 +19,7 @@ def truth(rng):
 
 class TestGraphApi:
     def test_pagination(self):
-        graph = FollowGraph()
-        for follower in range(1, 251):
-            graph.add_follow(follower, 999)
+        graph = CompiledGraph.from_edges((follower, 999) for follower in range(1, 251))
         api = GraphApi(graph, page_size=100)
         page0, more0 = api.follower_page(999, 0)
         page1, more1 = api.follower_page(999, 1)
@@ -29,19 +27,18 @@ class TestGraphApi:
         assert len(page0) == len(page1) == 100
         assert len(page2) == 50
         assert (more0, more1, more2) == (True, True, False)
+        assert page0 + page1 + page2 == list(range(1, 251))  # ID order, no repeats
         assert api.requests_served == 3
 
     def test_empty_lists(self):
-        graph = FollowGraph()
-        graph.add_node(1)
-        api = GraphApi(graph)
+        api = GraphApi(CompiledGraph.from_edges([], nodes=[1]))
         members, has_more = api.follower_page(1, 0)
         assert members == []
         assert not has_more
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GraphApi(FollowGraph(), page_size=0)
+            GraphApi(CompiledGraph.from_edges([]), page_size=0)
 
 
 class TestFollowGraphCrawler:
@@ -90,8 +87,7 @@ class TestFollowGraphCrawler:
         assert result.edge_coverage(truth) < 1.0
 
     def test_disconnected_node_needs_its_own_seed(self):
-        graph = FollowGraph.from_edges([(1, 2)])
-        graph.add_node(99)  # isolated
+        graph = CompiledGraph.from_edges([(1, 2)], nodes=[99])  # 99 is isolated
         api = GraphApi(graph)
         partial = FollowGraphCrawler(api).crawl(seeds=[1])
         assert 99 not in partial.crawled

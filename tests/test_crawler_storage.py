@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import DelayMeasurementCampaign
-from repro.crawler.arrayfile import ArrayFileWriter, read_arrays, write_arrays
+from repro.crawler.arrayfile import (
+    ArrayFileWriter,
+    read_array_index,
+    read_arrays,
+    write_arrays,
+)
 from repro.crawler.storage import (
     _CACHE_FORMATS,
     DatasetCache,
@@ -443,18 +448,23 @@ class TestArrayFile:
         with pytest.raises(ValueError, match="checksum mismatch for array 'a'"):
             read_arrays(path, verify=True)
 
-    def test_legacy_file_without_footer_still_loads(self, tmp_path):
-        """Pre-footer files (no footer_size in the header) load and verify
-        vacuously — there is nothing to check them against."""
-        path = tmp_path / "legacy.arrays"
-        original = {"a": np.arange(10, dtype=np.int64)}
-        write_arrays(path, original, footer=False)
-        with path.open("rb") as handle:
-            header = json.loads(handle.readline())
-        assert "footer_size" not in header
+    def test_file_without_footer_is_rejected(self, tmp_path):
+        """A header with no footer_size fails to load, verified or not: such
+        a file has no checksums, so verify=True could only pass vacuously."""
+        path = tmp_path / "footerless.arrays"
+        write_arrays(path, {"a": np.arange(10, dtype=np.int64)})
+        data = path.read_bytes()
+        header_line = data[: data.index(b"\n") + 1]
+        header = json.loads(header_line)
+        footer_size = header.pop("footer_size")
+        encoded = json.dumps(header).encode("ascii")
+        padded = encoded + b" " * (len(header_line) - len(encoded) - 1) + b"\n"
+        path.write_bytes(padded + data[len(header_line) : len(data) - footer_size])
         for verify in (False, True):
-            arrays, _meta = read_arrays(path, verify=verify)
-            assert np.array_equal(arrays["a"], original["a"])
+            with pytest.raises(ValueError, match="declares no checksum footer"):
+                read_arrays(path, verify=verify)
+        with pytest.raises(ValueError, match="declares no checksum footer"):
+            read_array_index(path)
 
     def test_footer_included_in_truncation_check(self, tmp_path):
         """Chopping exactly the footer off must not yield a valid file."""

@@ -168,6 +168,17 @@ class TestRuleEdges:
             "unordered-set-iteration": 1
         }
 
+    def test_hash_derived_seed_is_flagged(self):
+        """The interactivity bug: hash(str) is salted per process."""
+        source = (
+            "import numpy as np\n"
+            "def tier_rng(seed, tier):\n"
+            "    return np.random.default_rng(seed + hash(tier) % 1000)\n"
+        )
+        report = lint_source(source, "sample.py")
+        assert report.by_rule() == {"unseeded-random": 1}
+        assert "substream_seed" in report.findings[0].message
+
     def test_perf_counter_allowed_in_timing_sites(self):
         source = "import time\nstarted = time.perf_counter()\n"
         assert lint_source(source, "src/repro/cli.py").clean

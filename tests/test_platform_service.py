@@ -45,7 +45,7 @@ class TestLifecycle:
             assert "already ended" in str(error)
         else:
             pytest.fail("double end_broadcast did not raise")
-        # The failed second end must not corrupt the record or the live sets.
+        # The failed second end must not corrupt the record or the live list.
         assert live_broadcast.state is BroadcastState.ENDED
         assert live_broadcast.duration == 60.0
         assert service.live_broadcast_count == 0

@@ -46,6 +46,7 @@ HOMES = [
     "repro.simulation.TokenBucket",
     "repro.simulation.RateLimitExceeded",
     "repro.experiments.metrics_scenario.run_metrics_scenario",
+    "repro.social.CompiledGraph",
 ]
 
 #: Module paths that moved to another tier, with no shim left behind.
@@ -71,6 +72,16 @@ GONE_EXPORTS = {
         "ServiceUnavailable",
     ],
     "repro.crawler": ["TokenBucket", "RateLimitExceeded"],
+    # One follow-graph representation: the CSR ``CompiledGraph``.
+    "repro.social": ["FollowGraph", "AnyFollowGraph", "generate_follow_graph_compiled"],
+}
+
+#: Second copies deleted outright, with no alias left: module -> names.
+GONE_ATTRIBUTES = {
+    "repro.social.graph": ["FollowGraph", "AnyFollowGraph"],
+    "repro.social.generation": ["generate_follow_graph_compiled"],
+    "repro.social.metrics": ["_compiled"],
+    "repro.service.store": ["DEFAULT_N_SHARDS"],
 }
 
 
@@ -134,3 +145,9 @@ class TestPublicApi:
         for name in GONE_EXPORTS[package_name]:
             assert name not in package.__all__
             assert not hasattr(package, name), f"{package_name}.{name}"
+
+    @pytest.mark.parametrize("module_name", sorted(GONE_ATTRIBUTES))
+    def test_deleted_second_copies_are_gone(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in GONE_ATTRIBUTES[module_name]:
+            assert not hasattr(module, name), f"{module_name}.{name}"

@@ -1,4 +1,4 @@
-"""Tests for the storage tier: sharded store and region caches."""
+"""Tests for the storage tier: the broadcast store and region caches."""
 
 from __future__ import annotations
 
@@ -21,22 +21,14 @@ def _broadcast(broadcast_id: int, start: float = 0.0) -> Broadcast:
 
 
 class TestBroadcastStore:
-    def test_shard_assignment_is_modulo(self):
-        store = BroadcastStore(n_shards=4)
-        for broadcast_id in (0, 1, 5, 42, 1023):
-            assert store.shard_of(broadcast_id) == broadcast_id % 4
-
     def test_insert_places_in_owning_shard(self):
-        store = BroadcastStore(n_shards=4)
+        """The store is one partition: inserts append to its live list."""
+        store = BroadcastStore()
         for broadcast_id in range(1, 9):
             store.insert(_broadcast(broadcast_id))
         assert store.live_count == 8
-        for shard in range(4):
-            assert all(
-                broadcast_id % 4 == shard
-                for broadcast_id in store.shard_live_ids(shard)
-            )
-        assert sum(store.shard_live_counts()) == 8
+        assert store.live_ids == list(range(1, 9))
+        assert all(store.is_live(broadcast_id) for broadcast_id in range(1, 9))
         store.check_invariants()
 
     def test_duplicate_insert_rejected(self):
@@ -46,7 +38,7 @@ class TestBroadcastStore:
             store.insert(_broadcast(1))
 
     def test_retire_uses_swap_remove(self):
-        store = BroadcastStore(n_shards=2)
+        store = BroadcastStore()
         for broadcast_id in range(1, 6):
             store.insert(_broadcast(broadcast_id))
         store.retire(2)
@@ -65,16 +57,16 @@ class TestBroadcastStore:
             store.retire(99)
 
     def test_invariant_checker_catches_corruption(self):
-        store = BroadcastStore(n_shards=2)
+        store = BroadcastStore()
         store.insert(_broadcast(1))
         store.insert(_broadcast(2))
-        store._shard_live[0].discard(2)  # corrupt a shard set behind its back
-        with pytest.raises(StoreError):
+        store._live_positions[2] = 0  # corrupt the position index behind its back
+        with pytest.raises(StoreError, match="index says 0"):
             store.check_invariants()
-
-    def test_needs_at_least_one_shard(self):
-        with pytest.raises(StoreError):
-            BroadcastStore(n_shards=0)
+        store._live_positions[2] = 1
+        store.get(2).end(5.0)  # ended without being retired
+        with pytest.raises(StoreError, match="dead id 2"):
+            store.check_invariants()
 
 
 class TestRegionCache:
@@ -129,14 +121,14 @@ operations = st.lists(
 
 class TestLiveViewAgreement:
     """Property: for any interleaving of start/end/join, the facade count,
-    the ``platform.live_broadcasts`` gauge, and the per-shard live sets
+    the ``platform.live_broadcasts`` gauge, and the store's live list
     always agree."""
 
     @given(ops=operations)
     @settings(max_examples=80, deadline=None)
     def test_interleaved_lifecycle_keeps_views_agreeing(self, ops):
         metrics = MetricsRegistry()
-        service = LivestreamService(metrics=metrics, n_shards=4)
+        service = LivestreamService(metrics=metrics)
         service.users.register_many(40)
         gauge = metrics.gauge("platform.live_broadcasts")
         clock = 0.0
@@ -153,17 +145,8 @@ class TestLiveViewAgreement:
                 service.end_broadcast(ended, time=clock)
             else:
                 service.join(live[pick % len(live)], 1 + pick % 40, time=clock)
-            # The three live views (plus the gauge) must agree after every op.
+            # The live list, the count and the gauge agree after every op.
             service.store.check_invariants()
             assert service.live_broadcast_count == len(live)
             assert gauge.value == float(len(live))
-            shard_union: set[int] = set()
-            for shard in range(service.store.n_shards):
-                shard_ids = service.store.shard_live_ids(shard)
-                assert all(
-                    broadcast_id % service.store.n_shards == shard
-                    for broadcast_id in shard_ids
-                )
-                shard_union.update(shard_ids)
-            assert shard_union == set(live)
             assert sorted(service.store.live_ids) == sorted(live)

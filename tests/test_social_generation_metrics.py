@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from repro.social import metrics as social_metrics
-from repro.social.generation import (
-    FollowGraphConfig,
-    generate_follow_graph,
-    generate_follow_graph_compiled,
-)
-from repro.social.graph import CompiledGraph, FollowGraph
+from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.graph import CompiledGraph
 from repro.social.metrics import (
     PATH_CUTOFF_HOPS,
     TABLE2_REFERENCE,
@@ -35,6 +31,7 @@ def rng():
 class TestGeneration:
     def test_node_count(self, rng):
         graph = generate_follow_graph(FollowGraphConfig(n_nodes=500), rng)
+        assert isinstance(graph, CompiledGraph)
         assert graph.node_count == 500
 
     def test_mean_degree_near_target(self, rng):
@@ -69,19 +66,8 @@ class TestGeneration:
     @pytest.mark.parametrize("n_nodes,seed,expected_edges", EDGE_COUNT_PINS)
     def test_edge_counts_pinned_for_fixed_seed(self, n_nodes, seed, expected_edges):
         config = FollowGraphConfig(n_nodes=n_nodes)
-        compiled = generate_follow_graph_compiled(config, np.random.default_rng(seed))
-        assert compiled.edge_count == expected_edges
-        mutable = generate_follow_graph(config, np.random.default_rng(seed))
-        assert mutable.edge_count == expected_edges
-
-    def test_compiled_and_mutable_paths_agree(self):
-        config = FollowGraphConfig(n_nodes=400)
-        compiled = generate_follow_graph_compiled(config, np.random.default_rng(3))
-        mutable = generate_follow_graph(config, np.random.default_rng(3))
-        assert isinstance(compiled, CompiledGraph)
-        assert set(compiled.edges()) == set(mutable.edges())
-        for node in mutable.nodes():
-            assert compiled.follower_count(node) == mutable.follower_count(node)
+        graph = generate_follow_graph(config, np.random.default_rng(seed))
+        assert graph.edge_count == expected_edges
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -104,35 +90,35 @@ class TestGeneration:
 
 class TestMetrics:
     def test_local_clustering_triangle(self):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        graph = CompiledGraph.from_edges([(1, 2), (2, 3), (3, 1)])
         assert local_clustering(graph, 1) == pytest.approx(1.0)
 
     def test_local_clustering_star_is_zero(self):
-        graph = FollowGraph.from_edges([(1, 2), (1, 3), (1, 4)])
+        graph = CompiledGraph.from_edges([(1, 2), (1, 3), (1, 4)])
         assert local_clustering(graph, 1) == 0.0
 
     def test_local_clustering_degree_one(self):
-        graph = FollowGraph.from_edges([(1, 2)])
+        graph = CompiledGraph.from_edges([(1, 2)])
         assert local_clustering(graph, 1) == 0.0
 
     def test_average_clustering_bounds(self, rng):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
+        graph = CompiledGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)])
         value = average_clustering(graph, rng)
         assert 0.0 <= value <= 1.0
 
     def test_path_length_on_chain(self, rng):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+        graph = CompiledGraph.from_edges([(1, 2), (2, 3), (3, 4)])
         # Undirected chain of 4: mean pairwise distance = 20/12.
         assert average_path_length(graph, rng, sample_size=4) == pytest.approx(20 / 12)
 
     def test_assortativity_negative_for_star(self):
         """A star graph is maximally disassortative."""
         edges = [(0, hub) for hub in [99]] + [(i, 99) for i in range(1, 30)]
-        graph = FollowGraph.from_edges(edges)
+        graph = CompiledGraph.from_edges(edges)
         assert degree_assortativity(graph) <= 0.0
 
     def test_assortativity_zero_on_tiny_graph(self):
-        graph = FollowGraph.from_edges([(1, 2)])
+        graph = CompiledGraph.from_edges([(1, 2)])
         assert degree_assortativity(graph) == 0.0
 
     def test_compute_graph_metrics_row(self, rng, small_graph):
@@ -202,7 +188,7 @@ class TestClusteringHubGuard:
         # body; with a cutoff of 0 every neighbor counts as a hub and the
         # coefficient must collapse to zero.
         edges = [(1, 2), (2, 3), (3, 1)]  # a triangle: clustering 1.0
-        graph = FollowGraph.from_edges(edges)
+        graph = CompiledGraph.from_edges(edges)
         assert local_clustering(graph, 1) == 1.0
         monkeypatch.setattr(social_metrics, "CLUSTERING_HUB_CUTOFF", 0)
         assert local_clustering(graph, 1) == 0.0
@@ -288,46 +274,32 @@ def oracle_average_path_length(graph, rng, sample_size: int, cutoff: int) -> flo
 
 def _assert_kernels_match_oracle(graph, seed: int, clustering_sample: int, path_sample: int):
     hub_cutoff = social_metrics.CLUSTERING_HUB_CUTOFF
-    for representation in (graph, _other_representation(graph)):
-        assert average_clustering(
-            representation, np.random.default_rng(seed), clustering_sample
-        ) == oracle_average_clustering(
-            graph, np.random.default_rng(seed), clustering_sample, hub_cutoff
-        )
-        assert average_path_length(
-            representation, np.random.default_rng(seed), path_sample
-        ) == oracle_average_path_length(
-            graph, np.random.default_rng(seed), path_sample, PATH_CUTOFF_HOPS
-        )
-
-
-def _other_representation(graph):
-    """The same graph as a ``CompiledGraph`` if it is a ``FollowGraph``, and vice versa."""
-    return graph.compile() if isinstance(graph, FollowGraph) else graph.to_follow_graph()
-
-
-def _two_components_with_isolates() -> FollowGraph:
-    graph = FollowGraph.from_edges(
-        [(10, 11), (11, 12), (12, 10), (12, 13), (13, 14), (14, 12), (15, 14)]
-        + [(40, 41), (41, 40), (41, 42), (43, 42), (43, 40)]
+    assert average_clustering(
+        graph, np.random.default_rng(seed), clustering_sample
+    ) == oracle_average_clustering(
+        graph, np.random.default_rng(seed), clustering_sample, hub_cutoff
     )
-    for isolated in (5, 30, 99):
-        graph.add_node(isolated)
-    return graph
+    assert average_path_length(
+        graph, np.random.default_rng(seed), path_sample
+    ) == oracle_average_path_length(
+        graph, np.random.default_rng(seed), path_sample, PATH_CUTOFF_HOPS
+    )
+
+
+def _two_components_with_isolates() -> CompiledGraph:
+    return CompiledGraph.from_edges(
+        [(10, 11), (11, 12), (12, 10), (12, 13), (13, 14), (14, 12), (15, 14)]
+        + [(40, 41), (41, 40), (41, 42), (43, 42), (43, 40)],
+        nodes=(5, 30, 99),
+    )
 
 
 class TestTable2KernelsMatchOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_graphs(self, seed):
         config = FollowGraphConfig(n_nodes=400, mean_out_degree=6.0)
-        mutable = generate_follow_graph(config, np.random.default_rng(seed))
-        compiled = generate_follow_graph_compiled(config, np.random.default_rng(seed))
-        _assert_kernels_match_oracle(mutable, seed, clustering_sample=150, path_sample=8)
-        _assert_kernels_match_oracle(compiled, seed, clustering_sample=150, path_sample=8)
-        # Sampling goes by sorted ID, so both representations give one row.
-        assert compute_graph_metrics(
-            mutable, np.random.default_rng(seed), 150, 8
-        ) == compute_graph_metrics(compiled, np.random.default_rng(seed), 150, 8)
+        graph = generate_follow_graph(config, np.random.default_rng(seed))
+        _assert_kernels_match_oracle(graph, seed, clustering_sample=150, path_sample=8)
 
     def test_whole_graph_when_samples_cover_it(self):
         graph = generate_follow_graph(
@@ -339,10 +311,11 @@ class TestTable2KernelsMatchOracle:
         base = generate_follow_graph(
             FollowGraphConfig(n_nodes=200, mean_out_degree=5.0), np.random.default_rng(4)
         )
-        graph = FollowGraph.from_edges((7 * u + 1_000, 7 * v + 1_000) for u, v in base.edges())
-        graph.add_node(3)  # an isolated node below every other ID
-        compiled = graph.compile()
-        assert not (compiled.node_ids == np.arange(compiled.node_count)).all()
+        graph = CompiledGraph.from_edges(
+            ((7 * u + 1_000, 7 * v + 1_000) for u, v in base.edges()),
+            nodes=[3],  # an isolated node below every other ID
+        )
+        assert not (graph.node_ids == np.arange(graph.node_count)).all()
         _assert_kernels_match_oracle(graph, 4, clustering_sample=80, path_sample=12)
 
     def test_isolated_nodes_and_two_components(self):
@@ -355,25 +328,23 @@ class TestTable2KernelsMatchOracle:
             )
 
     def test_chain_beyond_the_hop_cutoff(self, rng):
-        graph = FollowGraph.from_edges((i, i + 1) for i in range(59))
+        graph = CompiledGraph.from_edges((i, i + 1) for i in range(59))
         capped = average_path_length(graph, rng, sample_size=60)
         assert capped == oracle_average_path_length(
             graph, rng, sample_size=60, cutoff=PATH_CUTOFF_HOPS
         )
         # The cutoff bites: uncapped, a 60-chain averages (60 + 1) / 3 hops.
         assert capped < oracle_average_path_length(graph, rng, sample_size=60, cutoff=60)
-        assert capped == average_path_length(graph.compile(), rng, sample_size=60)
 
     def test_local_clustering_of_unknown_node(self):
-        graph = FollowGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        graph = CompiledGraph.from_edges([(1, 2), (2, 3), (3, 1)])
         assert local_clustering(graph, 99) == 0.0
-        assert local_clustering(graph.compile(), 99) == 0.0
-        assert local_clustering(graph.compile(), -5) == 0.0
+        assert local_clustering(graph, -5) == 0.0
 
     def test_hub_cutoff_skips_links_by_lower_id_endpoint(self, monkeypatch):
         # Node 0 sees neighbors 1..5 with links 1-2, 1-3, 2-3, 3-4, 4-5.
         # Undirected degrees: 1 -> 3, 2 -> 3, 3 -> 4, 4 -> 3, 5 -> 2.
-        graph = FollowGraph.from_edges(
+        graph = CompiledGraph.from_edges(
             [(0, n) for n in range(1, 6)] + [(1, 2), (3, 1), (2, 3), (4, 3), (4, 5)]
         )
         assert local_clustering(graph, 0) == pytest.approx(5 / 10)
@@ -416,13 +387,14 @@ class TestNotifications:
         service = NotificationService(graph=small_graph)
         broadcaster = next(iter(small_graph.nodes()))
         notified = service.notify_followers(broadcaster)
-        assert notified == small_graph.followers_of(broadcaster)
+        assert notified.tolist() == small_graph.followers_of(broadcaster).tolist()
+        assert service.notifications_sent == len(notified)
 
     def test_joining_followers_subset(self, small_graph, rng):
         service = NotificationService(graph=small_graph, open_rate=0.5)
         broadcaster = max(small_graph.nodes(), key=small_graph.follower_count)
         joiners = service.joining_followers(broadcaster, rng)
-        assert set(joiners) <= small_graph.followers_of(broadcaster)
+        assert set(joiners) <= set(small_graph.followers_of(broadcaster).tolist())
 
     def test_zero_open_rate_joins_nobody(self, small_graph, rng):
         service = NotificationService(graph=small_graph, open_rate=0.0)
@@ -433,12 +405,10 @@ class TestNotifications:
         service = NotificationService(graph=small_graph, open_rate=1.0)
         broadcaster = max(small_graph.nodes(), key=small_graph.follower_count)
         joiners = service.joining_followers(broadcaster, rng)
-        assert set(joiners) == small_graph.followers_of(broadcaster)
+        assert joiners == small_graph.followers_of(broadcaster).tolist()
 
     def test_binomial_shortcut_for_large_fanouts(self, rng):
-        graph = FollowGraph()
-        for i in range(1, 500):
-            graph.add_follow(i, 0)
+        graph = CompiledGraph.from_edges((i, 0) for i in range(1, 500))
         service = NotificationService(graph=graph, open_rate=0.1, max_sampled_followers=100)
         joiners = service.joining_followers(0, rng)
         assert 10 <= len(joiners) <= 120  # ~50 expected

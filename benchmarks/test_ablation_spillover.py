@@ -20,7 +20,7 @@ THRESHOLDS = [25, 50, 100, 200, 400]
 def _sweep_thresholds() -> dict[int, dict[str, float]]:
     rng = np.random.default_rng(31)
     model = BroadcastParamsModel.for_periscope()
-    audiences = np.array([model.sample_audience(rng) for _ in range(30_000)])
+    audiences = model.sample_audiences(rng, 30_000)
     load = ServerLoadModel()
     rows: dict[int, dict[str, float]] = {}
     for threshold in THRESHOLDS:

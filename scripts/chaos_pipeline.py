@@ -57,9 +57,11 @@ def _generate(run_dir=None, resume=False, faults=""):
 
 
 def main() -> int:
+    from repro.parallel import generate
+
     # The pool must actually run: without this the toy scale would take
     # the in-process fallback and no worker could be killed.
-    os.environ["REPRO_TRACE_MIN_PER_WORKER"] = "0"
+    generate.MIN_BROADCASTS_PER_WORKER = 0
 
     print(f"chaos-pipeline: scale {SCALE:g}, seed {SEED}, "
           f"{WORKERS} workers / {SHARDS} shards")

@@ -245,11 +245,6 @@ class FastlyEdge:
     def stale_served(self, broadcast_id: int) -> int:
         return self._state(broadcast_id).stale_served
 
-    def breaker_for(self, broadcast_id: int) -> Optional[CircuitBreaker]:
-        """The origin-pull circuit breaker for this broadcast (None when
-        the edge was built without a ``breaker_factory``)."""
-        return self._state(broadcast_id).breaker
-
     def render_playlist(self, broadcast_id: int) -> str:
         """The current local chunklist as M3U8 wire text — what a real
         crawler (or player) would fetch from this POP."""

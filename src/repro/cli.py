@@ -12,16 +12,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.registry import get_experiment, list_experiments, run_experiment
 
-#: Experiments whose runners accept (scale, seed).
-_TRACE_EXPERIMENTS = {"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"}
-#: Experiments whose runners accept (n_broadcasts, seed).
-_CAMPAIGN_EXPERIMENTS = {"fig12", "fig13", "fig16", "fig17"}
+#: Runner parameter -> the flag that sets it, for every runner whose
+#: signature names the parameter.
+_RUNNER_FLAGS = {"seed": "seed", "scale": "scale", "n_broadcasts": "broadcasts"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,26 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _kwargs_for(experiment_id: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    if experiment_id in _TRACE_EXPERIMENTS:
-        if args.scale is not None:
-            kwargs["scale"] = args.scale
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    elif experiment_id in _CAMPAIGN_EXPERIMENTS:
-        if args.broadcasts is not None:
-            kwargs["n_broadcasts"] = args.broadcasts
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    elif experiment_id == "fig11" and args.seed is not None:
-        kwargs["seed"] = args.seed
-    elif experiment_id == "fig15" and args.seed is not None:
-        kwargs["seed"] = args.seed
-    elif experiment_id == "faultsweep" and args.seed is not None:
-        kwargs["seed"] = args.seed
-    elif experiment_id == "serving":
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    """The runner keyword arguments the command line sets for one experiment.
+
+    ``--seed``, ``--scale`` and ``--broadcasts`` reach every runner whose
+    signature names ``seed``, ``scale`` or ``n_broadcasts``;
+    ``--clients`` and ``--duration`` reach only ``serving``.
+    """
+    parameters = inspect.signature(get_experiment(experiment_id).runner).parameters
+    kwargs = {
+        name: getattr(args, flag)
+        for name, flag in _RUNNER_FLAGS.items()
+        if name in parameters and getattr(args, flag) is not None
+    }
+    if experiment_id == "serving":
         if args.clients is not None:
             kwargs["n_clients"] = args.clients
         if args.duration is not None:
@@ -411,7 +404,7 @@ def _run_trace_target(args: argparse.Namespace) -> str:
         # dir is already consistent — report progress, no traceback.
         raise _TargetExit(130, _interrupt_summary(args)) from None
     except ValueError as error:
-        # RunDirError or a malformed REPRO_TRACE_* knob: a usage
+        # RunDirError or a malformed REPRO_TRACE_FAULTS plan: a usage
         # problem, not a crash.
         raise _TargetExit(2, f"error: {error}") from None
 

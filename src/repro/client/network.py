@@ -112,7 +112,6 @@ class LastMileLink:
     base_delay_s: float = 0.045
     jitter_sigma: float = 0.25
     outages: OutageSchedule = field(default_factory=OutageSchedule)
-    serialization_s_per_kb: float = 0.0  # optional bandwidth term
     _last_delivery: float = field(default=float("-inf"), init=False)
     _last_send: float = field(default=float("-inf"), init=False)
 
@@ -122,10 +121,8 @@ class LastMileLink:
         if self.jitter_sigma < 0:
             raise ValueError("jitter sigma must be non-negative")
 
-    def send(self, time: float, size_kb: float = 0.0) -> float:
+    def send(self, time: float) -> float:
         """Delivery time for a packet sent at ``time``."""
-        if size_kb < 0:
-            raise ValueError(f"size_kb must be non-negative (got {size_kb})")
         if time < self._last_send:
             raise ValueError(
                 f"sends must be time-ordered ({time} < {self._last_send})"
@@ -135,7 +132,6 @@ class LastMileLink:
         delay = self.base_delay_s
         if self.jitter_sigma > 0:
             delay *= float(self.rng.lognormal(0.0, self.jitter_sigma))
-        delay += size_kb * self.serialization_s_per_kb
         delivery = departure + delay
         # FIFO: never deliver before an earlier packet.
         delivery = max(delivery, self._last_delivery)

@@ -104,7 +104,6 @@ class HlsViewerClient:
     edge: FastlyEdge
     downlink: LastMileLink
     poll_interval_s: float = 2.4
-    chunk_kb: float = 300.0
     stop_after: float = float("inf")
     retry_policy: Optional[RetryPolicy] = None
     failover_edges: Sequence[FastlyEdge] = ()
@@ -279,7 +278,7 @@ class HlsViewerClient:
                 break
             self._last_downloaded = entry.chunk_index
             self.chunk_response_times[entry.chunk_index] = response_time
-            arrival = self.downlink.send(response_time, size_kb=self.chunk_kb)
+            arrival = self.downlink.send(response_time)
             self.simulator.schedule_at(
                 max(arrival, self.simulator.now),
                 _RecordChunk(self, chunk),

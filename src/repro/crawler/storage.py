@@ -135,7 +135,8 @@ def dataset_from_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset
     return dataset
 
 
-def _column_length(field: str, record_count: int, viewer_count: int) -> int:
+def column_length(field: str, record_count: int, viewer_count: int) -> int:
+    """Element count of ``field``'s column in a dataset of these counts."""
     if field == "viewer_indptr":
         return record_count + 1
     if field == "viewer_ids":
@@ -185,7 +186,7 @@ def dataset_from_columnar_bytes(data: bytes, source: str = "<bytes>") -> Broadca
     arrays: dict[str, np.ndarray] = {}
     for field, dtype_str in COLUMN_LAYOUT:
         dtype = np.dtype(dtype_str)
-        nbytes = _column_length(field, record_count, viewer_count) * dtype.itemsize
+        nbytes = column_length(field, record_count, viewer_count) * dtype.itemsize
         if offset + nbytes > len(payload):
             raise ValueError(f"{source}: truncated dataset (column {field!r})")
         arrays[field] = np.frombuffer(
@@ -425,17 +426,13 @@ def save_traces(traces: list[BroadcastTrace], path: PathLike) -> None:
 
     Broadcast IDs are integers and go into their own int64 array —
     packing them into the float64 ``meta`` block would silently corrupt
-    IDs above 2**53.  The ``meta`` block keeps a float copy of the ID in
-    column 0 so bundles stay readable by the previous loader.
+    IDs above 2**53.
     """
     if not traces:
         raise ValueError("no traces to save")
     arrays: dict[str, np.ndarray] = {
         "meta": np.array(
-            [
-                (t.broadcast_id, t.duration_s, t.chunk_duration_s, t.frame_interval_s)
-                for t in traces
-            ],
+            [(t.duration_s, t.chunk_duration_s, t.frame_interval_s) for t in traces],
             dtype=np.float64,
         ),
         "broadcast_ids": np.array([t.broadcast_id for t in traces], dtype=np.int64),
@@ -450,18 +447,22 @@ def save_traces(traces: list[BroadcastTrace], path: PathLike) -> None:
 def load_traces(path: PathLike) -> list[BroadcastTrace]:
     """Read traces written by :func:`save_traces`.
 
-    Bundles written before the dedicated ``broadcast_ids`` array existed
-    fall back to the (float64) ID column in ``meta``.
+    A bundle without the ``broadcast_ids`` array, or whose ``meta`` block
+    is not one (duration, chunk duration, frame interval) row per ID,
+    raises ``ValueError`` naming the file.
     """
     with np.load(Path(path)) as bundle:
+        if "broadcast_ids" not in bundle:
+            raise ValueError(f"{path}: trace bundle has no broadcast_ids array")
+        broadcast_ids = bundle["broadcast_ids"]
         meta = bundle["meta"]
-        if "broadcast_ids" in bundle:
-            broadcast_ids = bundle["broadcast_ids"].astype(np.int64)
-        else:
-            broadcast_ids = meta[:, 0].astype(np.int64)
+        if meta.shape != (len(broadcast_ids), 3):
+            raise ValueError(
+                f"{path}: trace bundle meta has shape {meta.shape}, "
+                f"expected ({len(broadcast_ids)}, 3)"
+            )
         traces = []
-        for index in range(len(meta)):
-            _legacy_id, duration_s, chunk_duration_s, frame_interval_s = meta[index]
+        for index, (duration_s, chunk_duration_s, frame_interval_s) in enumerate(meta):
             traces.append(
                 BroadcastTrace(
                     broadcast_id=int(broadcast_ids[index]),

@@ -1,9 +1,10 @@
 """Experiment runners: one per table/figure of the paper.
 
 Each runner regenerates the rows/series its table or figure reports, on
-synthetic traces at a configurable scale, and returns an
-:class:`~repro.experiments.registry.ExperimentResult` carrying both the
-raw data and a rendered text report.  The registry maps experiment IDs
+synthetic traces at a configurable scale, and returns the raw data and a
+rendered text report; the registry wraps them in an
+:class:`~repro.experiments.registry.ExperimentResult` with the id and
+title the runner was registered under.  The registry maps experiment IDs
 ("table1", "fig12", ...) to runners::
 
     from repro import run_experiment

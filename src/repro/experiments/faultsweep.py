@@ -12,7 +12,7 @@ while a zero-intensity run reproduces the faultless baseline exactly.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.faults.scenario import run_chaos_pair
 
 INTENSITIES = (0.0, 0.5, 1.0, 1.5)
@@ -28,7 +28,7 @@ INTENSITIES = (0.0, 0.5, 1.0, 1.5)
 )
 def run(
     seed: int = 7, intensities: tuple[float, ...] = INTENSITIES
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     rows = {}
     points = []
     dominated_everywhere = True
@@ -81,9 +81,4 @@ def run(
             *verdict,
         ]
     )
-    return ExperimentResult(
-        experiment_id="faultsweep",
-        title="Fault sweep: resilient vs naive degradation under injected chaos",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -9,7 +9,7 @@ from repro.analysis.report import render_series
 from repro.analysis.timeseries import DailySeries
 from repro.crawler.dataset import DowntimeWindow
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 #: The paper's crawler outage: Aug 7–9, 2015 = days 84–86, losing ~4.5% of
 #: that period's broadcasts.
@@ -23,7 +23,7 @@ CRAWLER_DOWNTIME = DowntimeWindow(start_day=84.0, end_day=86.0, loss_fraction=0.
     "jump at the Android launch (day 11); Meerkat nearly halves in a month; a "
     "crawler outage dents days 84-86.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed)
     meerkat = meerkat_trace(scale, seed)
 
@@ -64,9 +64,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             " (paper: weekend peaks)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig1",
-        title="Figure 1: # of daily broadcasts",
-        data=data,
-        text=text,
-    )
+    return data, text

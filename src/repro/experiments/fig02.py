@@ -8,7 +8,7 @@ from repro.analysis.plots import ascii_series
 from repro.analysis.report import render_series
 from repro.analysis.timeseries import DailySeries
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -17,7 +17,7 @@ from repro.experiments.registry import ExperimentResult, experiment
     "Periscope viewers grow 200K to >1M with ~10:1 viewer:broadcaster ratio; "
     "Meerkat viewers hover ~20K while its broadcasters decline.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed)
     meerkat = meerkat_trace(scale, seed)
 
@@ -64,9 +64,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             f"Meerkat broadcaster trend: {data['meerkat_broadcaster_decline']:.2f}x (paper: declining)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig2",
-        title="Figure 2: # of daily active users",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -6,7 +6,7 @@ from repro.analysis.broadcast_stats import broadcast_length_cdf
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 TEN_MINUTES_S = 600.0
 
@@ -17,7 +17,7 @@ TEN_MINUTES_S = 600.0
     "85% of broadcasts last under 10 minutes on both apps; Meerkat's "
     "distribution is more skewed (a few much longer streams).",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope_cdf = broadcast_length_cdf(periscope_trace(scale, seed).dataset)
     meerkat_cdf = broadcast_length_cdf(meerkat_trace(scale, seed).dataset)
 
@@ -44,9 +44,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             f"Meerkat under 10 min: {data['meerkat_under_10min']:.1%} (paper: ~85%)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig3",
-        title="Figure 3: CDF of broadcast length",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -6,7 +6,7 @@ from repro.analysis.broadcast_stats import hls_broadcast_fraction, viewers_per_b
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -16,7 +16,7 @@ from repro.experiments.registry import ExperimentResult, experiment
     "at least one; the popular tail reaches ~100K viewers; 5.77% of broadcasts "
     "spill beyond the ~100-viewer RTMP tier.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed).dataset
     meerkat = meerkat_trace(scale, seed).dataset
     periscope_cdf = viewers_per_broadcast_cdf(periscope)
@@ -49,9 +49,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             f"{data['periscope_some_hls_fraction']:.2%} (paper: 5.77%)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig4",
-        title="Figure 4: total # of viewers per broadcast",
-        data=data,
-        text=text,
-    )
+    return data, text

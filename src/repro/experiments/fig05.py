@@ -6,7 +6,7 @@ from repro.analysis.broadcast_stats import comments_cdf, hearts_cdf
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -15,7 +15,7 @@ from repro.experiments.registry import ExperimentResult, experiment
     "~10% of Periscope broadcasts get >100 comments and >1000 hearts; the "
     "100-commenter cap flattens the comment tail while hearts run to 1.35M.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed).dataset
     meerkat = meerkat_trace(scale, seed).dataset
 
@@ -58,9 +58,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             f"(p99 hearts/comments ratio: {data['hearts_comment_tail_ratio']:.0f}x).",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig5",
-        title="Figure 5: total # of comments (hearts) per broadcast",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -10,7 +10,7 @@ from repro.analysis.broadcast_stats import (
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -19,7 +19,7 @@ from repro.experiments.registry import ExperimentResult, experiment
     "User activity is highly skewed on both apps; the top 15% of Periscope "
     "viewers watch ~10x more broadcasts than the median viewer.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed).dataset
     meerkat = meerkat_trace(scale, seed).dataset
 
@@ -56,9 +56,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             " (paper: ~10x)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig6",
-        title="Figure 6: distribution of broadcast views and creation over users",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -8,7 +8,7 @@ from repro.analysis.social_stats import (
     mean_viewers_by_follower_bucket,
 )
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -17,7 +17,7 @@ from repro.experiments.registry import ExperimentResult, experiment
     "Users with more followers generate more popular broadcasts (follower "
     "notifications create built-in audiences).",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     dataset = periscope_trace(scale, seed).dataset
     correlation = follower_viewer_correlation(dataset)
     buckets = mean_viewers_by_follower_bucket(dataset)
@@ -34,9 +34,4 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
             f"Follower-viewer rank correlation: {correlation:.3f} (paper: clearly positive)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig7",
-        title="Figure 7: broadcaster's followers vs # of viewers",
-        data=data,
-        text=text,
-    )
+    return data, text

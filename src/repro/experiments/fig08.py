@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
 from repro.platform.apps import PERISCOPE_PROFILE
 from repro.protocols.messages import MessageChannel
@@ -39,7 +39,7 @@ ARCHITECTURE = r"""
     "via Wowza (RTMP push, first ~100 viewers) and Fastly (HLS poll, the rest), "
     "messages via PubNub over HTTPS — merged with video client-side by timestamp.",
 )
-def run() -> ExperimentResult:
+def run() -> tuple[dict, str]:
     profile = PERISCOPE_PROFILE
     channel = MessageChannel(broadcast_id=0)
     rng = np.random.default_rng(8)
@@ -64,9 +64,4 @@ def run() -> ExperimentResult:
     width = max(len(k) for k in facts)
     for key, value in facts.items():
         lines.append(f"{key:<{width}}  {value}")
-    return ExperimentResult(
-        experiment_id="fig8",
-        title="Figure 8: Periscope CDN infrastructure",
-        data={"facts": facts, "message_latency_s": message_latency},
-        text="\n".join(lines),
-    )
+    return {"facts": facts, "message_latency_s": message_latency}, "\n".join(lines)

@@ -9,7 +9,7 @@ its PlanetLab experiment.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.geo.datacenters import (
     FASTLY_DATACENTERS,
     WOWZA_DATACENTERS,
@@ -25,7 +25,7 @@ from repro.geo.datacenters import (
     "Fastly POP in the same city, 7/8 on the same continent; the exception is "
     "South America (no Fastly POP).",
 )
-def run() -> ExperimentResult:
+def run() -> tuple[dict, str]:
     pairs = colocated_pairs()
     same_city = {wowza.name for wowza, _ in pairs}
     same_continent = {
@@ -58,9 +58,4 @@ def run() -> ExperimentResult:
             f"Same-continent Wowza DCs: {data['same_continent_count']}/8 (paper: 7/8)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig9",
-        title="Figure 9: Wowza and Fastly server locations",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -10,7 +10,7 @@ contributes.
 from __future__ import annotations
 
 from repro.core.delay_breakdown import ControlledExperiment
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 #: Human labels for the numbered timestamps.
 LABELS = {
@@ -51,7 +51,7 @@ def _render_path(name: str, stamps: dict[str, float]) -> list[str]:
     "content as an HLS chunk pays chunking at Wowza, a gateway hop to Fastly, "
     "the viewer's polling interval, and ~9 s of client pre-buffer.",
 )
-def run(seed: int = 7, duration_s: float = 90.0) -> ExperimentResult:
+def run(seed: int = 7, duration_s: float = 90.0) -> tuple[dict, str]:
     timeline = ControlledExperiment(seed=seed, duration_s=duration_s).run_timeline()
     lines = []
     lines.extend(_render_path("RTMP (per frame)", timeline["rtmp"]))
@@ -64,13 +64,5 @@ def run(seed: int = 7, duration_s: float = 90.0) -> ExperimentResult:
         f"The same moment reaches an RTMP viewer {rtmp_total:.1f}s and an HLS "
         f"viewer {hls_total:.1f}s after it happened."
     )
-    return ExperimentResult(
-        experiment_id="fig10",
-        title="Figure 10: RTMP/HLS end-to-end delay breakdown diagram",
-        data={
-            "timeline": timeline,
-            "rtmp_total_s": rtmp_total,
-            "hls_total_s": hls_total,
-        },
-        text="\n".join(lines),
-    )
+    data = {"timeline": timeline, "rtmp_total_s": rtmp_total, "hls_total_s": hls_total}
+    return data, "\n".join(lines)

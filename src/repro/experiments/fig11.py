@@ -6,7 +6,7 @@ from repro.analysis.delay_stats import breakdown_rows
 from repro.analysis.plots import ascii_stacked_bars
 from repro.analysis.report import format_table
 from repro.core.delay_breakdown import ControlledExperiment
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 #: The paper's measured component means (seconds).
 PAPER_BREAKDOWN = {
@@ -29,7 +29,7 @@ PAPER_BREAKDOWN = {
     "RTMP total ~1.4 s; HLS total ~11.7 s dominated by client buffering "
     "(6.9 s), chunking (3 s) and polling (1.2 s); Wowza2Fastly ~0.3 s.",
 )
-def run(repetitions: int = 10, seed: int = 7, duration_s: float = 120.0) -> ExperimentResult:
+def run(repetitions: int = 10, seed: int = 7, duration_s: float = 120.0) -> tuple[dict, str]:
     experiment_run = ControlledExperiment(seed=seed, duration_s=duration_s)
     rtmp, hls = experiment_run.run(repetitions=repetitions)
 
@@ -61,9 +61,4 @@ def run(repetitions: int = 10, seed: int = 7, duration_s: float = 120.0) -> Expe
             f"HLS/RTMP total delay ratio: {data['hls_rtmp_ratio']:.1f}x (paper: ~8.4x)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig11",
-        title="Figure 11: HLS/RTMP end-to-end delay breakdown",
-        data=data,
-        text=text,
-    )
+    return data, text

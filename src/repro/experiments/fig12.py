@@ -9,7 +9,7 @@ from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.core.polling import simulate_polling
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 POLL_INTERVALS_S = [2.0, 3.0, 4.0]
 
@@ -23,7 +23,7 @@ POLL_INTERVALS_S = [2.0, 3.0, 4.0]
 )
 def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     traces = [t.chunk_availability for t in delay_traces(n_broadcasts, seed)]
     rng = np.random.default_rng(seed + 12)
     stats = simulate_polling(traces, POLL_INTERVALS_S, rng)
@@ -52,9 +52,4 @@ def run(
             + "  (paper: 2s->1.0, 4s->2.0, 3s varies 1-2)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig12",
-        title="Figure 12: CDF of average polling delay per broadcast",
-        data=data,
-        text=text,
-    )
+    return data, text

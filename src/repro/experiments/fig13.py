@@ -10,7 +10,7 @@ from repro.analysis.report import render_cdf_summary
 from repro.core.polling import simulate_polling
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
 from repro.experiments.fig12 import POLL_INTERVALS_S
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -23,7 +23,7 @@ from repro.experiments.registry import ExperimentResult, experiment
 )
 def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     traces = [t.chunk_availability for t in delay_traces(n_broadcasts, seed)]
     rng = np.random.default_rng(seed + 13)
     stats = simulate_polling(traces, POLL_INTERVALS_S, rng)
@@ -49,9 +49,4 @@ def run(
             + "  (uniform-cycling reference: 2s->0.58, 4s->1.15)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig13",
-        title="Figure 13: CDF of polling delay variance per broadcast",
-        data=data,
-        text=text,
-    )
+    return data, text

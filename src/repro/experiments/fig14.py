@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.analysis.report import format_table
 from repro.cdn.server_load import ServerLoadModel
 from repro.core.scalability import scalability_sweep
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 VIEWER_COUNTS = [100, 200, 300, 400, 500]
 
@@ -17,7 +17,7 @@ VIEWER_COUNTS = [100, 200, 300, 400, 500]
     "grows with viewers — RTMP does per-frame work (25 ops/s/viewer) vs HLS's "
     "per-poll work (~0.4 ops/s/viewer).",
 )
-def run(viewer_counts: tuple[int, ...] = tuple(VIEWER_COUNTS)) -> ExperimentResult:
+def run(viewer_counts: tuple[int, ...] = tuple(VIEWER_COUNTS)) -> tuple[dict, str]:
     model = ServerLoadModel()
     curves = scalability_sweep(list(viewer_counts), model)
 
@@ -43,9 +43,4 @@ def run(viewer_counts: tuple[int, ...] = tuple(VIEWER_COUNTS)) -> ExperimentResu
             "Periscope's ~100-viewer RTMP threshold.",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig14",
-        title="Figure 14: CPU usage of server using RTMP and HLS",
-        data=data,
-        text=text,
-    )
+    return data, text

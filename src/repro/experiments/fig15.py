@@ -8,7 +8,7 @@ from repro.analysis.delay_stats import colocation_gap_s, geolocation_cdfs
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.report import render_cdf_summary
 from repro.core.geolocation import geolocation_study
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.geo.latency import DISTANCE_BUCKETS
 
 
@@ -21,7 +21,7 @@ from repro.geo.latency import DISTANCE_BUCKETS
 )
 def run(
     seed: int = 15, broadcasts_per_pair: int = 10, chunks_per_broadcast: int = 40
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     rng = np.random.default_rng(seed)
     samples = geolocation_study(
         rng,
@@ -43,9 +43,4 @@ def run(
             f"Co-located vs <500 km median gap: {gap:.2f}s (paper: >0.25s)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig15",
-        title="Figure 15: Wowza-to-Fastly delay by DC-pair distance",
-        data=data,
-        text=text,
-    )
+    return data, text

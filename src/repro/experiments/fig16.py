@@ -10,7 +10,7 @@ from repro.analysis.report import render_cdf_summary
 from repro.core.pipeline import rtmp_viewer_traces
 from repro.core.playback import sweep_prebuffer
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 RTMP_PREBUFFERS_S = [0.0, 0.5, 1.0]
 FRAME_INTERVAL_S = 0.040
@@ -25,7 +25,7 @@ FRAME_INTERVAL_S = 0.040
 )
 def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     traces = rtmp_viewer_traces(list(delay_traces(n_broadcasts, seed)))
     sweep = sweep_prebuffer(traces, RTMP_PREBUFFERS_S, FRAME_INTERVAL_S)
 
@@ -52,9 +52,4 @@ def run(
             " (paper: ~10%, from bursty uploads)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig16",
-        title="Figure 16: RTMP pre-buffer impact",
-        data=data,
-        text=text,
-    )
+    return data, text

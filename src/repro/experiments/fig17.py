@@ -15,7 +15,7 @@ from repro.analysis.report import render_cdf_summary
 from repro.core.pipeline import hls_viewer_traces
 from repro.core.playback import sweep_prebuffer
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 HLS_PREBUFFERS_S = [0.0, 3.0, 6.0, 9.0]
 CHUNK_DURATION_S = 3.0
@@ -30,7 +30,7 @@ VIEWER_POLL_INTERVAL_S = 2.8
 )
 def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     rng = np.random.default_rng(seed + 17)
     traces = hls_viewer_traces(
         list(delay_traces(n_broadcasts, seed)), rng, VIEWER_POLL_INTERVAL_S
@@ -65,9 +65,4 @@ def run(
             f"(saving {data['delay_saving_s']:.1f}s — paper: ~3s, ~50%)",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig17",
-        title="Figure 17: HLS pre-buffer impact",
-        data=data,
-        text=text,
-    )
+    return data, text

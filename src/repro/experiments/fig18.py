@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.security.experiment import run_attack_matrix
 
 
@@ -14,7 +14,7 @@ from repro.security.experiment import run_attack_matrix
     "the broadcaster's preview shows the original video; the §7.2 signature "
     "defense detects and drops every tampered frame.",
 )
-def run() -> ExperimentResult:
+def run() -> tuple[dict, str]:
     matrix = run_attack_matrix()
     rows = {}
     for scenario, result in matrix.items():
@@ -44,9 +44,4 @@ def run() -> ExperimentResult:
             "the client CPU cost (see the defense-overhead ablation).",
         ]
     )
-    return ExperimentResult(
-        experiment_id="fig18",
-        title="Figure 18: stream-tampering proof of concept",
-        data=data,
-        text=text,
-    )
+    return data, text

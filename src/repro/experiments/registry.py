@@ -7,6 +7,7 @@ modules in this package via the :func:`experiment` decorator; importing
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ class ExperimentResult:
     title: str
     data: dict[str, Any]
     text: str
-    paper_expectation: str = ""
 
     def __str__(self) -> str:
         return self.text
@@ -67,19 +67,32 @@ class RegisteredExperiment:
 
 def experiment(
     experiment_id: str, title: str, paper_expectation: str = ""
-) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
-    """Decorator registering a runner under ``experiment_id``."""
+) -> Callable[[Callable[..., tuple[dict, str]]], Callable[..., ExperimentResult]]:
+    """Decorator registering a runner under ``experiment_id``.
 
-    def decorate(runner: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    The runner returns ``(data, text)``; the decorated callable wraps them
+    in an :class:`ExperimentResult` with this ``experiment_id`` and
+    ``title``, so the registration is the one place either is written.
+    It keeps the runner's signature (``inspect.signature`` follows
+    ``__wrapped__``).
+    """
+
+    def decorate(runner: Callable[..., tuple[dict, str]]) -> Callable[..., ExperimentResult]:
         if experiment_id in _RUNNERS:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
+
+        @functools.wraps(runner)
+        def run(*args: Any, **kwargs: Any) -> ExperimentResult:
+            data, text = runner(*args, **kwargs)
+            return ExperimentResult(experiment_id, title, data, text)
+
         _RUNNERS[experiment_id] = RegisteredExperiment(
             experiment_id=experiment_id,
             title=title,
-            runner=runner,
+            runner=run,
             paper_expectation=paper_expectation,
         )
-        return runner
+        return run
 
     return decorate
 

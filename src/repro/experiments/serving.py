@@ -20,7 +20,7 @@ guarded run's.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 from repro.service.loadgen import FlashCrowdConfig, LoadGenConfig, run_serve_bench
 
 
@@ -36,7 +36,7 @@ def run(
     seed: int = 2016,
     n_clients: int = 16,
     duration_s: float = 60.0,
-) -> ExperimentResult:
+) -> tuple[dict, str]:
     baseline_config = LoadGenConfig(n_clients=n_clients, duration_s=duration_s)
     flash_config = LoadGenConfig(
         n_clients=n_clients,
@@ -101,9 +101,4 @@ def run(
             *verdict,
         ]
     )
-    return ExperimentResult(
-        experiment_id="serving",
-        title="Serving tier: global-list flow under a flash crowd",
-        data=data,
-        text=text,
-    )
+    return data, text

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.analysis.broadcast_stats import table1_rows
 from repro.analysis.report import format_table
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, meerkat_trace, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 #: Paper values (full scale), used to report the re-scaled comparison.
 PAPER_TABLE1 = {
@@ -30,7 +30,7 @@ PAPER_TABLE1 = {
     "Periscope (3 months): 19.6M broadcasts / 1.85M broadcasters / 705M views / "
     "7.65M unique viewers.  Meerkat (1 month): 164K / 57K / 3.8M / 183K.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     periscope = periscope_trace(scale, seed)
     meerkat = meerkat_trace(scale, seed)
     measured = table1_rows([periscope.dataset, meerkat.dataset])
@@ -55,15 +55,11 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
         for app, row in measured.items()
     }
     text = format_table(rows, title="Table 1 — dataset statistics", row_header="dataset")
-    return ExperimentResult(
-        experiment_id="table1",
-        title="Table 1: basic statistics of the broadcast datasets",
-        data={
-            "measured": measured,
-            "rescaled": rescaled,
-            "paper": PAPER_TABLE1,
-            "scale": scale,
-            "app_scales": app_scales,
-        },
-        text=text,
-    )
+    data = {
+        "measured": measured,
+        "rescaled": rescaled,
+        "paper": PAPER_TABLE1,
+        "scale": scale,
+        "app_scales": app_scales,
+    }
+    return data, text

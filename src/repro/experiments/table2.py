@@ -7,7 +7,7 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.analysis.social_stats import table2_rows
 from repro.experiments.context import DEFAULT_SCALE, DEFAULT_SEED, periscope_trace
-from repro.experiments.registry import ExperimentResult, experiment
+from repro.experiments.registry import experiment
 
 
 @experiment(
@@ -16,16 +16,11 @@ from repro.experiments.registry import ExperimentResult, experiment
     "Periscope: avg degree 38.6, clustering 0.130, avg path 3.74, assortativity "
     "-0.057 — Twitter-like (negative assortativity), not Facebook-like.",
 )
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, str]:
     trace = periscope_trace(scale, seed)
     if trace.graph is None:
         raise RuntimeError("Periscope trace was generated without a graph")
     rng = np.random.default_rng(seed)
     rows = table2_rows(trace.graph, rng)
     text = format_table(rows, title="Table 2 — social graph statistics", row_header="network")
-    return ExperimentResult(
-        experiment_id="table2",
-        title="Table 2: basic statistics of the social graphs",
-        data={"rows": rows, "scale": scale},
-        text=text,
-    )
+    return {"rows": rows, "scale": scale}, text

@@ -27,7 +27,6 @@ import os
 import random
 import sys
 import time
-from typing import Optional
 
 __all__ = [
     "DeterminismSanitizer",
@@ -181,10 +180,3 @@ class DeterminismSanitizer:
 def sanitized(workers: int = 1) -> DeterminismSanitizer:
     """Convenience constructor: ``with sanitized(): ...``."""
     return DeterminismSanitizer(workers=workers)
-
-
-def active_sanitizer_note() -> Optional[str]:
-    """A one-line status string for CLI output, or ``None`` when inactive."""
-    if not is_active():
-        return None
-    return "determinism sanitizer: armed (wall-clock + global RNG guarded)"

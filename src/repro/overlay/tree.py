@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.geo.coordinates import GeoPoint
-from repro.geo.datacenters import (
-    Datacenter,
-    FASTLY_DATACENTERS,
-    nearest_datacenter,
-)
+from repro.geo.datacenters import Datacenter, FASTLY_DATACENTERS
 
 
 @dataclass
@@ -41,10 +37,6 @@ class ForwardingNode:
     @property
     def is_root(self) -> bool:
         return self.parent is None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     @property
     def forwarding_state(self) -> int:
@@ -65,14 +57,6 @@ class ForwardingNode:
             raise ValueError(f"{child.datacenter.name} already has a parent")
         child.parent = self
         self.children.append(child)
-
-    def path_to_root(self) -> list["ForwardingNode"]:
-        path = [self]
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            path.append(node)
-        return path
 
 
 @dataclass
@@ -152,11 +136,6 @@ def build_geographic_tree(
         if not hub.children:
             leaves.append(hub)
     return OverlayTree(root=root, leaves=leaves)
-
-
-def nearest_pop(location: GeoPoint, pops: Sequence[Datacenter] = FASTLY_DATACENTERS) -> Datacenter:
-    """Convenience anycast helper matching the HLS viewer assignment."""
-    return nearest_datacenter(location, pops)
 
 
 def repair_after_failure(tree: OverlayTree, failed: ForwardingNode) -> list[ForwardingNode]:

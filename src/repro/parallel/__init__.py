@@ -18,11 +18,7 @@ from repro.parallel.faults import (
     PipelineFaultError,
     parse_fault_plan,
 )
-from repro.parallel.generate import (
-    generate_dataset,
-    generate_trace,
-    validate_environment,
-)
+from repro.parallel.generate import generate_dataset, generate_trace
 from repro.parallel.merge import stream_merge_shards
 from repro.parallel.sharding import AUTO_SHARDS_PER_WORKER, ShardSpec, plan_shards
 
@@ -39,5 +35,4 @@ __all__ = [
     "plan_shards",
     "read_manifest",
     "stream_merge_shards",
-    "validate_environment",
 ]

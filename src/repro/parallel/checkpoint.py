@@ -191,13 +191,6 @@ class RunCheckpoint:
     def done_shards(self) -> frozenset[int]:
         return frozenset(self._done)
 
-    @property
-    def total_shards(self) -> int:
-        return len(self._plan)
-
-    def is_done(self, shard_id: int) -> bool:
-        return shard_id in self._done
-
     def publish_shard(self, shard_id: int, temp_path: PathLike) -> Path:
         """Atomically promote a finished temp file and journal the shard."""
         path = self.shard_path(shard_id)

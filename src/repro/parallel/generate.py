@@ -19,10 +19,10 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
   paths and timings cross the process boundary,
 * the pool loop *survives its workers*: shards are submitted individually
   and retried with capped backoff on failure, a per-shard deadline
-  (``REPRO_TRACE_SHARD_DEADLINE``) convicts hung workers, a
+  (:data:`SHARD_DEADLINE_S`) convicts hung workers, a
   ``BrokenProcessPool`` rebuilds the pool and resubmits only unfinished
-  shards, and after ``REPRO_TRACE_POOL_REBUILDS`` rebuilds generation
-  degrades to the in-process walk rather than give up — all of which is
+  shards, and after :data:`POOL_REBUILDS` rebuilds generation degrades to
+  the in-process walk rather than give up — all of which is
   output-invariant because re-run shards are byte-identical by
   construction,
 * with a ``run_dir``, every finished shard is checkpointed through
@@ -66,7 +66,7 @@ from typing import Callable, Optional, Union
 
 from repro.obs import NULL_REGISTRY, peak_rss_mb
 from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
-from repro.crawler.storage import DatasetCache
+from repro.crawler.storage import COLUMN_LAYOUT, DatasetCache
 from repro.parallel.checkpoint import RunCheckpoint, shard_filename
 from repro.parallel.merge import stream_merge_shards
 from repro.parallel.faults import (
@@ -89,29 +89,25 @@ from repro.workload.trace import (
 )
 
 #: Below this expected per-worker broadcast volume a process pool costs
-#: more than it saves, so generation stays in-process.  Overridable via
-#: ``REPRO_TRACE_MIN_PER_WORKER`` (tests set ``0`` to force the pool).
+#: more than it saves, so generation stays in-process.  Read at call
+#: time, so tests and the chaos smoke patch it to ``0`` to force the pool.
 MIN_BROADCASTS_PER_WORKER = 20_000
-MIN_PER_WORKER_ENV = "REPRO_TRACE_MIN_PER_WORKER"
 
 #: Per-shard retry budget: a shard may fail this many times (worker
 #: exception, killed worker, blown deadline) before the run errors out.
 #: Kept above the pool-rebuild cap so shards that merely *shared a pool*
 #: with a crashing one never exhaust their budget before degradation.
-DEFAULT_SHARD_RETRIES = 4
-SHARD_RETRIES_ENV = "REPRO_TRACE_SHARD_RETRIES"
+SHARD_RETRIES = 4
 
 #: Per-shard wall-clock deadline in seconds, measured from when the
-#: shard's future is first observed running; ``0`` (the default)
-#: disables it.  A blown deadline is treated as a pool failure — the
-#: hung worker cannot be cancelled, only its pool killed.
-DEFAULT_SHARD_DEADLINE = 0.0
-SHARD_DEADLINE_ENV = "REPRO_TRACE_SHARD_DEADLINE"
+#: shard's future is first observed running; ``0`` disables it.  A blown
+#: deadline is treated as a pool failure — the hung worker cannot be
+#: cancelled, only its pool killed.
+SHARD_DEADLINE_S = 0.0
 
 #: How many times the pool is rebuilt after breaking before generation
 #: degrades to the in-process walk for the remaining shards.
-DEFAULT_POOL_REBUILDS = 3
-POOL_REBUILDS_ENV = "REPRO_TRACE_POOL_REBUILDS"
+POOL_REBUILDS = 3
 
 #: Retry backoff: ``min(base * 2**(attempt-1), cap)`` seconds before a
 #: shard's re-submission — enough to let a transient (fd pressure, a
@@ -132,69 +128,9 @@ _CONTEXT_ARRAY_FIELDS = (
     "follower_counts",
 )
 
-#: BroadcastColumns array fields, in shard-file order.
-_COLUMN_FIELDS = (
-    "broadcast_id",
-    "broadcaster_id",
-    "start_time",
-    "duration_s",
-    "web_views",
-    "heart_count",
-    "comment_count",
-    "commenter_count",
-    "is_private",
-    "broadcaster_followers",
-    "viewer_indptr",
-    "viewer_ids",
-)
-
 #: Per-worker-process shard context (set by the pool initializer, or
 #: inherited from the parent on fork start methods).
 _WORKER_CONTEXT: Optional[ShardContext] = None
-
-
-# -- env knobs ----------------------------------------------------------
-
-
-def _env_int(name: str, default: int) -> int:
-    """An integer env knob; raises ``ValueError`` naming the variable."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {name}={raw!r}: expected an integer (default {default})"
-        ) from None
-
-
-def _env_float(name: str, default: float) -> float:
-    """A float env knob; raises ``ValueError`` naming the variable."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {name}={raw!r}: expected a number (default {default})"
-        ) from None
-
-
-def validate_environment() -> None:
-    """Fail fast on malformed generation env knobs.
-
-    Called at the top of :func:`generate_trace` so a typo'd
-    ``REPRO_TRACE_*`` variable errors out before the graph build, not
-    minutes into it.  Each check raises ``ValueError`` naming the
-    variable and the accepted values.
-    """
-    fault_plan_from_env()
-    _env_int(MIN_PER_WORKER_ENV, MIN_BROADCASTS_PER_WORKER)
-    _env_int(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES)
-    _env_float(SHARD_DEADLINE_ENV, DEFAULT_SHARD_DEADLINE)
-    _env_int(POOL_REBUILDS_ENV, DEFAULT_POOL_REBUILDS)
 
 
 # -- worker-side shard execution ---------------------------------------
@@ -234,7 +170,7 @@ def _write_shard(
     arrays = {
         f"{position:03d}/{field}": getattr(columns, field)
         for position, columns in enumerate(day_columns)
-        for field in _COLUMN_FIELDS
+        for field, _dtype in COLUMN_LAYOUT
     }
     temp = Path(out_dir) / f"{shard_filename(spec.shard_id)}.tmp{os.getpid()}"
     write_arrays(temp, arrays, meta={"n_days": len(day_columns)})
@@ -267,9 +203,8 @@ def effective_workers(config: TraceConfig, n_shards: int) -> int:
     workers = min(config.workers, n_shards)
     if workers <= 1:
         return 1
-    floor = _env_int(MIN_PER_WORKER_ENV, MIN_BROADCASTS_PER_WORKER)
     expected = config.growth.total_broadcasts() * config.scale
-    if expected < floor * workers:
+    if expected < MIN_BROADCASTS_PER_WORKER * workers:
         return 1
     return workers
 
@@ -308,18 +243,14 @@ def _run_shards_resilient(
     finished result goes to ``publish``.
 
     Individual task failures are retried with capped backoff up to
-    ``REPRO_TRACE_SHARD_RETRIES`` extra attempts.  Pool-level failures —
-    a ``BrokenProcessPool`` (crashed worker) or a shard blowing the
-    ``REPRO_TRACE_SHARD_DEADLINE`` clock — kill the pool, bump the
-    attempt count of every in-flight shard (their work died with the
-    pool), and rebuild; after ``REPRO_TRACE_POOL_REBUILDS`` rebuilds the
-    remaining shards run in-process instead.  None of this can change
-    the merged bytes: a re-run shard regenerates the exact same columns.
+    :data:`SHARD_RETRIES` extra attempts.  Pool-level failures — a
+    ``BrokenProcessPool`` (crashed worker) or a shard blowing the
+    :data:`SHARD_DEADLINE_S` clock — kill the pool, bump the attempt
+    count of every in-flight shard (their work died with the pool), and
+    rebuild; after :data:`POOL_REBUILDS` rebuilds the remaining shards
+    run in-process instead.  None of this can change the merged bytes: a
+    re-run shard regenerates the exact same columns.
     """
-    max_retries = _env_int(SHARD_RETRIES_ENV, DEFAULT_SHARD_RETRIES)
-    deadline = _env_float(SHARD_DEADLINE_ENV, DEFAULT_SHARD_DEADLINE)
-    rebuild_cap = _env_int(POOL_REBUILDS_ENV, DEFAULT_POOL_REBUILDS)
-
     retries_counter = registry.counter(
         "trace.shard_retries", "shard generation attempts retried"
     )
@@ -340,11 +271,10 @@ def _run_shards_resilient(
     def _charge(spec: ShardSpec, cause: BaseException | str) -> None:
         """Bill one failed attempt to ``spec``; error out past the budget."""
         attempts[spec.shard_id] += 1
-        if attempts[spec.shard_id] > max_retries:
+        if attempts[spec.shard_id] > SHARD_RETRIES:
             raise RuntimeError(
                 f"shard {spec.shard_id} failed after {attempts[spec.shard_id]} "
-                f"attempts (last failure: {cause}); raise {SHARD_RETRIES_ENV} "
-                "or inspect the worker logs"
+                f"attempts (last failure: {cause}); inspect the worker logs"
             ) from (cause if isinstance(cause, BaseException) else None)
         queue.append(spec)
 
@@ -368,7 +298,7 @@ def _run_shards_resilient(
             if not broken and inflight:
                 done, _ = wait(
                     set(inflight),
-                    timeout=_POLL_SECONDS if deadline else None,
+                    timeout=_POLL_SECONDS if SHARD_DEADLINE_S else None,
                     return_when=FIRST_COMPLETED,
                 )
                 now = time.perf_counter()
@@ -386,12 +316,12 @@ def _run_shards_resilient(
                     else:
                         retries_counter.inc()
                         _charge(spec, error)
-                if deadline and not broken:
+                if SHARD_DEADLINE_S and not broken:
                     for future in inflight:
                         if not future.running():
                             continue
                         started = running_since.setdefault(future, now)
-                        if now - started > deadline:
+                        if now - started > SHARD_DEADLINE_S:
                             hung = True
                     broken = hung
 
@@ -412,7 +342,7 @@ def _run_shards_resilient(
                     retries_counter.inc()
                     _charge(spec, "deadline exceeded" if hung else "worker crashed")
                 rebuilds += 1
-                if rebuilds > rebuild_cap:
+                if rebuilds > POOL_REBUILDS:
                     # The pool keeps dying — finish in-process, which no
                     # worker fault can touch.  Same bytes, no parallelism.
                     registry.counter(
@@ -629,12 +559,12 @@ def generate_trace(
 ) -> WorkloadTrace:
     """Generate (or load from cache) a full :class:`WorkloadTrace`.
 
-    The environment knobs are validated *first* (a garbage
-    ``REPRO_TRACE_*`` value fails here, not mid-run), then the dataset
-    cache is probed: a hit costs the read plus the cheap population
-    pools (their substream is independent of the graph's), and the
-    follow graph becomes a lazy attribute — built, or attached from the
-    graph cache, only if an analysis actually touches ``trace.graph``.
+    The fault plan is parsed *first* (a malformed ``REPRO_TRACE_FAULTS``
+    fails here, not mid-run), then the dataset cache is probed: a hit
+    costs the read plus the cheap population pools (their substream is
+    independent of the graph's), and the follow graph becomes a lazy
+    attribute — built, or attached from the graph cache, only if an
+    analysis actually touches ``trace.graph``.
     Only on a miss does the full precompute run.  ``cache_format`` picks
     the cache serialization (``"mmap"`` uncompressed mappable columns,
     the default, or ``"v2"`` gzipped columns); both store the identical
@@ -650,7 +580,7 @@ def generate_trace(
     explicit compression choice: the merged file stays in the run dir
     (or scratch) and ``put`` stores the compressed entry.
     """
-    validate_environment()
+    fault_plan_from_env()
 
     cache = None
     dataset: Optional[BroadcastDataset] = None

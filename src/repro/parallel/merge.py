@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from pathlib import Path
-from typing import BinaryIO, Sequence, Union
+from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.crawler.arrayfile import ArrayEntry, ArrayFileWriter, read_array_inde
 from repro.crawler.dataset import BroadcastDataset
 from repro.crawler.storage import (
     COLUMN_LAYOUT,
+    column_length,
     load_dataset_mapped,
     mapped_dataset_meta,
 )
@@ -79,26 +80,31 @@ def _shard_day_entries(
     return entries
 
 
-def _copy_window(
-    writer: ArrayFileWriter,
-    field: str,
-    handle: BinaryIO,
-    entry: ArrayEntry,
-    start: int = 0,
-) -> None:
-    """Copy ``entry``'s elements from ``start`` on, in bounded windows."""
+def _windows(handle: BinaryIO, entry: ArrayEntry) -> Iterator[np.ndarray]:
+    """``entry``'s elements as bounded, non-empty windows, in order."""
     itemsize = entry.dtype.itemsize
     window = max(itemsize, STREAM_CHUNK_BYTES // itemsize * itemsize)
-    offset = entry.offset + start * itemsize
-    remaining = entry.nbytes - start * itemsize
-    handle.seek(offset)
+    handle.seek(entry.offset)
+    remaining = entry.nbytes
     while remaining > 0:
         take = min(window, remaining)
         buffer = handle.read(take)
         if len(buffer) != take:
             raise ValueError(f"shard array {entry.name!r} truncated mid-copy")
-        writer.append(field, np.frombuffer(buffer, dtype=entry.dtype))
+        yield np.frombuffer(buffer, dtype=entry.dtype)
         remaining -= take
+
+
+def _check_ascending(entry: ArrayEntry, values: np.ndarray, floor: float) -> float:
+    """The window's last value, once ``values`` are checked never to fall
+    below ``floor`` (the previous window's last value) or to decrease."""
+    if values[0] < floor or np.any(values[1:] < values[:-1]):
+        raise ValueError(
+            f"{entry.name!r} is not sorted across shard day ranges; the "
+            "sequential streaming merge requires sorted day shards "
+            "(generator invariant violated)"
+        )
+    return float(values[-1])
 
 
 def _append_ranges(writer: ArrayFileWriter, field: str, start: int, count: int) -> None:
@@ -116,7 +122,6 @@ def stream_merge_shards(
     config: TraceConfig,
     shard_paths: Sequence[PathLike],
     out_path: PathLike,
-    verify_order: bool = True,
 ) -> BroadcastDataset:
     """Merge shard files into one ``mmap``-format dataset file, out of core.
 
@@ -126,11 +131,11 @@ def stream_merge_shards(
     ``np.memmap`` views (valid even if ``out_path`` is later unlinked, so
     scratch-directory merges work).
 
-    ``verify_order`` cross-checks the sortedness invariant the sequential
-    merge rests on (non-decreasing ``start_time`` across every window
-    boundary) while the bytes stream past — it costs nothing extra to
-    read and turns a violated generator invariant into a hard error
-    instead of a silently mis-sorted dataset.
+    The copy cross-checks the sortedness invariant the sequential merge
+    rests on (non-decreasing ``start_time`` across every window boundary)
+    while the bytes stream past — it costs nothing extra to read and
+    turns a violated generator invariant into a hard error instead of a
+    silently mis-sorted dataset.
     """
     paths = [Path(path) for path in shard_paths]
     if not paths:
@@ -157,16 +162,12 @@ def stream_merge_shards(
             f"{config.growth.days}; pass every shard of the run in order"
         )
 
-    def column_length(field: str) -> int:
-        if field == "viewer_indptr":
-            return total_rows + 1
-        if field == "viewer_ids":
-            return total_viewers
-        return total_rows
-
     writer = ArrayFileWriter(
         out_path,
-        [(field, dtype, (column_length(field),)) for field, dtype in COLUMN_LAYOUT],
+        [
+            (field, dtype, (column_length(field, total_rows, total_viewers),))
+            for field, dtype in COLUMN_LAYOUT
+        ],
         meta=mapped_dataset_meta(
             config.app_name, config.growth.days, total_rows, total_viewers
         ),
@@ -192,62 +193,19 @@ def stream_merge_shards(
                             # Day-local CSR offsets, shifted by the viewers
                             # already merged; the day's own leading 0 is
                             # dropped (the global column has exactly one).
-                            day_indptr = np.frombuffer(
-                                _read_entry(handle, entry), dtype=entry.dtype
-                            )
+                            # One day's offsets are bounded by its row count.
+                            day_indptr = np.concatenate(list(_windows(handle, entry)))
                             writer.append(field, day_indptr[1:] + np.int64(viewer_base))
                             viewer_base += int(day_indptr[-1])
-                        elif field == "start_time" and verify_order:
-                            last_start_time = _copy_verifying_order(
-                                writer, field, handle, entry, last_start_time
-                            )
-                        else:
-                            _copy_window(writer, field, handle, entry)
+                            continue
+                        for values in _windows(handle, entry):
+                            if field == "start_time":
+                                last_start_time = _check_ascending(
+                                    entry, values, last_start_time
+                                )
+                            writer.append(field, values)
         merged_path = writer.finalize()
     except BaseException:
         writer.abort()
         raise
     return load_dataset_mapped(merged_path)
-
-
-def _read_entry(handle: BinaryIO, entry: ArrayEntry) -> bytes:
-    """Read one whole array block (used for per-day ``viewer_indptr``,
-    whose size is bounded by a single day's row count)."""
-    handle.seek(entry.offset)
-    buffer = handle.read(entry.nbytes)
-    if len(buffer) != entry.nbytes:
-        raise ValueError(f"shard array {entry.name!r} truncated mid-copy")
-    return buffer
-
-
-def _copy_verifying_order(
-    writer: ArrayFileWriter,
-    field: str,
-    handle: BinaryIO,
-    entry: ArrayEntry,
-    last_value: float,
-) -> float:
-    """Copy a float64 block in windows, checking it never decreases."""
-    itemsize = entry.dtype.itemsize
-    window = max(itemsize, STREAM_CHUNK_BYTES // itemsize * itemsize)
-    handle.seek(entry.offset)
-    remaining = entry.nbytes
-    while remaining > 0:
-        take = min(window, remaining)
-        buffer = handle.read(take)
-        if len(buffer) != take:
-            raise ValueError(f"shard array {entry.name!r} truncated mid-copy")
-        values = np.frombuffer(buffer, dtype=entry.dtype)
-        if len(values) and (
-            values[0] < last_value or np.any(values[1:] < values[:-1])
-        ):
-            raise ValueError(
-                f"{entry.name!r} is not sorted across shard day ranges; "
-                "the sequential streaming merge requires sorted day shards "
-                "(generator invariant violated)"
-            )
-        writer.append(field, values)
-        if len(values):
-            last_value = float(values[-1])
-        remaining -= take
-    return last_value

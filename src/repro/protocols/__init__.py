@@ -19,7 +19,7 @@ from repro.protocols.rtmp import (
     RtmpParseError,
     parse_rtmp_packet,
 )
-from repro.protocols.hls import Chunklist, ChunklistEntry, HlsPollSchedule
+from repro.protocols.hls import Chunklist, ChunklistEntry
 from repro.protocols.m3u8 import (
     M3u8ParseError,
     MediaPlaylist,
@@ -40,7 +40,6 @@ __all__ = [
     "parse_rtmp_packet",
     "Chunklist",
     "ChunklistEntry",
-    "HlsPollSchedule",
     "MediaPlaylist",
     "render_chunklist",
     "parse_playlist",

@@ -1,4 +1,4 @@
-"""HLS chunklists and polling schedules.
+"""HLS chunklists.
 
 HLS viewers periodically fetch a *chunklist* (playlist) naming the chunks
 available for download, then fetch new chunks (§4.1).  The delay cost of
@@ -9,9 +9,7 @@ scalability-versus-latency trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -63,46 +61,3 @@ class Chunklist:
         clone.entries = list(self.entries)
         clone.version = self.version
         return clone
-
-
-@dataclass
-class HlsPollSchedule:
-    """A viewer's periodic chunklist polling.
-
-    Periscope clients poll every 2–2.8 s (§5.2); the crawler polls every
-    0.1 s.  The schedule exposes an iterator of poll times given a start
-    phase, with optional per-poll jitter.
-    """
-
-    interval_s: float
-    start_time: float = 0.0
-    jitter_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError("interval must be positive")
-        if self.jitter_s < 0:
-            raise ValueError("jitter must be non-negative")
-
-    def poll_times(
-        self,
-        until: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Iterator[float]:
-        """Yield poll times in ``[start_time, until]``."""
-        if self.jitter_s > 0 and rng is None:
-            raise ValueError("jitter requires an RNG")
-        time = self.start_time
-        while time <= until:
-            yield time
-            step = self.interval_s
-            if self.jitter_s > 0 and rng is not None:
-                step = max(0.01, step + float(rng.uniform(-self.jitter_s, self.jitter_s)))
-            time += step
-
-    def first_poll_at_or_after(self, time: float) -> float:
-        """First deterministic poll time >= ``time`` (jitter ignored)."""
-        if time <= self.start_time:
-            return self.start_time
-        periods = int(np.ceil((time - self.start_time) / self.interval_s))
-        return self.start_time + periods * self.interval_s

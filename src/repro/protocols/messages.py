@@ -66,10 +66,6 @@ class MessageChannel:
     def unsubscribe(self, subscriber_id: int) -> None:
         self._subscriptions.pop(subscriber_id, None)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscriptions)
-
     def delivery_latency(self, rng: np.random.Generator) -> float:
         return self.base_latency_s * float(rng.lognormal(0.0, self.jitter_sigma))
 

@@ -169,11 +169,6 @@ class ServiceFrontend:
         """Requests waiting for a worker (excludes the in-flight ones)."""
         return len(self._queue)
 
-    @property
-    def in_flight(self) -> int:
-        """Requests currently executing on a worker."""
-        return self._busy
-
     # -- submission -------------------------------------------------------
 
     def submit(

@@ -14,7 +14,7 @@ from repro.workload.growth import (
     weekday_of_day,
 )
 from repro.workload.arrivals import daily_arrival_times, DIURNAL_WEIGHTS
-from repro.workload.broadcast_model import BroadcastParams, BroadcastParamsModel
+from repro.workload.broadcast_model import BroadcastParamsModel
 from repro.workload.viewers import ViewerArrivalModel
 from repro.workload.trace import (
     ShardContext,
@@ -33,7 +33,6 @@ __all__ = [
     "weekday_of_day",
     "daily_arrival_times",
     "DIURNAL_WEIGHTS",
-    "BroadcastParams",
     "BroadcastParamsModel",
     "ViewerArrivalModel",
     "ShardContext",

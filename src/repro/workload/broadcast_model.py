@@ -24,23 +24,15 @@ import numpy as np
 from repro.simulation.distributions import bounded_pareto, lognormal_from_median
 
 
-@dataclass(frozen=True)
-class BroadcastParams:
-    """Sampled characteristics of one broadcast."""
-
-    duration_s: float
-    audience_size: int  # total views (mobile + web)
-    web_views: int
-    heart_count: int
-    comment_count: int
-    commenter_count: int
-    is_private: bool
-    excitement: float
-
-
 @dataclass
 class BroadcastParamsModel:
-    """Samples :class:`BroadcastParams` for one application profile."""
+    """Samples per-broadcast parameters for one application profile.
+
+    Every sampler draws a whole batch in a fixed sequence of vectorized
+    rng calls, so the draw schedule is a pure function of the batch size
+    — the property the per-day substreams rely on for schedule-independent
+    output.
+    """
 
     # Duration: 85% under 600 s.  Periscope sigma 1.0 -> median ~213 s;
     # Meerkat sigma 1.5 (more skewed) -> median ~127 s.
@@ -68,73 +60,6 @@ class BroadcastParamsModel:
     comments_per_commenter_mean: float = 2.5
     comment_cap: int = 100
 
-    private_prob: float = 0.02
-
-    def sample_duration(self, rng: np.random.Generator) -> float:
-        raw = float(lognormal_from_median(rng, self.duration_median_s, self.duration_sigma))
-        return float(np.clip(raw, self.min_duration_s, self.max_duration_s))
-
-    def sample_audience(self, rng: np.random.Generator) -> int:
-        if rng.random() < self.zero_viewer_prob:
-            return 0
-        # The viral tail only exists when the cap leaves room above its
-        # floor (tiny-scale runs clamp the cap below viral_min).
-        viral_possible = self.audience_cap > self.viral_min
-        if viral_possible and rng.random() < self.viral_prob:
-            size = float(
-                bounded_pareto(
-                    rng, self.viral_alpha, self.viral_min, float(self.audience_cap)
-                )
-            )
-        else:
-            size = float(lognormal_from_median(rng, self.audience_median, self.audience_sigma))
-        return int(np.clip(round(size), 1, self.audience_cap))
-
-    def sample_engagement(
-        self,
-        audience: int,
-        mobile_views: int,
-        excitement: float,
-        rng: np.random.Generator,
-    ) -> tuple[int, int, int]:
-        """(hearts, comments, distinct commenters) for a given audience.
-
-        Hearts scale with total views; comments only come from mobile
-        viewers and are throttled by the distinct-commenter cap.
-        """
-        if audience:
-            hearts_per_view = float(
-                lognormal_from_median(
-                    rng, self.hearts_per_view_median * excitement, self.hearts_per_view_sigma
-                )
-            )
-            heart_count = int(rng.poisson(audience * hearts_per_view))
-        else:
-            heart_count = 0
-
-        # Comments: capped at comment_cap distinct commenters, each
-        # posting 1 + Poisson(mean) messages.
-        eligible = min(mobile_views, self.comment_cap)
-        if eligible:
-            commenters = int(
-                rng.binomial(eligible, min(1.0, self.comment_prob_per_viewer * excitement))
-            )
-        else:
-            commenters = 0
-        if commenters:
-            comment_count = commenters + int(
-                rng.poisson(commenters * self.comments_per_commenter_mean * excitement)
-            )
-        else:
-            comment_count = 0
-        return heart_count, comment_count, commenters
-
-    # -- batched sampling (columnar fast path) -------------------------
-    #
-    # Each method makes a fixed sequence of vectorized rng calls, so the
-    # draw schedule is a pure function of the batch size — the property
-    # the per-day substreams rely on for schedule-independent output.
-
     def sample_durations(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` durations in one vectorized draw."""
         raw = lognormal_from_median(
@@ -145,11 +70,12 @@ class BroadcastParamsModel:
     def sample_audiences(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` audience sizes; draws body and viral tail as batches.
 
-        Unlike the scalar path, the zero/viral/body draws happen for every
-        broadcast and the masks select afterwards — same distribution,
-        fixed draw count.
+        The zero/viral/body draws happen for every broadcast and masks
+        select afterwards, so the draw count is fixed.
         """
         zero_roll = rng.random(size)
+        # The viral tail only exists when the cap leaves room above its
+        # floor (tiny-scale runs clamp the cap below viral_min).
         viral_possible = self.audience_cap > self.viral_min
         if viral_possible:
             viral_roll = rng.random(size)
@@ -194,29 +120,6 @@ class BroadcastParamsModel:
             heart_count.astype(np.int64),
             comment_count.astype(np.int64),
             commenters.astype(np.int64),
-        )
-
-    def sample(self, rng: np.random.Generator) -> BroadcastParams:
-        """Sample one broadcast's full parameter set."""
-        duration = self.sample_duration(rng)
-        audience = self.sample_audience(rng)
-        excitement = float(rng.lognormal(mean=0.0, sigma=0.6))
-
-        web_views = int(rng.binomial(audience, self.web_view_fraction)) if audience else 0
-        mobile_views = audience - web_views
-        heart_count, comment_count, commenters = self.sample_engagement(
-            audience, mobile_views, excitement, rng
-        )
-
-        return BroadcastParams(
-            duration_s=duration,
-            audience_size=audience,
-            web_views=web_views,
-            heart_count=heart_count,
-            comment_count=comment_count,
-            commenter_count=commenters,
-            is_private=bool(rng.random() < self.private_prob),
-            excitement=excitement,
         )
 
     @classmethod

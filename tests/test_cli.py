@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import warnings
 
 import pytest
 
 import repro.cli
 from repro.cli import build_parser, main
-from repro.experiments.registry import list_experiments, run_experiment
+from repro.experiments.registry import get_experiment, list_experiments, run_experiment
 
 
 class TestCli:
@@ -96,6 +97,19 @@ class TestCli:
             "fig11": {"seed": 7},
             "fig14": {},
         }
+
+    def test_seed_reaches_every_runner_that_takes_one(self, capsys):
+        args = build_parser().parse_args(["--seed", "3"])
+        seeded = [
+            experiment_id
+            for experiment_id in list_experiments()
+            if "seed" in inspect.signature(get_experiment(experiment_id).runner).parameters
+        ]
+        assert "fig10" in seeded
+        for experiment_id in seeded:
+            assert repro.cli._kwargs_for(experiment_id, args).get("seed") == 3, experiment_id
+        assert main(["fig10", "--seed", "3"]) == 0
+        assert run_experiment("fig10", seed=3).text in capsys.readouterr().out
 
     def test_out_flag_tees_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
@@ -204,10 +218,10 @@ class TestTraceTarget:
         assert "Traceback" not in err
 
     def test_trace_bad_env_knob_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "many")
+        monkeypatch.setenv("REPRO_TRACE_FAULTS", "kaboom@shard=1")
         assert main(["trace", "--scale", "0.0001", "--seed", "4"]) == 2
         err = capsys.readouterr().err
-        assert "REPRO_TRACE_SHARD_RETRIES" in err
+        assert "REPRO_TRACE_FAULTS" in err
         assert "Traceback" not in err
 
     def test_trace_keyboard_interrupt_exits_130_with_resume_hint(

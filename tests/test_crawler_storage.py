@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -528,14 +529,18 @@ class TestTraceStorage:
         save_traces(doctored, path)
         assert load_traces(path)[0].broadcast_id == big_id
 
-    def test_legacy_bundle_without_id_array_still_loads(self, small_traces, tmp_path):
-        """Bundles from before the int64 ID array fall back to meta[:, 0]."""
+    def test_legacy_bundle_without_id_array_is_rejected(self, small_traces, tmp_path):
+        """A bundle missing the int64 ID array, or carrying the old
+        four-column ``meta`` (a float64 ID in column 0), is refused."""
         path = tmp_path / "traces.npz"
         save_traces(list(small_traces), path)
         with np.load(path) as bundle:
-            legacy = {k: bundle[k] for k in bundle.files if k != "broadcast_ids"}
-        np.savez_compressed(path, **legacy)
-        loaded = load_traces(path)
-        assert [t.broadcast_id for t in loaded] == [
-            t.broadcast_id for t in small_traces
-        ]
+            arrays = {k: bundle[k] for k in bundle.files}
+        ids = arrays.pop("broadcast_ids")
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trace bundle has no")):
+            load_traces(path)
+        legacy_meta = np.hstack([ids.astype(np.float64)[:, None], arrays["meta"]])
+        np.savez_compressed(path, **{**arrays, "meta": legacy_meta, "broadcast_ids": ids})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trace bundle meta has")):
+            load_traces(path)

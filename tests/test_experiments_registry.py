@@ -3,6 +3,9 @@ table/figure at reduced scale, asserting each one's headline claim."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,14 @@ class TestRegistry:
         registered = get_experiment("fig11")
         assert "delay breakdown" in registered.title.lower()
         assert registered.paper_expectation
+
+    def test_titles_come_from_the_registration(self):
+        result = repro.run_experiment("fig18")
+        assert (result.experiment_id, result.title) == ("fig18", get_experiment("fig18").title)
+        experiments_md = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        headings = re.findall(r"^## (.*)$", experiments_md.read_text("utf-8"), re.M)
+        titles = [get_experiment(e).title for e in repro.list_experiments()]
+        assert sorted(headings) == sorted(titles)
 
 
 class TestTraceExperiments:

@@ -36,7 +36,6 @@ def _link(seed: int, sigma: float, windows: list[tuple[float, float]]) -> LastMi
         base_delay_s=0.06,
         jitter_sigma=sigma,
         outages=OutageSchedule(windows),
-        serialization_s_per_kb=0.002,
     )
 
 

@@ -25,10 +25,9 @@ from repro.parallel import (
     parse_fault_plan,
     plan_shards,
     read_manifest,
-    validate_environment,
 )
+from repro.parallel import generate as generate_module
 from repro.parallel.faults import FAULTS_ENV, fault_plan_from_env, inject_persist_fault
-from repro.parallel.generate import effective_workers
 from repro.workload.trace import TraceConfig
 
 SCALE = 0.0001
@@ -101,36 +100,16 @@ class TestFaultPlanParsing:
 
 
 class TestEnvValidation:
-    def test_min_per_worker_garbage_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MIN_PER_WORKER", "lots")
-        with pytest.raises(ValueError, match="REPRO_TRACE_MIN_PER_WORKER"):
-            validate_environment()
-        with pytest.raises(ValueError, match="REPRO_TRACE_MIN_PER_WORKER"):
-            effective_workers(_config(), 4)
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("REPRO_TRACE_SHARD_RETRIES", "many"),
-            ("REPRO_TRACE_SHARD_DEADLINE", "soonish"),
-            ("REPRO_TRACE_POOL_REBUILDS", "2.5"),
-        ],
-    )
-    def test_resilience_knob_garbage_names_variable(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=name):
-            validate_environment()
-
     def test_env_checked_before_any_precompute(self, monkeypatch):
-        """A bad knob fails generate_trace up front, not after the graph build."""
-        import repro.parallel.generate as generate_module
+        """A malformed fault plan fails generate_trace up front, not after
+        the graph build."""
 
         def poisoned(config):
             raise AssertionError("graph build ran before env validation")
 
         monkeypatch.setattr(generate_module, "build_follow_graph", poisoned)
-        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "many")
-        with pytest.raises(ValueError, match="REPRO_TRACE_SHARD_RETRIES"):
+        monkeypatch.setenv(FAULTS_ENV, "kaboom@shard=1")
+        with pytest.raises(ValueError, match=FAULTS_ENV):
             generate_trace(_config())
 
 
@@ -227,7 +206,7 @@ class TestCrashRecovery:
 
     @pytest.fixture(autouse=True)
     def _force_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
+        monkeypatch.setattr(generate_module, "MIN_BROADCASTS_PER_WORKER", 0)
 
     def test_killed_worker_recovered_byte_identical(
         self, reference_bytes, monkeypatch, tmp_path
@@ -251,14 +230,14 @@ class TestCrashRecovery:
 
     def test_hung_worker_killed_at_deadline(self, reference_bytes, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "hang@shard=1")
-        monkeypatch.setenv("REPRO_TRACE_SHARD_DEADLINE", "0.75")
+        monkeypatch.setattr(generate_module, "SHARD_DEADLINE_S", 0.75)
         registry = MetricsRegistry()
         assert _generate_bytes(_config(), registry) == reference_bytes
         assert _counter(registry, "trace.worker_failures") >= 1
 
     def test_retry_exhaustion_raises_with_shard_id(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "fail@shard=1&attempt=*")
-        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "1")
+        monkeypatch.setattr(generate_module, "SHARD_RETRIES", 1)
         with pytest.raises(RuntimeError, match="shard 1 failed after 2 attempts"):
             _generate_bytes(_config())
 
@@ -268,7 +247,7 @@ class TestCrashRecovery:
         """Worker faults cannot reach the in-process fallback, so even a
         pool that dies on every attempt still completes — identically."""
         monkeypatch.setenv(FAULTS_ENV, "kill-worker@shard=*&attempt=*")
-        monkeypatch.setenv("REPRO_TRACE_POOL_REBUILDS", "2")
+        monkeypatch.setattr(generate_module, "POOL_REBUILDS", 2)
         registry = MetricsRegistry()
         assert _generate_bytes(_config(), registry) == reference_bytes
         assert _counter(registry, "trace.pool_rebuilds") == 2
@@ -289,19 +268,15 @@ class TestResume:
     ):
         """Resume provably skips done shards: their day generation is
         poisoned for the second run, which must still succeed."""
-        import repro.parallel.generate as generate_module
-
         run_dir = tmp_path / "run"
         # First run dies once shard 3 exhausts its (zero-retry) budget;
         # whatever finished before that is checkpointed.
-        monkeypatch.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
+        monkeypatch.setattr(generate_module, "MIN_BROADCASTS_PER_WORKER", 0)
         monkeypatch.setenv(FAULTS_ENV, "fail@shard=3&attempt=*")
-        monkeypatch.setenv("REPRO_TRACE_SHARD_RETRIES", "0")
+        monkeypatch.setattr(generate_module, "SHARD_RETRIES", 0)
         with pytest.raises(RuntimeError, match="shard 3 failed"):
             _generate_bytes(_config(), run_dir=run_dir)
-        monkeypatch.delenv(FAULTS_ENV)
-        monkeypatch.delenv("REPRO_TRACE_SHARD_RETRIES")
-        monkeypatch.delenv("REPRO_TRACE_MIN_PER_WORKER")  # resume in-process
+        monkeypatch.undo()  # no faults, default retries, resume in-process
 
         manifest = read_manifest(run_dir)
         done = set(manifest["done"])

@@ -8,7 +8,7 @@ import pytest
 from repro.cdn.wowza import WowzaIngest
 from repro.geo.datacenters import WOWZA_DATACENTERS
 from repro.protocols.frames import Chunk, VideoFrame
-from repro.protocols.hls import Chunklist, HlsPollSchedule
+from repro.protocols.hls import Chunklist
 from repro.protocols.messages import MessageChannel, MessageKind, StreamMessage
 from repro.protocols.rtmps import RtmpsCostModel
 from repro.simulation.engine import Simulator
@@ -124,34 +124,6 @@ class TestChunklist:
         chunklist.append(1, 3.0, now=1.0)
         assert clone.latest_index == 0
         assert clone.version == 1
-
-
-class TestPollSchedule:
-    def test_poll_times_deterministic(self):
-        schedule = HlsPollSchedule(interval_s=2.0, start_time=1.0)
-        assert list(schedule.poll_times(until=7.0)) == [1.0, 3.0, 5.0, 7.0]
-
-    def test_first_poll_at_or_after(self):
-        schedule = HlsPollSchedule(interval_s=2.0, start_time=1.0)
-        assert schedule.first_poll_at_or_after(0.0) == 1.0
-        assert schedule.first_poll_at_or_after(3.5) == 5.0
-        assert schedule.first_poll_at_or_after(5.0) == 5.0
-
-    def test_jitter_requires_rng(self):
-        schedule = HlsPollSchedule(interval_s=2.0, jitter_s=0.2)
-        with pytest.raises(ValueError):
-            list(schedule.poll_times(until=10.0))
-
-    def test_jittered_polls_stay_positive_steps(self):
-        schedule = HlsPollSchedule(interval_s=1.0, jitter_s=0.5)
-        times = list(schedule.poll_times(until=20.0, rng=np.random.default_rng(0)))
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HlsPollSchedule(interval_s=0.0)
-        with pytest.raises(ValueError):
-            HlsPollSchedule(interval_s=1.0, jitter_s=-0.1)
 
 
 class TestMessageChannel:

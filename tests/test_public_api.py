@@ -9,6 +9,7 @@ package re-export survives.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 
@@ -74,6 +75,10 @@ GONE_EXPORTS = {
     "repro.crawler": ["TokenBucket", "RateLimitExceeded"],
     # One follow-graph representation: the CSR ``CompiledGraph``.
     "repro.social": ["FollowGraph", "AnyFollowGraph", "generate_follow_graph_compiled"],
+    # Forks and helpers no caller reached.
+    "repro.workload": ["BroadcastParams"],
+    "repro.protocols": ["HlsPollSchedule"],
+    "repro.parallel": ["validate_environment"],
 }
 
 #: Second copies deleted outright, with no alias left: module -> names.
@@ -82,7 +87,52 @@ GONE_ATTRIBUTES = {
     "repro.social.generation": ["generate_follow_graph_compiled"],
     "repro.social.metrics": ["_compiled"],
     "repro.service.store": ["DEFAULT_N_SHARDS"],
+    "repro.workload.broadcast_model": ["BroadcastParams"],
+    "repro.protocols.hls": ["HlsPollSchedule"],
+    "repro.parallel.generate": [
+        "validate_environment",
+        "MIN_PER_WORKER_ENV",
+        "SHARD_RETRIES_ENV",
+        "SHARD_DEADLINE_ENV",
+        "POOL_REBUILDS_ENV",
+        "_COLUMN_FIELDS",
+    ],
+    "repro.overlay.tree": ["nearest_pop"],
+    "repro.lint.sanitizer": ["active_sanitizer_note"],
 }
+
+#: Methods, properties and fields deleted from a class: "module:Class" -> names.
+GONE_MEMBERS = {
+    "repro.workload.broadcast_model:BroadcastParamsModel": [
+        "sample",
+        "sample_duration",
+        "sample_audience",
+        "sample_engagement",
+        "private_prob",
+    ],
+    "repro.client.network:LastMileLink": ["serialization_s_per_kb"],
+    "repro.client.viewer_client:HlsViewerClient": ["chunk_kb"],
+    "repro.parallel.checkpoint:RunCheckpoint": ["is_done", "total_shards"],
+    "repro.cdn.fastly:FastlyEdge": ["breaker_for"],
+    "repro.service.frontend:ServiceFrontend": ["in_flight"],
+    "repro.overlay.tree:ForwardingNode": ["is_leaf", "path_to_root"],
+    "repro.protocols.messages:MessageChannel": ["subscriber_count"],
+    "repro.experiments.registry:ExperimentResult": ["paper_expectation"],
+}
+
+#: Parameters deleted from a callable: "module:qualified.name" -> names.
+GONE_PARAMETERS = {
+    "repro.client.network:LastMileLink.send": ["size_kb"],
+    "repro.parallel.merge:stream_merge_shards": ["verify_order"],
+}
+
+
+def _resolve(target: str):
+    module_name, _, path = target.partition(":")
+    obj = importlib.import_module(module_name)
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
 
 
 class TestPublicApi:
@@ -151,3 +201,18 @@ class TestPublicApi:
         module = importlib.import_module(module_name)
         for name in GONE_ATTRIBUTES[module_name]:
             assert not hasattr(module, name), f"{module_name}.{name}"
+
+    @pytest.mark.parametrize("owner", sorted(GONE_MEMBERS))
+    def test_deleted_members_are_gone(self, owner):
+        cls = _resolve(owner)
+        for name in GONE_MEMBERS[owner]:
+            assert not hasattr(cls, name), f"{owner}.{name}"
+        if dataclasses.is_dataclass(cls):
+            fields = {field.name for field in dataclasses.fields(cls)}
+            assert not fields & set(GONE_MEMBERS[owner]), owner
+
+    @pytest.mark.parametrize("target", sorted(GONE_PARAMETERS))
+    def test_deleted_parameters_are_gone(self, target):
+        parameters = inspect.signature(_resolve(target)).parameters
+        for name in GONE_PARAMETERS[target]:
+            assert name not in parameters, f"{target}({name}=)"

@@ -21,7 +21,8 @@ from repro.crawler.arrayfile import ArrayFileWriter
 from repro.crawler.dataset import BroadcastColumns, BroadcastDataset
 from repro.crawler.storage import DatasetCache, save_dataset_mapped
 from repro.obs import MetricsRegistry, peak_rss_mb
-from repro.parallel import generate_trace
+from repro.parallel import generate as generate_module
+from repro.parallel import generate_trace, stream_merge_shards
 from repro.workload.trace import (
     TraceConfig,
     assemble_dataset_columns,
@@ -37,7 +38,7 @@ SEED = 17
 def _force_pool():
     """Let tiny workloads actually use worker pools (and nothing else)."""
     patcher = pytest.MonkeyPatch()
-    patcher.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
+    patcher.setattr(generate_module, "MIN_BROADCASTS_PER_WORKER", 0)
     yield
     patcher.undo()
 
@@ -134,6 +135,17 @@ def test_zero_row_day_shards_merge_identically(tmp_path):
     generate_trace(config, run_dir=tmp_path / "run")
     expected = _mapped_bytes(memory, tmp_path / "oracle.cols")
     assert (tmp_path / "run" / "merged.cols").read_bytes() == expected
+
+
+def test_shards_out_of_day_order_rejected(tmp_path):
+    """The copy checks ``start_time`` order as it streams: shards handed
+    over out of day order raise, and nothing is published."""
+    config = _config(shards=4)
+    generate_trace(config, run_dir=tmp_path / "run")
+    shards = sorted((tmp_path / "run").glob("shard-*.arrays"))
+    with pytest.raises(ValueError, match="not sorted across shard day ranges"):
+        stream_merge_shards(config, shards[::-1], tmp_path / "merged.cols")
+    assert not list(tmp_path.glob("merged.cols*"))
 
 
 def test_concat_of_no_batches():

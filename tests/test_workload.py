@@ -108,42 +108,51 @@ class TestDailyArrivals:
 
 
 class TestBroadcastParamsModel:
+    """Calibration of the batched samplers :func:`generate_day_columns` calls."""
+
+    @staticmethod
+    def _engagements(model: BroadcastParamsModel, rng, size: int):
+        """One batch of audiences, web views and engagement, drawn in the
+        order :func:`~repro.workload.trace.generate_day_columns` draws them."""
+        audience = model.sample_audiences(rng, size)
+        excitement = rng.lognormal(mean=0.0, sigma=0.6, size=size)
+        web_views = rng.binomial(audience, model.web_view_fraction)
+        hearts, comments, commenters = model.sample_engagements(
+            rng, audience, audience - web_views, excitement
+        )
+        return audience, web_views, hearts, comments, commenters
+
     def test_durations_85pct_under_10min(self, rng):
         model = BroadcastParamsModel.for_periscope()
-        durations = [model.sample_duration(rng) for _ in range(5000)]
-        fraction = np.mean(np.array(durations) < 600.0)
+        fraction = np.mean(model.sample_durations(rng, 5000) < 600.0)
         assert fraction == pytest.approx(0.85, abs=0.04)
 
     def test_meerkat_zero_viewers(self, rng):
         model = BroadcastParamsModel.for_meerkat()
-        zero = np.mean([model.sample_audience(rng) == 0 for _ in range(5000)])
+        zero = np.mean(model.sample_audiences(rng, 5000) == 0)
         assert zero == pytest.approx(0.60, abs=0.04)
 
     def test_periscope_audience_mean(self, rng):
         model = BroadcastParamsModel.for_periscope()
-        sizes = [model.sample_audience(rng) for _ in range(20_000)]
+        sizes = model.sample_audiences(rng, 20_000)
         # Target ~30 organic (follower joins add the rest toward 36).
         assert 20 < np.mean(sizes) < 55
 
     def test_audience_capped(self, rng):
         model = BroadcastParamsModel.for_periscope(audience_cap=500)
-        assert max(model.sample_audience(rng) for _ in range(2000)) <= 500
+        assert model.sample_audiences(rng, 2000).max() <= 500
 
     def test_comment_cap_enforced_in_samples(self, rng):
         model = BroadcastParamsModel.for_periscope()
-        for _ in range(500):
-            params = model.sample(rng)
-            assert params.commenter_count <= model.comment_cap
-            if params.commenter_count == 0:
-                assert params.comment_count == 0
-            else:
-                assert params.comment_count >= params.commenter_count
+        _, _, _, comments, commenters = self._engagements(model, rng, 500)
+        assert commenters.max() <= model.comment_cap
+        assert np.all(comments[commenters == 0] == 0)
+        assert np.all(comments >= commenters)
 
     def test_web_views_subset_of_audience(self, rng):
         model = BroadcastParamsModel.for_periscope()
-        for _ in range(200):
-            params = model.sample(rng)
-            assert 0 <= params.web_views <= params.audience_size
+        audience, web_views, _, _, _ = self._engagements(model, rng, 200)
+        assert np.all((0 <= web_views) & (web_views <= audience))
 
     def test_duration_quantile_analytic(self):
         model = BroadcastParamsModel.for_periscope()
@@ -156,11 +165,12 @@ class TestBroadcastParamsModel:
     def test_sampled_params_always_consistent(self, seed):
         rng = np.random.default_rng(seed)
         model = BroadcastParamsModel.for_periscope()
-        params = model.sample(rng)
-        assert params.duration_s >= model.min_duration_s
-        assert params.audience_size >= 0
-        assert params.heart_count >= 0
-        assert params.comment_count >= params.commenter_count >= 0
+        durations = model.sample_durations(rng, 50)
+        audience, _, hearts, comments, commenters = self._engagements(model, rng, 50)
+        assert np.all(durations >= model.min_duration_s)
+        assert np.all(audience >= 0)
+        assert np.all(hearts >= 0)
+        assert np.all(comments >= commenters) and np.all(commenters >= 0)
 
 
 class TestViewerArrivals:

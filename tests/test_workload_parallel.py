@@ -22,6 +22,7 @@ from repro.parallel import (
     generate_trace,
     plan_shards,
 )
+from repro.parallel import generate as generate_module
 from repro.workload.trace import (
     FULL_SCALE_OPEN_RATE,
     SMALL_SCALE_OPEN_RATE_CAP,
@@ -43,7 +44,7 @@ def _force_pool(monkeypatch):
     determinism suite must exercise the real process pool; fallback
     behaviour has its own tests below.
     """
-    monkeypatch.setenv("REPRO_TRACE_MIN_PER_WORKER", "0")
+    monkeypatch.setattr(generate_module, "MIN_BROADCASTS_PER_WORKER", 0)
 
 
 def _bytes_for(**overrides) -> bytes:
@@ -222,7 +223,7 @@ class TestTransports:
 class TestSerialFallback:
     def test_tiny_workload_collapses_to_one_worker(self, monkeypatch):
         """Below the per-worker floor the pool is skipped entirely."""
-        monkeypatch.delenv("REPRO_TRACE_MIN_PER_WORKER", raising=False)
+        monkeypatch.undo()  # lift this module's forced pool
         config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=4)
         registry = MetricsRegistry()
         trace = generate_trace(config, registry=registry)
@@ -230,7 +231,7 @@ class TestSerialFallback:
         assert len(trace.dataset) > 0
 
     def test_fallback_output_matches_pool_output(self, reference_bytes, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_MIN_PER_WORKER", raising=False)
+        monkeypatch.undo()  # lift this module's forced pool
         assert _bytes_for(workers=4) == reference_bytes
 
     def test_forced_pool_engages_workers(self):

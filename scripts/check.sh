@@ -23,6 +23,11 @@
 #                                             # nothing and error nothing at
 #                                             # baseline, shed under a flash
 #                                             # crowd, and be seed-stable
+#   scripts/check.sh benchmarks               # every ablation/figure bench
+#                                             # once (headline-shape asserts,
+#                                             # timing off; trace-scale and
+#                                             # obs-overhead run elsewhere),
+#                                             # then the tier2 tests
 #   scripts/check.sh perfbench                # the benchmark's own tests:
 #                                             # every workload runs once,
 #                                             # so a renamed entry point
@@ -106,6 +111,13 @@ fi
 
 if [[ "${1:-}" == "chaos-pipeline" ]]; then
     PYTHONPATH=src python scripts/chaos_pipeline.py
+    exit 0
+fi
+
+if [[ "${1:-}" == "benchmarks" ]]; then
+    PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable \
+        --ignore=benchmarks/test_trace_scale.py --ignore=benchmarks/test_obs_overhead.py
+    PYTHONPATH=src python -m pytest -q -m tier2
     exit 0
 fi
 

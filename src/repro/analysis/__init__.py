@@ -17,12 +17,6 @@ from repro.analysis.broadcast_stats import (
     views_per_user_cdf,
 )
 from repro.analysis.social_stats import followers_vs_viewers, table2_rows
-from repro.analysis.exports import (
-    export_cdf_csv,
-    export_series_csv,
-    export_table_csv,
-    load_csv_columns,
-)
 from repro.analysis.plots import ascii_cdf, ascii_series, ascii_stacked_bars
 from repro.analysis.report import format_table, render_cdf_summary, render_series
 
@@ -44,8 +38,4 @@ __all__ = [
     "ascii_cdf",
     "ascii_series",
     "ascii_stacked_bars",
-    "export_cdf_csv",
-    "export_series_csv",
-    "export_table_csv",
-    "load_csv_columns",
 ]

@@ -245,14 +245,6 @@ class FastlyEdge:
     def stale_served(self, broadcast_id: int) -> int:
         return self._state(broadcast_id).stale_served
 
-    def render_playlist(self, broadcast_id: int) -> str:
-        """The current local chunklist as M3U8 wire text — what a real
-        crawler (or player) would fetch from this POP."""
-        from repro.protocols.m3u8 import render_chunklist
-
-        state = self._state(broadcast_id)
-        return render_chunklist(state.local_list, broadcast_id)
-
     def chunk_payload(self, broadcast_id: int, index: int):
         """Fetch chunk bytes from the local cache (origin on miss)."""
         state = self._state(broadcast_id)

@@ -232,9 +232,6 @@ class WowzaIngest:
             arrivals[first:],
         )
 
-    def rtmp_subscriber_count(self, broadcast_id: int) -> int:
-        return len(self._state(broadcast_id).rtmp_subscribers)
-
     # -- origin interface for Fastly ---------------------------------------
 
     def add_expiry_listener(self, broadcast_id: int, listener: ExpiryListener) -> None:

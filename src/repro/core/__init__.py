@@ -36,11 +36,6 @@ from repro.core.adaptive_buffer import (
     PolicyOutcome,
     evaluate_policies,
 )
-from repro.core.full_broadcast import (
-    FullBroadcastResult,
-    FullBroadcastSimulation,
-    TierOutcome,
-)
 from repro.core.pipeline import (
     BroadcastTrace,
     DelayMeasurementCampaign,
@@ -61,9 +56,6 @@ __all__ = [
     "GrowthProjection",
     "ProjectionPoint",
     "CapacityExceeded",
-    "FullBroadcastSimulation",
-    "FullBroadcastResult",
-    "TierOutcome",
     "AdaptiveBufferPolicy",
     "JitterProbe",
     "PolicyOutcome",

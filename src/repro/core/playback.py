@@ -2,20 +2,15 @@
 
 Implements the buffering strategy the paper decompiled from the Periscope
 Android client: pre-buffer ``P`` seconds of content, then play units
-(frames or chunks) in sequence order.  Two strategies are provided:
+(frames or chunks) in sequence order.  The client has "sufficiently large
+memory ... [to] avoid dropping packets", so no unit is discarded: when
+the next unit has not arrived at its scheduled time, playback *stalls*
+until it does, and the schedule shifts by the stall.  A bursty upload
+therefore both stalls playback and permanently inflates the buffering
+delay of everything after it — the mechanism behind the >5 s delay tail
+of Figure 16(b).
 
-* ``"rebuffer"`` (default, matches the client's observed behaviour with
-  its "sufficiently large memory ... [to] avoid dropping packets"): when
-  the next unit has not arrived at its scheduled time, playback *stalls*
-  until it does, and the schedule shifts by the stall.  A bursty upload
-  therefore both stalls playback and permanently inflates the buffering
-  delay of everything after it — the mechanism behind the >5 s delay tail
-  of Figure 16(b).
-* ``"fixed"`` (the strict discard interpretation): units play on a fixed
-  wall-clock schedule and any unit arriving after its slot is discarded,
-  showing as a stall of its duration.
-
-Both reproduce the §6 headline: Periscope's P=9 s HLS pre-buffer is
+This reproduces the §6 headline: Periscope's P=9 s HLS pre-buffer is
 conservative — P=6 s stalls the same while cutting delay by ~half.
 """
 
@@ -25,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_STRATEGIES = ("rebuffer", "fixed")
-
 
 @dataclass(frozen=True)
 class PlaybackConfig:
@@ -34,15 +27,12 @@ class PlaybackConfig:
 
     prebuffer_s: float
     unit_duration_s: float  # 0.040 for RTMP frames, ~3.0 for HLS chunks
-    strategy: str = "rebuffer"
 
     def __post_init__(self) -> None:
         if self.prebuffer_s < 0:
             raise ValueError("prebuffer must be non-negative")
         if self.unit_duration_s <= 0:
             raise ValueError("unit duration must be positive")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; use one of {_STRATEGIES}")
 
     @property
     def prebuffer_units(self) -> int:
@@ -55,27 +45,22 @@ class PlaybackResult:
     """Outcome of one simulated playback session."""
 
     start_play_time: float
-    played: np.ndarray  # bool per unit (all True under "rebuffer")
-    play_times: np.ndarray  # actual play time per unit (NaN if discarded)
-    buffering_delays: np.ndarray  # play - arrival, played units only
+    play_times: np.ndarray  # actual play time per unit
+    buffering_delays: np.ndarray  # play - arrival per unit
     stall_time_s: float
     stall_ratio: float
 
     @property
     def mean_buffering_delay_s(self) -> float:
-        if len(self.buffering_delays) == 0:
-            return 0.0
         return float(np.mean(self.buffering_delays))
-
-    @property
-    def discarded_count(self) -> int:
-        return int((~self.played).sum())
 
 
 def simulate_playback(arrival_times: np.ndarray, config: PlaybackConfig) -> PlaybackResult:
-    """Run the player over a unit arrival trace.
+    """Run the stall-and-wait player over a unit arrival trace.
 
     ``arrival_times[k]`` is the arrival of unit ``k`` in sequence order.
+    Unit ``k`` plays at ``max(arrival_k, play_{k-1} + d)``, which in closed
+    form is ``k*d + max(start_play, running_max(arrival_j - j*d))``.
     """
     arrivals = np.asarray(arrival_times, dtype=float)
     n = len(arrivals)
@@ -89,19 +74,6 @@ def simulate_playback(arrival_times: np.ndarray, config: PlaybackConfig) -> Play
     k0 = min(config.prebuffer_units, n) - 1
     start_play = float(np.max(arrivals[: k0 + 1]))
 
-    if config.strategy == "rebuffer":
-        return _simulate_rebuffer(arrivals, start_play, d)
-    return _simulate_fixed(arrivals, start_play, d)
-
-
-def _simulate_rebuffer(
-    arrivals: np.ndarray, start_play: float, d: float
-) -> PlaybackResult:
-    """Stall-and-wait: play_k = max(arrival_k, play_{k-1} + d).
-
-    Closed form: play_k = k*d + max(start_play, running_max(arrival_j - j*d)).
-    """
-    n = len(arrivals)
     offsets = np.arange(n) * d
     anchor = np.maximum.accumulate(arrivals - offsets)
     play_times = offsets + np.maximum(anchor, start_play)
@@ -112,31 +84,10 @@ def _simulate_rebuffer(
     duration = n * d
     return PlaybackResult(
         start_play_time=start_play,
-        played=np.ones(n, dtype=bool),
         play_times=play_times,
         buffering_delays=delays,
         stall_time_s=stall_time,
         stall_ratio=stall_time / duration,
-    )
-
-
-def _simulate_fixed(
-    arrivals: np.ndarray, start_play: float, d: float
-) -> PlaybackResult:
-    """Fixed wall-clock schedule; late units are discarded (stall = d each)."""
-    n = len(arrivals)
-    scheduled = start_play + np.arange(n) * d
-    played = arrivals <= scheduled
-    play_times = np.where(played, scheduled, np.nan)
-    delays = scheduled[played] - arrivals[played]
-    discarded = int((~played).sum())
-    return PlaybackResult(
-        start_play_time=start_play,
-        played=played,
-        play_times=play_times,
-        buffering_delays=delays,
-        stall_time_s=discarded * d,
-        stall_ratio=discarded / n,
     )
 
 
@@ -162,7 +113,6 @@ def sweep_prebuffer(
     traces: list[np.ndarray],
     prebuffer_values: list[float],
     unit_duration_s: float,
-    strategy: str = "rebuffer",
 ) -> dict[float, dict[str, np.ndarray]]:
     """Figures 16/17: per-broadcast stalling ratio and mean buffering delay
     for each pre-buffer setting.
@@ -172,9 +122,7 @@ def sweep_prebuffer(
     """
     results: dict[float, dict[str, np.ndarray]] = {}
     for prebuffer in prebuffer_values:
-        config = PlaybackConfig(
-            prebuffer_s=prebuffer, unit_duration_s=unit_duration_s, strategy=strategy
-        )
+        config = PlaybackConfig(prebuffer_s=prebuffer, unit_duration_s=unit_duration_s)
         stalls = []
         delays = []
         for trace in traces:

@@ -32,10 +32,8 @@ from repro.crawler.storage import (
     dataset_to_columnar_bytes,
     load_dataset,
     load_dataset_mapped,
-    load_traces,
     save_dataset,
     save_dataset_mapped,
-    save_traces,
 )
 
 __all__ = [
@@ -60,8 +58,6 @@ __all__ = [
     "load_dataset",
     "save_dataset_mapped",
     "load_dataset_mapped",
-    "save_traces",
-    "load_traces",
     "read_arrays",
     "write_arrays",
 ]

@@ -1,4 +1,4 @@
-"""Dataset and trace persistence.
+"""Dataset persistence.
 
 The paper released parts of its measurement datasets; this module gives
 the reproduction the same capability: broadcast datasets round-trip
@@ -6,7 +6,7 @@ through gzip-compressed JSONL (one record per line, metadata on the first
 line — the release format), through a binary columnar layout (v2: one
 JSON header line followed by the raw little-endian column arrays,
 gzipped), or through the uncompressed, memory-mappable ``mmap`` column
-file; fine-grained delay traces go through ``.npz`` bundles.
+file.
 
 Serialization is byte-deterministic in every format (the gzip header's
 mtime is pinned to zero and the column formats write fixed-dtype
@@ -28,7 +28,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.pipeline import BroadcastTrace
 from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
 from repro.crawler.dataset import BroadcastColumns, BroadcastDataset, BroadcastRecord
 
@@ -419,59 +418,3 @@ class DatasetCache:
         existence-only probe.
         """
         return self.get(key) is not None
-
-
-def save_traces(traces: list[BroadcastTrace], path: PathLike) -> None:
-    """Write delay-crawl traces to a compressed ``.npz`` bundle.
-
-    Broadcast IDs are integers and go into their own int64 array —
-    packing them into the float64 ``meta`` block would silently corrupt
-    IDs above 2**53.
-    """
-    if not traces:
-        raise ValueError("no traces to save")
-    arrays: dict[str, np.ndarray] = {
-        "meta": np.array(
-            [(t.duration_s, t.chunk_duration_s, t.frame_interval_s) for t in traces],
-            dtype=np.float64,
-        ),
-        "broadcast_ids": np.array([t.broadcast_id for t in traces], dtype=np.int64),
-    }
-    for index, trace in enumerate(traces):
-        arrays[f"frames_{index}"] = trace.frame_arrivals
-        arrays[f"ready_{index}"] = trace.chunk_ready
-        arrays[f"avail_{index}"] = trace.chunk_availability
-    np.savez_compressed(Path(path), **arrays)
-
-
-def load_traces(path: PathLike) -> list[BroadcastTrace]:
-    """Read traces written by :func:`save_traces`.
-
-    A bundle without the ``broadcast_ids`` array, or whose ``meta`` block
-    is not one (duration, chunk duration, frame interval) row per ID,
-    raises ``ValueError`` naming the file.
-    """
-    with np.load(Path(path)) as bundle:
-        if "broadcast_ids" not in bundle:
-            raise ValueError(f"{path}: trace bundle has no broadcast_ids array")
-        broadcast_ids = bundle["broadcast_ids"]
-        meta = bundle["meta"]
-        if meta.shape != (len(broadcast_ids), 3):
-            raise ValueError(
-                f"{path}: trace bundle meta has shape {meta.shape}, "
-                f"expected ({len(broadcast_ids)}, 3)"
-            )
-        traces = []
-        for index, (duration_s, chunk_duration_s, frame_interval_s) in enumerate(meta):
-            traces.append(
-                BroadcastTrace(
-                    broadcast_id=int(broadcast_ids[index]),
-                    duration_s=float(duration_s),
-                    frame_arrivals=bundle[f"frames_{index}"],
-                    chunk_ready=bundle[f"ready_{index}"],
-                    chunk_availability=bundle[f"avail_{index}"],
-                    chunk_duration_s=float(chunk_duration_s),
-                    frame_interval_s=float(frame_interval_s),
-                )
-            )
-    return traces

@@ -103,9 +103,16 @@ def _ensure_loaded() -> None:
 
 
 def list_experiments() -> list[str]:
-    """All registered experiment IDs, in paper order."""
+    """All registered experiment IDs, in paper order.
+
+    The order is ``_EXPERIMENT_MODULES``'s, not registration order, so a
+    process that imports one runner module before the rest still lists
+    ``table1`` first.  Each runner keeps its module's name through
+    ``functools.wraps``.
+    """
     _ensure_loaded()
-    return list(_RUNNERS)
+    rank = {module: index for index, module in enumerate(_EXPERIMENT_MODULES)}
+    return sorted(_RUNNERS, key=lambda name: rank[_RUNNERS[name].runner.__module__])
 
 
 def get_experiment(experiment_id: str) -> RegisteredExperiment:

@@ -48,7 +48,6 @@ from repro.lint.sanitizer import (
     DeterminismSanitizer,
     DeterminismViolation,
     is_active,
-    sanitized,
     verify_hashseed_pinned,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "render_text",
     "report_to_payload",
     "rule_catalog",
-    "sanitized",
     "validate_lint_payload",
     "verify_hashseed_pinned",
 ]

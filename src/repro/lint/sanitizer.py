@@ -175,8 +175,3 @@ class DeterminismSanitizer:
         while self._patched:
             module, name, original = self._patched.pop()
             setattr(module, name, original)
-
-
-def sanitized(workers: int = 1) -> DeterminismSanitizer:
-    """Convenience constructor: ``with sanitized(): ...``."""
-    return DeterminismSanitizer(workers=workers)

@@ -20,13 +20,6 @@ from repro.protocols.rtmp import (
     parse_rtmp_packet,
 )
 from repro.protocols.hls import Chunklist, ChunklistEntry
-from repro.protocols.m3u8 import (
-    M3u8ParseError,
-    MediaPlaylist,
-    parse_playlist,
-    playlist_to_chunklist,
-    render_chunklist,
-)
 from repro.protocols.messages import MessageChannel, StreamMessage
 from repro.protocols.rtmps import RtmpsCostModel
 
@@ -40,11 +33,6 @@ __all__ = [
     "parse_rtmp_packet",
     "Chunklist",
     "ChunklistEntry",
-    "MediaPlaylist",
-    "render_chunklist",
-    "parse_playlist",
-    "playlist_to_chunklist",
-    "M3u8ParseError",
     "MessageChannel",
     "StreamMessage",
     "RtmpsCostModel",

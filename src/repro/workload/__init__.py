@@ -15,7 +15,6 @@ from repro.workload.growth import (
 )
 from repro.workload.arrivals import daily_arrival_times, DIURNAL_WEIGHTS
 from repro.workload.broadcast_model import BroadcastParamsModel
-from repro.workload.viewers import ViewerArrivalModel
 from repro.workload.trace import (
     ShardContext,
     TraceConfig,
@@ -34,7 +33,6 @@ __all__ = [
     "daily_arrival_times",
     "DIURNAL_WEIGHTS",
     "BroadcastParamsModel",
-    "ViewerArrivalModel",
     "ShardContext",
     "TraceConfig",
     "WorkloadTrace",

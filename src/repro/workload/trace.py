@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -248,7 +248,7 @@ class ShardContext:
 
 #: Sentinel distinguishing "build the graph here" from an explicit
 #: ``graph=None`` (caller already knows there is none).
-_BUILD_GRAPH = object()
+_BUILD_GRAPH: Any = object()
 
 
 def build_follow_graph(config: TraceConfig) -> Optional[CompiledGraph]:
@@ -268,7 +268,7 @@ def build_follow_graph(config: TraceConfig) -> Optional[CompiledGraph]:
 
 def build_trace_context(
     config: TraceConfig,
-    graph: object = _BUILD_GRAPH,
+    graph: Optional[CompiledGraph] = _BUILD_GRAPH,
 ) -> tuple[ShardContext, Optional[CompiledGraph]]:
     """Deterministic per-run precompute: pools, activity CDFs, graph.
 
@@ -290,14 +290,8 @@ def build_trace_context(
 
     if graph is _BUILD_GRAPH:
         graph = build_follow_graph(config)
-    if isinstance(graph, CompiledGraph):
+    if graph is not None:
         follower_counts = graph.in_degree_of(broadcaster_ids)
-    elif graph is not None:
-        follower_counts = np.fromiter(
-            (graph.follower_count(int(b)) for b in broadcaster_ids),
-            dtype=np.int64,
-            count=len(broadcaster_ids),
-        )
     else:
         follower_counts = np.zeros(len(broadcaster_ids), dtype=np.int64)
 

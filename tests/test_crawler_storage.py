@@ -1,16 +1,13 @@
-"""Tests for dataset/trace persistence."""
+"""Tests for dataset persistence."""
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import json
-import re
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import DelayMeasurementCampaign
 from repro.crawler.arrayfile import (
     ArrayFileWriter,
     read_array_index,
@@ -26,10 +23,8 @@ from repro.crawler.storage import (
     dataset_to_columnar_bytes,
     load_dataset,
     load_dataset_mapped,
-    load_traces,
     save_dataset,
     save_dataset_mapped,
-    save_traces,
 )
 from repro.parallel import generate_trace
 from repro.workload.trace import TraceConfig
@@ -38,11 +33,6 @@ from repro.workload.trace import TraceConfig
 @pytest.fixture(scope="module")
 def small_dataset():
     return generate_trace(TraceConfig.periscope(scale=0.00003, seed=6)).dataset
-
-
-@pytest.fixture(scope="module")
-def small_traces():
-    return DelayMeasurementCampaign(n_broadcasts=3, seed=6).run()
 
 
 class TestDatasetStorage:
@@ -487,60 +477,3 @@ class TestArrayFile:
         write_arrays(first, arrays, meta={"tag": 1})
         write_arrays(second, arrays, meta={"tag": 1})
         assert first.read_bytes() == second.read_bytes()
-
-
-class TestTraceStorage:
-    def test_round_trip(self, small_traces, tmp_path):
-        path = tmp_path / "traces.npz"
-        save_traces(list(small_traces), path)
-        loaded = load_traces(path)
-        assert len(loaded) == len(small_traces)
-        for original, restored in zip(small_traces, loaded):
-            assert restored.broadcast_id == original.broadcast_id
-            assert restored.duration_s == pytest.approx(original.duration_s)
-            assert np.allclose(restored.frame_arrivals, original.frame_arrivals)
-            assert np.allclose(restored.chunk_availability, original.chunk_availability)
-            assert restored.chunk_duration_s == original.chunk_duration_s
-
-    def test_loaded_traces_drive_analyses(self, small_traces, tmp_path):
-        """Persisted traces must feed the §6 simulations unchanged."""
-        from repro.core.playback import PlaybackConfig, simulate_playback
-
-        path = tmp_path / "traces.npz"
-        save_traces(list(small_traces), path)
-        loaded = load_traces(path)
-        config = PlaybackConfig(prebuffer_s=1.0, unit_duration_s=0.04)
-        for original, restored in zip(small_traces, loaded):
-            a = simulate_playback(original.frame_arrivals, config)
-            b = simulate_playback(restored.frame_arrivals, config)
-            assert a.stall_ratio == b.stall_ratio
-            assert a.mean_buffering_delay_s == pytest.approx(b.mean_buffering_delay_s)
-
-    def test_empty_save_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_traces([], tmp_path / "x.npz")
-
-    def test_large_broadcast_id_round_trips_exactly(self, small_traces, tmp_path):
-        """IDs above 2**53 must not pass through float64 (lossy) storage."""
-        big_id = 2**53 + 1
-        assert int(float(big_id)) != big_id  # the bug this guards against
-        doctored = [dataclasses.replace(small_traces[0], broadcast_id=big_id)]
-        path = tmp_path / "traces.npz"
-        save_traces(doctored, path)
-        assert load_traces(path)[0].broadcast_id == big_id
-
-    def test_legacy_bundle_without_id_array_is_rejected(self, small_traces, tmp_path):
-        """A bundle missing the int64 ID array, or carrying the old
-        four-column ``meta`` (a float64 ID in column 0), is refused."""
-        path = tmp_path / "traces.npz"
-        save_traces(list(small_traces), path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        ids = arrays.pop("broadcast_ids")
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: trace bundle has no")):
-            load_traces(path)
-        legacy_meta = np.hstack([ids.astype(np.float64)[:, None], arrays["meta"]])
-        np.savez_compressed(path, **{**arrays, "meta": legacy_meta, "broadcast_ids": ids})
-        with pytest.raises(ValueError, match=re.escape(f"{path}: trace bundle meta has")):
-            load_traces(path)

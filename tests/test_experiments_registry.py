@@ -3,7 +3,10 @@ table/figure at reduced scale, asserting each one's headline claim."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,26 @@ class TestRegistry:
             "fig18", "faultsweep", "serving",
         }
         assert set(ids) == expected
+
+    def test_paper_order_survives_an_early_runner_import(self):
+        """``--all``, the golden check and perfbench's ``paper_all`` walk
+        ``list_experiments()``; importing one runner module before the
+        registry loads the rest must not move that runner to the front."""
+        code = (
+            "import repro.experiments.fig01\n"
+            "from repro.experiments.registry import list_experiments\n"
+            "print(' '.join(list_experiments()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        process = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert process.returncode == 0, process.stderr
+        paper_order = ["table1", "table2", *(f"fig{n}" for n in range(1, 19))]
+        assert process.stdout.split() == [*paper_order, "faultsweep", "serving"]
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):

@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from repro.analysis.exports import export_metrics_json
 from repro.experiments.metrics_scenario import run_metrics_scenario
 from repro.obs.metrics import (
     Counter,
@@ -244,24 +243,6 @@ class TestScenarioCoverage:
                        for name, c in counters.items()), f"no live {prefix} counter"
 
 
-class TestExport:
-    def test_export_metrics_json(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        path = tmp_path / "metrics.json"
-        written = export_metrics_json(registry, path)
-        assert written == 2
-        loaded = json.loads(path.read_text())
-        assert loaded["counters"]["c"]["value"] == 3.0
-
-    def test_export_accepts_plain_snapshot(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        path = tmp_path / "metrics.json"
-        assert export_metrics_json(registry.snapshot(), path) == 1
-
-
 class TestCli:
     def test_repro_metrics_subcommand(self, capsys):
         from repro.cli import main
@@ -272,3 +253,15 @@ class TestCli:
         counters = snap["counters"]
         for prefix in ("engine.", "cdn.", "platform.", "crawler."):
             assert any(name.startswith(prefix) for name in counters), prefix
+
+    def test_metrics_out_file_is_the_snapshot(self, capsys, tmp_path):
+        """``repro metrics --out FILE`` is how a snapshot is kept for
+        offline diffing: the file holds exactly what stdout printed, and
+        that is the scenario's registry snapshot."""
+        from repro.cli import main
+
+        path = tmp_path / "metrics.json"
+        assert main(["metrics", "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text == capsys.readouterr().out
+        assert json.loads(text) == run_metrics_scenario(seed=7).snapshot()

@@ -4,7 +4,8 @@ Every subpackage's ``__all__`` must resolve to a real attribute, and the
 documented entry points must exist — so a refactor cannot silently break
 the public API the README and examples rely on.  Names that moved to a
 lower tier resolve at their new homes only: no old module path or
-package re-export survives.
+package re-export survives.  Deleted second implementations stay
+deleted: a re-added twin fails here.
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ HOMES = [
     "repro.social.CompiledGraph",
 ]
 
-#: Module paths that moved to another tier, with no shim left behind.
+#: Module paths that moved to another tier or were deleted with the
+#: test-only second implementation they held; no shim is left behind.
 GONE_MODULES = [
     "repro.platform.service",
     "repro.faults.resilience",
     "repro.crawler.rate_limit",
     "repro.obs.scenario",
+    "repro.core.full_broadcast",
+    "repro.workload.viewers",
+    "repro.protocols.m3u8",
+    "repro.analysis.exports",
 ]
 
 #: Old package-level re-exports of the moved names: package -> names.
@@ -72,13 +78,28 @@ GONE_EXPORTS = {
         "EdgeUnavailable",
         "ServiceUnavailable",
     ],
-    "repro.crawler": ["TokenBucket", "RateLimitExceeded"],
+    "repro.crawler": ["TokenBucket", "RateLimitExceeded", "save_traces", "load_traces"],
     # One follow-graph representation: the CSR ``CompiledGraph``.
     "repro.social": ["FollowGraph", "AnyFollowGraph", "generate_follow_graph_compiled"],
-    # Forks and helpers no caller reached.
-    "repro.workload": ["BroadcastParams"],
-    "repro.protocols": ["HlsPollSchedule"],
+    # Forks, helpers and test-only second implementations no caller reached.
+    "repro.workload": ["BroadcastParams", "ViewerArrivalModel"],
+    "repro.protocols": [
+        "HlsPollSchedule",
+        "M3u8ParseError",
+        "MediaPlaylist",
+        "parse_playlist",
+        "playlist_to_chunklist",
+        "render_chunklist",
+    ],
     "repro.parallel": ["validate_environment"],
+    "repro.core": ["FullBroadcastSimulation", "FullBroadcastResult", "TierOutcome"],
+    "repro.analysis": [
+        "export_cdf_csv",
+        "export_series_csv",
+        "export_table_csv",
+        "load_csv_columns",
+    ],
+    "repro.lint": ["sanitized"],
 }
 
 #: Second copies deleted outright, with no alias left: module -> names.
@@ -98,7 +119,9 @@ GONE_ATTRIBUTES = {
         "_COLUMN_FIELDS",
     ],
     "repro.overlay.tree": ["nearest_pop"],
-    "repro.lint.sanitizer": ["active_sanitizer_note"],
+    "repro.lint.sanitizer": ["active_sanitizer_note", "sanitized"],
+    "repro.crawler.storage": ["save_traces", "load_traces"],
+    "repro.core.playback": ["_STRATEGIES", "_simulate_fixed"],
 }
 
 #: Methods, properties and fields deleted from a class: "module:Class" -> names.
@@ -113,17 +136,21 @@ GONE_MEMBERS = {
     "repro.client.network:LastMileLink": ["serialization_s_per_kb"],
     "repro.client.viewer_client:HlsViewerClient": ["chunk_kb"],
     "repro.parallel.checkpoint:RunCheckpoint": ["is_done", "total_shards"],
-    "repro.cdn.fastly:FastlyEdge": ["breaker_for"],
+    "repro.cdn.fastly:FastlyEdge": ["breaker_for", "render_playlist"],
     "repro.service.frontend:ServiceFrontend": ["in_flight"],
     "repro.overlay.tree:ForwardingNode": ["is_leaf", "path_to_root"],
     "repro.protocols.messages:MessageChannel": ["subscriber_count"],
     "repro.experiments.registry:ExperimentResult": ["paper_expectation"],
+    "repro.core.playback:PlaybackConfig": ["strategy"],
+    "repro.core.playback:PlaybackResult": ["played", "discarded_count"],
+    "repro.cdn.wowza:WowzaIngest": ["rtmp_subscriber_count"],
 }
 
 #: Parameters deleted from a callable: "module:qualified.name" -> names.
 GONE_PARAMETERS = {
     "repro.client.network:LastMileLink.send": ["size_kb"],
     "repro.parallel.merge:stream_merge_shards": ["verify_order"],
+    "repro.core.playback:sweep_prebuffer": ["strategy"],
 }
 
 

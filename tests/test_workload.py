@@ -17,7 +17,6 @@ from repro.workload.growth import (
     weekday_of_day,
 )
 from repro.workload.trace import TraceConfig
-from repro.workload.viewers import ViewerArrivalModel
 
 
 @pytest.fixture
@@ -171,40 +170,6 @@ class TestBroadcastParamsModel:
         assert np.all(audience >= 0)
         assert np.all(hearts >= 0)
         assert np.all(comments >= commenters) and np.all(commenters >= 0)
-
-
-class TestViewerArrivals:
-    def test_offsets_sorted_and_bounded(self, rng):
-        model = ViewerArrivalModel()
-        offsets = model.sample_join_offsets(rng, audience_size=500, duration_s=300.0)
-        assert len(offsets) == 500
-        assert np.all(np.diff(offsets) >= 0)
-        assert offsets.min() >= 0
-        assert offsets.max() <= 300.0
-
-    def test_front_loaded(self, rng):
-        model = ViewerArrivalModel(burst_fraction=0.5, burst_scale_s=30.0)
-        offsets = model.sample_join_offsets(rng, 2000, duration_s=600.0)
-        first_minute = np.mean(offsets < 60.0)
-        assert first_minute > 0.3  # notification burst lands early
-
-    def test_zero_audience(self, rng):
-        model = ViewerArrivalModel()
-        assert len(model.sample_join_offsets(rng, 0, 100.0)) == 0
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            ViewerArrivalModel(burst_fraction=1.5)
-        model = ViewerArrivalModel()
-        with pytest.raises(ValueError):
-            model.sample_join_offsets(rng, 10, duration_s=0.0)
-        with pytest.raises(ValueError):
-            model.sample_join_offsets(rng, -1, duration_s=10.0)
-
-    def test_uniform_trickle_when_no_decay(self, rng):
-        model = ViewerArrivalModel(burst_fraction=0.0, trickle_decay=0.0)
-        offsets = model.sample_join_offsets(rng, 5000, duration_s=100.0)
-        assert np.mean(offsets) == pytest.approx(50.0, rel=0.1)
 
 
 class TestTraceGenerator:

@@ -15,6 +15,10 @@ Modes:
 * ``BENCH_TRACE_SMOKE=1``: scale 0.001 only — the ``scripts/check.sh
   bench`` gate, which mainly validates the emitted JSON schema.
 
+Each mode is timed ``BENCH_REPEATS`` times per scale; the row's
+``serial_seconds`` and ``parallel_seconds`` are the medians, and the
+individual runs are kept beside them (``*_seconds_runs``).
+
 The recorded speedup is only meaningful relative to ``cpu_count`` (also
 recorded): on a single-core runner the parallel mode measures pure
 process-pool overhead; on a 4-core runner the record stage parallelizes
@@ -29,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,6 +47,10 @@ from repro.workload.trace import TraceConfig, build_follow_graph, build_trace_co
 
 BENCH_SCHEMA_VERSION = 4
 BENCH_WORKERS = 4
+#: Timed runs of each generation mode per scale.  A row's
+#: ``serial_seconds`` / ``parallel_seconds`` are their medians, so the
+#: ``check.sh bench`` speed gate compares medians, not single samples.
+BENCH_REPEATS = 3
 FULL_SCALES = (0.001, 0.01, 0.05)
 SMOKE_SCALES = (0.001,)
 SEED = 2016
@@ -164,9 +173,12 @@ def _measure(scale: float) -> dict:
     # comparable with pre-schema-2 baselines.
     context_seconds = graph_seconds + (time.perf_counter() - started)
 
-    started = time.perf_counter()
-    serial = generate_dataset(serial_config, context)
-    serial_seconds = time.perf_counter() - started
+    serial_runs = []
+    for _ in range(BENCH_REPEATS):
+        started = time.perf_counter()
+        serial = generate_dataset(serial_config, context)
+        serial_runs.append(time.perf_counter() - started)
+    serial_seconds = statistics.median(serial_runs)
 
     # Same precompute is valid for the parallel config: the context only
     # depends on generation inputs, never on the schedule knobs.
@@ -179,23 +191,30 @@ def _measure(scale: float) -> dict:
         )
     )
     workers_used = effective_workers(parallel_config, n_shards)
-    # The parallel mode runs with shard checkpointing enabled (a run dir
-    # in a scratch directory), so the recorded speedup — and the bench
-    # gate's parallel >= serial floor — prices in the per-shard manifest
-    # flush and checksum footer.  Checkpointing must be overhead-neutral.
-    started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="bench-trace-run-") as run_dir:
-        parallel = generate_dataset(
-            parallel_config, parallel_context, run_dir=run_dir
-        )
-        parallel_seconds = time.perf_counter() - started
-
-        # Streamed-merge figures, while the shard files still exist: the
-        # largest shard on disk (the RSS bound's yardstick) and a fresh
-        # child process whose ru_maxrss covers *only* the merge.
-        shard_files = sorted(Path(run_dir).glob("shard-*.arrays"))
-        largest_shard_mb = max(p.stat().st_size for p in shard_files) / (1024.0 * 1024.0)
-        merge_stats = _measure_streamed_merge(scale, run_dir)
+    # The parallel mode runs with shard checkpointing enabled (a fresh run
+    # dir in a scratch directory each time: a reused one would resume
+    # instead of generating), so the recorded speedup — and
+    # the bench gate's parallel >= serial floor — prices in the per-shard
+    # manifest flush and checksum footer.  Checkpointing must be
+    # overhead-neutral.
+    parallel_runs = []
+    for repeat in range(BENCH_REPEATS):
+        with tempfile.TemporaryDirectory(prefix="bench-trace-run-") as run_dir:
+            started = time.perf_counter()
+            parallel = generate_dataset(
+                parallel_config, parallel_context, run_dir=run_dir
+            )
+            parallel_runs.append(time.perf_counter() - started)
+            if repeat == BENCH_REPEATS - 1:
+                # Streamed-merge figures, while the shard files still exist:
+                # the largest shard on disk (the RSS bound's yardstick) and a
+                # fresh child process whose ru_maxrss covers *only* the merge.
+                shard_files = sorted(Path(run_dir).glob("shard-*.arrays"))
+                largest_shard_mb = max(p.stat().st_size for p in shard_files) / (
+                    1024.0 * 1024.0
+                )
+                merge_stats = _measure_streamed_merge(scale, run_dir)
+    parallel_seconds = statistics.median(parallel_runs)
 
     # The guarantee the speedup must not cost: identical output.
     assert dataset_to_bytes(serial) == dataset_to_bytes(parallel)
@@ -208,6 +227,8 @@ def _measure(scale: float) -> dict:
         "context_seconds": round(context_seconds, 3),
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
+        "serial_seconds_runs": [round(seconds, 3) for seconds in serial_runs],
+        "parallel_seconds_runs": [round(seconds, 3) for seconds in parallel_runs],
         "parallel_workers_used": workers_used,
         "parallel_checkpointed": True,
         "serial_broadcasts_per_sec": round(len(serial) / serial_seconds, 1),

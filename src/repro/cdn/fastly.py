@@ -39,6 +39,9 @@ from repro.simulation.resilience import CircuitBreaker
 #: Poll response callback: (chunklist snapshot, response time).
 PollCallback = Callable[[Chunklist, float], None]
 
+#: Called after each expiry notification (⑧) has marked the cache stale.
+ExpiryWatcher = Callable[[], None]
+
 
 class EdgeUnavailable(Exception):
     """Raised by :meth:`FastlyEdge.poll` while the POP is down.
@@ -62,6 +65,7 @@ class _EdgeBroadcastState:
     pull_failures: int = 0
     stale_served: int = 0
     breaker: Optional[CircuitBreaker] = None
+    expiry_watchers: list[ExpiryWatcher] = field(default_factory=list)
 
     @property
     def is_stale(self) -> bool:
@@ -121,6 +125,18 @@ class FastlyEdge:
     def _on_expiry(self, broadcast_id: int, origin_version: int, _time: float) -> None:
         state = self._state(broadcast_id)
         state.known_origin_version = max(state.known_origin_version, origin_version)
+        for watcher in state.expiry_watchers:
+            watcher()
+
+    def watch_expiry(self, broadcast_id: int, watcher: ExpiryWatcher) -> None:
+        """Call ``watcher()`` after every expiry notification (⑧) for the
+        broadcast, once the cache has been marked stale.  Observes only."""
+        self._state(broadcast_id).expiry_watchers.append(watcher)
+
+    def is_stale(self, broadcast_id: int) -> bool:
+        """Whether a poll now would miss: the origin has announced a version
+        the cache lacks (a pull is in flight, failed, or was refused)."""
+        return self._state(broadcast_id).is_stale
 
     # -- the poll path -----------------------------------------------------
 
@@ -220,8 +236,9 @@ class FastlyEdge:
         waiters, state.waiting_polls = state.waiting_polls, []
         for callback in waiters:
             self._respond(state, callback)
-        # The origin may have produced another chunk while the pull was in
-        # flight; the next poll will notice the stale version and re-pull.
+        # The snapshot is taken as the pull lands, so a chunk the origin
+        # finished while it was in flight arrives with it: after a
+        # successful pull the cache is fresh until the next expiry.
 
     # -- measurements -------------------------------------------------------
 

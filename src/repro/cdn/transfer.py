@@ -16,11 +16,16 @@ The model composes, per (Wowza origin, Fastly destination) pair:
 * chunk serialization over the inter-POP link,
 * and the triggering viewer's poll offset (a fetch only starts when a
   viewer polls after chunklist expiry).
+
+Everything but the jitter depends on the pair alone, so
+:meth:`TransferModel.sampler` computes it once per pair and returns a
+function that draws only the variates per chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +54,42 @@ class TransferModel:
     def is_colocated(self, wowza: Datacenter, fastly: Datacenter) -> bool:
         return wowza.city == fastly.city
 
+    def sampler(
+        self, wowza: Datacenter, fastly: Datacenter
+    ) -> Callable[[np.random.Generator], float]:
+        """A function drawing chunk transfer delays from ``wowza`` to ``fastly``.
+
+        What the pair fixes is computed once: the gateway, the co-location
+        test, both one-way propagation bases.  Each call draws the handoff,
+        then (away from the gateway city) the coordination and a jittered
+        round trip, request out and chunk back.  The model's parameters are
+        read here, so build a new sampler after changing them.
+        """
+        handoff_s, handoff_sigma = self.handoff_s, self.handoff_jitter_sigma
+        gateway = None if self.is_colocated(wowza, fastly) else self.gateway_for(wowza)
+        if gateway is None or gateway.city == fastly.city:
+
+            def handoff_only(rng: np.random.Generator) -> float:
+                return handoff_s * float(rng.lognormal(0.0, handoff_sigma))
+
+            return handoff_only
+        coordination_s, coordination_sigma = self.coordination_s, self.coordination_jitter_sigma
+        out_s = self.latency.propagation_s(gateway.location, fastly.location)
+        back_s = self.latency.propagation_s(fastly.location, gateway.location)
+        jitter_sigma = self.latency.jitter_sigma
+        serialization_s = self.chunk_bytes * 8.0 / self.interpop_bandwidth_bps
+
+        def via_gateway(rng: np.random.Generator) -> float:
+            handoff = handoff_s * float(rng.lognormal(0.0, handoff_sigma))
+            coordination = coordination_s * float(rng.lognormal(0.0, coordination_sigma))
+            out, back = out_s, back_s
+            if jitter_sigma > 0:
+                out *= float(rng.lognormal(0.0, jitter_sigma))
+                back *= float(rng.lognormal(0.0, jitter_sigma))
+            return handoff + coordination + (out + back) + serialization_s
+
+        return via_gateway
+
     def transfer_delay_s(
         self,
         wowza: Datacenter,
@@ -58,21 +99,9 @@ class TransferModel:
         """One sampled chunk transfer delay from ``wowza`` to ``fastly``.
 
         Excludes the triggering poll offset — callers that model polling
-        (the delay crawler polls every 0.1 s) add it on top.
+        (the delay crawler polls on a 0.1 s grid) add it on top.
         """
-        handoff = self.handoff_s * float(rng.lognormal(0.0, self.handoff_jitter_sigma))
-        if self.is_colocated(wowza, fastly):
-            return handoff
-        gateway = self.gateway_for(wowza)
-        if gateway.city == fastly.city:
-            return handoff
-        coordination = self.coordination_s * float(
-            rng.lognormal(0.0, self.coordination_jitter_sigma)
-        )
-        # Request out, response (with the chunk) back.
-        rtt = self.latency.rtt_s(gateway.location, fastly.location, rng)
-        serialization = self.chunk_bytes * 8.0 / self.interpop_bandwidth_bps
-        return handoff + coordination + rtt + serialization
+        return self.sampler(wowza, fastly)(rng)
 
     def expected_transfer_delay_s(self, wowza: Datacenter, fastly: Datacenter) -> float:
         """Jitter-free transfer delay (for analytic comparisons)."""

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out", type=str, default=None, metavar="FILE",
-        help="also append all output to FILE",
+        help="also write all output to FILE (overwritten)",
     )
     return parser
 
@@ -431,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(arguments)
 
-    sink = open(args.out, "a", encoding="utf-8") if args.out else None
+    sink = open(args.out, "w", encoding="utf-8") if args.out else None
 
     def emit(text: str) -> None:
         print(text)

@@ -60,10 +60,10 @@ def geolocation_study(
         for fastly in fastly_sites:
             distance = wowza.distance_km(fastly)
             bucket = "co-located" if model.is_colocated(wowza, fastly) else distance_bucket(distance)
+            transfer_delay = model.sampler(wowza, fastly)
             for _ in range(broadcasts_per_pair):
                 delays = [
-                    model.transfer_delay_s(wowza, fastly, rng)
-                    + float(rng.uniform(0.0, crawler_poll_interval_s))
+                    transfer_delay(rng) + float(rng.uniform(0.0, crawler_poll_interval_s))
                     for _ in range(chunks_per_broadcast)
                 ]
                 samples.append(

@@ -5,10 +5,17 @@ Two instruments, mirroring the paper's passive measurement setup:
 * an RTMP crawler that joins a broadcast immediately with a zero-length
   stream buffer and keeps every frame's arrival (timestamp ②) next to
   the capture timestamp embedded in the keyframe metadata (①);
-* an HLS crawler that polls a Fastly POP every 0.1 s — 20× faster than a
-  real viewer — so it both observes chunk availability (⑪) the moment it
-  happens and *triggers* the origin pull the instant the chunklist
-  expires, pinning the Wowza2Fastly measurement (⑪−⑦) tight.
+* an HLS crawler that polls a Fastly POP on a 0.1 s grid — 20× faster
+  than a real viewer — so it both observes chunk availability (⑪) the
+  moment it happens and *triggers* the origin pull the instant the
+  chunklist expires, pinning the Wowza2Fastly measurement (⑪−⑦) tight.
+
+The grid is kept, but a poll a fresh POP cache would answer is not issued:
+it changes no availability, pull or rng draw.  After a poll that leaves the
+cache fresh the crawler sleeps until the POP's next expiry notification and
+resumes at the first grid time at or after it; while the cache is stale
+(pull in flight, origin down, breaker open) it polls every step.
+``FastlyEdge.poll_count`` therefore counts only the polls actually issued.
 
 Crawlers were deployed co-located with each datacenter (the paper used
 nearby EC2 sites), so their own network delay is negligible.
@@ -49,6 +56,8 @@ class DelayCrawler:
     frame_arrivals: np.ndarray = field(default_factory=lambda: np.empty(0))
     _edge: FastlyEdge | None = field(default=None, init=False)
     _stopped: bool = field(default=False, init=False)
+    _last_poll: float = field(default=0.0, init=False)  # latest grid time polled
+    _asleep: bool = field(default=False, init=False)  # waiting for an expiry
 
     # -- RTMP side -------------------------------------------------------
 
@@ -75,8 +84,12 @@ class DelayCrawler:
 
     def attach_hls(self, edge: FastlyEdge) -> None:
         """Start 0.1 s polling against ``edge`` (must already be attached
-        to the broadcast)."""
+        to the broadcast).  An edge with a front-end queue is refused: there
+        an idle poll would cost service time, so skipping it is not free."""
+        if edge.queue is not None:
+            raise ValueError("the HLS crawler skips idle polls; it cannot poll a queued POP")
         self._edge = edge
+        edge.watch_expiry(self.broadcast_id, self._on_expiry)
         self.simulator.schedule(0.0, self._poll, label=f"crawler-poll:{self.broadcast_id}")
 
     def stop(self) -> None:
@@ -85,10 +98,26 @@ class DelayCrawler:
     def _poll(self) -> None:
         if self._stopped or self._edge is None or self.simulator.now > self.stop_after:
             return
+        self._last_poll = self.simulator.now
         self._edge.poll(self.broadcast_id, self._on_chunklist)
+        if not self._edge.is_stale(self.broadcast_id):
+            self._asleep = True
+            return
         self.simulator.schedule(
             self.poll_interval_s, self._poll, label=f"crawler-poll:{self.broadcast_id}"
         )
+
+    def _on_expiry(self) -> None:
+        """Wake at the first grid time at or after the expiry, stepping the
+        grid as the poll chain does (each time the previous plus the
+        interval, in float)."""
+        if not self._asleep:
+            return
+        self._asleep = False
+        wake = self._last_poll + self.poll_interval_s
+        while wake < self.simulator.now:
+            wake += self.poll_interval_s
+        self.simulator.schedule_at(wake, self._poll, label=f"crawler-poll:{self.broadcast_id}")
 
     def _on_chunklist(self, chunklist: Chunklist, response_time: float) -> None:
         # Availability is recorded by the edge itself; nothing to do here.

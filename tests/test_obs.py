@@ -265,3 +265,15 @@ class TestCli:
         text = path.read_text(encoding="utf-8")
         assert text == capsys.readouterr().out
         assert json.loads(text) == run_metrics_scenario(seed=7).snapshot()
+
+    def test_metrics_out_file_is_overwritten(self, capsys, tmp_path):
+        """Keeping a snapshot twice in one FILE leaves one snapshot, not two
+        concatenated documents ``json.loads`` rejects."""
+        from repro.cli import main
+
+        path = tmp_path / "metrics.json"
+        for _ in range(2):
+            assert main(["metrics", "--out", str(path)]) == 0
+        assert json.loads(path.read_text(encoding="utf-8")) == (
+            run_metrics_scenario(seed=7).snapshot()
+        )

@@ -22,7 +22,10 @@
 #                                             # toy serve-bench must shed
 #                                             # nothing and error nothing at
 #                                             # baseline, shed under a flash
-#                                             # crowd, and be seed-stable
+#                                             # crowd, and be seed-stable;
+#                                             # the serving experiment's
+#                                             # flash run must repeat its
+#                                             # report and metrics exactly
 #   scripts/check.sh benchmarks               # every ablation/figure bench
 #                                             # once (headline-shape asserts,
 #                                             # timing off; trace-scale and
@@ -164,6 +167,8 @@ fi
 
 if [[ "${1:-}" == "serve" ]]; then
     PYTHONPATH=src python - <<'EOF'
+from repro.experiments.serving import flash_config
+from repro.obs.metrics import MetricsRegistry
 from repro.service.loadgen import FlashCrowdConfig, LoadGenConfig, run_serve_bench
 
 toy = LoadGenConfig(n_clients=8, duration_s=20.0)
@@ -184,10 +189,22 @@ flash = LoadGenConfig(
 crowd = run_serve_bench(seed=2016, config=flash)
 assert crowd.shed > 0, "flash crowd did not engage admission control"
 assert crowd.errors == 0, f"flash crowd saw {crowd.errors} unshed errors"
+
+# The serving experiment's flash posture, twice: the whole output (report
+# and every metric, engine spans and latency histograms included) must
+# repeat exactly.
+runs = []
+for _ in range(2):
+    metrics = MetricsRegistry()
+    report = run_serve_bench(seed=2016, config=flash_config(), metrics=metrics)
+    runs.append((report.to_dict(), metrics.snapshot()))
+assert runs[0][0] == runs[1][0], "serving flash report not seed-stable"
+assert runs[0][1] == runs[1][1], "serving flash metrics snapshot not seed-stable"
 print(
     f"serve ok: baseline {baseline.requests} requests clean "
     f"(p99 {baseline.latency_p99_s * 1e3:.0f} ms), "
-    f"flash crowd shed {crowd.shed}/{crowd.requests}"
+    f"flash crowd shed {crowd.shed}/{crowd.requests}, "
+    f"serving flash x2 identical ({runs[0][0]['requests']} requests)"
 )
 EOF
     exit 0

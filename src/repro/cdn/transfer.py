@@ -24,6 +24,7 @@ function that draws only the variates per chunk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,13 +65,19 @@ class TransferModel:
         then (away from the gateway city) the coordination and a jittered
         round trip, request out and chunk back.  The model's parameters are
         read here, so build a new sampler after changing them.
+
+        A call draws its standard normals in one ``standard_normal`` call,
+        into a buffer the sampler owns, and scales each as
+        ``exp(sigma * z)``: the same bits, from the same stream, as one
+        ``rng.lognormal(0, sigma)`` per factor.
         """
+        exp = math.exp
         handoff_s, handoff_sigma = self.handoff_s, self.handoff_jitter_sigma
         gateway = None if self.is_colocated(wowza, fastly) else self.gateway_for(wowza)
         if gateway is None or gateway.city == fastly.city:
 
             def handoff_only(rng: np.random.Generator) -> float:
-                return handoff_s * float(rng.lognormal(0.0, handoff_sigma))
+                return handoff_s * exp(handoff_sigma * rng.standard_normal())
 
             return handoff_only
         coordination_s, coordination_sigma = self.coordination_s, self.coordination_jitter_sigma
@@ -78,15 +85,21 @@ class TransferModel:
         back_s = self.latency.propagation_s(fastly.location, gateway.location)
         jitter_sigma = self.latency.jitter_sigma
         serialization_s = self.chunk_bytes * 8.0 / self.interpop_bandwidth_bps
+        draws = 4 if jitter_sigma > 0 else 2
+        normals = np.empty(draws)  # refilled by every call
 
         def via_gateway(rng: np.random.Generator) -> float:
-            handoff = handoff_s * float(rng.lognormal(0.0, handoff_sigma))
-            coordination = coordination_s * float(rng.lognormal(0.0, coordination_sigma))
+            z = rng.standard_normal(out=normals).tolist()
             out, back = out_s, back_s
-            if jitter_sigma > 0:
-                out *= float(rng.lognormal(0.0, jitter_sigma))
-                back *= float(rng.lognormal(0.0, jitter_sigma))
-            return handoff + coordination + (out + back) + serialization_s
+            if draws == 4:
+                out *= exp(jitter_sigma * z[2])
+                back *= exp(jitter_sigma * z[3])
+            return (
+                handoff_s * exp(handoff_sigma * z[0])
+                + coordination_s * exp(coordination_sigma * z[1])
+                + (out + back)
+                + serialization_s
+            )
 
         return via_gateway
 

@@ -62,8 +62,9 @@ def geolocation_study(
             bucket = "co-located" if model.is_colocated(wowza, fastly) else distance_bucket(distance)
             transfer_delay = model.sampler(wowza, fastly)
             for _ in range(broadcasts_per_pair):
+                # The poll offset is uniform(0, interval), drawn as interval·u.
                 delays = [
-                    transfer_delay(rng) + float(rng.uniform(0.0, crawler_poll_interval_s))
+                    transfer_delay(rng) + crawler_poll_interval_s * rng.random()
                     for _ in range(chunks_per_broadcast)
                 ]
                 samples.append(

@@ -16,6 +16,8 @@ cache fresh the crawler sleeps until the POP's next expiry notification and
 resumes at the first grid time at or after it; while the cache is stale
 (pull in flight, origin down, breaker open) it polls every step.
 ``FastlyEdge.poll_count`` therefore counts only the polls actually issued.
+A poll the POP refuses while it is down counts in ``failed_polls``, and
+the crawler keeps stepping the grid as it does for a stale cache.
 
 Crawlers were deployed co-located with each datacenter (the paper used
 nearby EC2 sites), so their own network delay is negligible.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cdn.fastly import FastlyEdge
+from repro.cdn.fastly import EdgeUnavailable, FastlyEdge
 from repro.cdn.wowza import WowzaIngest
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
@@ -54,6 +56,8 @@ class DelayCrawler:
     frame_sequences: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     frame_captures: np.ndarray = field(default_factory=lambda: np.empty(0))
     frame_arrivals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: HLS polls refused by a downed POP (``EdgeUnavailable``).
+    failed_polls: int = field(default=0, init=False)
     _edge: FastlyEdge | None = field(default=None, init=False)
     _stopped: bool = field(default=False, init=False)
     _last_poll: float = field(default=0.0, init=False)  # latest grid time polled
@@ -99,10 +103,14 @@ class DelayCrawler:
         if self._stopped or self._edge is None or self.simulator.now > self.stop_after:
             return
         self._last_poll = self.simulator.now
-        self._edge.poll(self.broadcast_id, self._on_chunklist)
-        if not self._edge.is_stale(self.broadcast_id):
-            self._asleep = True
-            return
+        try:
+            self._edge.poll(self.broadcast_id, self._on_chunklist)
+        except EdgeUnavailable:
+            self.failed_polls += 1
+        else:
+            if not self._edge.is_stale(self.broadcast_id):
+                self._asleep = True
+                return
         self.simulator.schedule(
             self.poll_interval_s, self._poll, label=f"crawler-poll:{self.broadcast_id}"
         )

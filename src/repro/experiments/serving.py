@@ -24,6 +24,21 @@ from repro.experiments.registry import experiment
 from repro.service.loadgen import FlashCrowdConfig, LoadGenConfig, run_serve_bench
 
 
+def flash_config(n_clients: int = 16, duration_s: float = 60.0) -> LoadGenConfig:
+    """The flash posture: 15 extra clients per polling client, thinking
+    0.15 s, over the middle third of the run."""
+    return LoadGenConfig(
+        n_clients=n_clients,
+        duration_s=duration_s,
+        flash_crowd=FlashCrowdConfig(
+            start_s=duration_s / 3.0,
+            duration_s=duration_s / 3.0,
+            extra_clients=15 * n_clients,
+            think_time_s=0.15,
+        ),
+    )
+
+
 @experiment(
     "serving",
     "Serving tier: global-list flow under a flash crowd (admission on/off)",
@@ -38,19 +53,10 @@ def run(
     duration_s: float = 60.0,
 ) -> tuple[dict, str]:
     baseline_config = LoadGenConfig(n_clients=n_clients, duration_s=duration_s)
-    flash_config = LoadGenConfig(
-        n_clients=n_clients,
-        duration_s=duration_s,
-        flash_crowd=FlashCrowdConfig(
-            start_s=duration_s / 3.0,
-            duration_s=duration_s / 3.0,
-            extra_clients=15 * n_clients,
-            think_time_s=0.15,
-        ),
-    )
+    crowd_config = flash_config(n_clients, duration_s)
     baseline = run_serve_bench(seed=seed, config=baseline_config)
-    flash = run_serve_bench(seed=seed, config=flash_config)
-    unguarded = run_serve_bench(seed=seed, config=flash_config, admission=False)
+    flash = run_serve_bench(seed=seed, config=crowd_config)
+    unguarded = run_serve_bench(seed=seed, config=crowd_config, admission=False)
 
     rows = {}
     for name, report in (

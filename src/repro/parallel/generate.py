@@ -29,7 +29,8 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
   :class:`repro.parallel.checkpoint.RunCheckpoint` (atomic shard files +
   manifest), so an interrupted run resumes without repeating done shards,
 * workloads too small to amortize pool startup fall back to the
-  in-process walk (``MIN_BROADCASTS_PER_WORKER``) — the fallback only
+  in-process walk (``MIN_BROADCASTS_PER_WORKER``), and automatic shards
+  are planned for the workers actually used — the fallback only
   changes scheduling, never bytes,
 * the shard files are merged *out of core* by the streaming merge
   (:mod:`repro.parallel.merge`), which copies them straight into the
@@ -397,8 +398,11 @@ def generate_dataset(
     POSIX the mapping outlives the scratch file's unlink.
     """
     fault_plan = fault_plan_from_env()
-    specs = plan_shards(config.growth.days, shards=config.shards, workers=config.workers)
-    workers = effective_workers(config, len(specs))
+    # Auto shards are planned for the workers actually used, so a run that
+    # falls back to one worker writes and merges one shard.
+    days = config.growth.days
+    workers = effective_workers(config, min(config.shards or days, days))
+    specs = plan_shards(days, shards=config.shards, workers=workers)
 
     checkpoint: Optional[RunCheckpoint] = None
     if run_dir is not None:

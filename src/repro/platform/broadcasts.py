@@ -74,6 +74,9 @@ class Broadcast:
     comments: list[Comment] = field(default_factory=list)
     hearts: list[Heart] = field(default_factory=list)
     commenter_ids: set[int] = field(default_factory=set)
+    #: RTMP views among ``views``, kept by :meth:`add_view` (a leave keeps
+    #: the tier), so the spillover policy reads it without a scan.
+    _rtmp_views: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def is_live(self) -> bool:
@@ -96,13 +99,19 @@ class Broadcast:
 
     @property
     def rtmp_view_count(self) -> int:
-        return sum(1 for view in self.views if view.tier is DeliveryTier.RTMP)
+        return self._rtmp_views
 
     @property
     def hls_view_count(self) -> int:
-        return sum(
-            1 for view in self.views if view.tier in (DeliveryTier.HLS, DeliveryTier.WEB)
-        )
+        """HLS and web views: every view not served over RTMP."""
+        return len(self.views) - self._rtmp_views
+
+    def add_view(self, view: ViewRecord) -> None:
+        """Record a join's view.  The only way ``views`` grows, so the RTMP
+        count stays exact."""
+        self.views.append(view)
+        if view.tier is DeliveryTier.RTMP:
+            self._rtmp_views += 1
 
     def end(self, time: float) -> None:
         if not self.is_live:

@@ -63,9 +63,14 @@ UNAVAILABLE = "unavailable"  # browned out backend (retryable)
 ERROR = "error"  # invalid API usage (not retryable)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Request:
-    """One client request submitted to the frontend."""
+    """One client request submitted to the frontend.
+
+    A slotted record rather than a frozen dataclass: a frozen one's
+    ``__init__`` pays an ``object.__setattr__`` per field, and a flash
+    crowd builds one per request.  Nothing mutates or hashes it.
+    """
 
     request_id: int
     action: str
@@ -82,9 +87,10 @@ class Request:
         return ACTION_CLASSES[self.action]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
-    """The frontend's answer to one request."""
+    """The frontend's answer to one request (a slotted record, as
+    :class:`Request` is)."""
 
     request: Request
     status: str

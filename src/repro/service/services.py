@@ -210,7 +210,8 @@ class BroadcastService:
 
         The first ``rtmp_viewer_threshold`` mobile viewers connect to the
         ingest server over RTMP; later arrivals (and all web viewers) get
-        HLS from the edge CDN.
+        HLS from the edge CDN.  The tier comes from the broadcast's kept
+        RTMP count, so a join costs the same however many came before it.
         """
         self._m_api.inc()
         if self.gate.failing_now() and not self._shed():
@@ -231,7 +232,7 @@ class BroadcastService:
         else:
             tier = DeliveryTier.HLS
         record = ViewRecord(viewer_id=viewer_id, join_time=time, tier=tier)
-        broadcast.views.append(record)
+        broadcast.add_view(record)
         self._m_joins.inc()
         return record
 

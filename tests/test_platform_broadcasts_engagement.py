@@ -30,9 +30,9 @@ class TestBroadcast:
 
     def test_view_counts_by_tier(self):
         broadcast = Broadcast(broadcast_id=1, broadcaster_id=1, start_time=0.0)
-        broadcast.views.append(ViewRecord(2, 1.0, DeliveryTier.RTMP))
-        broadcast.views.append(ViewRecord(3, 2.0, DeliveryTier.HLS))
-        broadcast.views.append(ViewRecord(4, 3.0, DeliveryTier.WEB))
+        broadcast.add_view(ViewRecord(2, 1.0, DeliveryTier.RTMP))
+        broadcast.add_view(ViewRecord(3, 2.0, DeliveryTier.HLS))
+        broadcast.add_view(ViewRecord(4, 3.0, DeliveryTier.WEB))
         assert broadcast.rtmp_view_count == 1
         assert broadcast.hls_view_count == 2
         assert broadcast.total_views == 3

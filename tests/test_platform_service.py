@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.platform.apps import MEERKAT_PROFILE, PERISCOPE_PROFILE
 from repro.platform.broadcasts import BroadcastState, DeliveryTier
@@ -69,6 +73,71 @@ class TestLifecycle:
         assert set(page.broadcast_ids) == {ids[0], ids[2], ids[4]}
 
 
+class _UnwalkableViews(list):
+    """A view list that fails any walk over it (appends still work)."""
+
+    def __iter__(self):
+        raise AssertionError("the view list was walked")
+
+
+def _scan_tier(views, profile, web: bool) -> DeliveryTier:
+    """The spillover rule with the RTMP count taken by scanning every view,
+    as ``join`` decided it before the count was kept."""
+    if web:
+        return DeliveryTier.WEB
+    rtmp = sum(1 for view in views if view.tier is DeliveryTier.RTMP)
+    if profile.has_push_tier and rtmp < profile.rtmp_viewer_threshold:
+        return DeliveryTier.RTMP
+    return DeliveryTier.HLS
+
+
+#: (action, viewer, repeats): runs of mobile joins, web joins or leaves.
+_VIEWER_ACTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["mobile", "web", "leave"]),
+        st.integers(min_value=2, max_value=9),
+        st.integers(min_value=1, max_value=40),
+    ),
+    max_size=30,
+)
+
+
+class TestTierOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        threshold=st.sampled_from([0, 1, 100]),
+        push_tier=st.booleans(),
+        actions=_VIEWER_ACTIONS,
+    )
+    # Past the paper's threshold of 100, with leaves in between.
+    @example(
+        threshold=100,
+        push_tier=True,
+        actions=[("mobile", 2, 40), ("leave", 2, 30), ("mobile", 3, 70), ("web", 4, 5)],
+    )
+    def test_tiers_match_the_scan_rule(self, threshold, push_tier, actions):
+        profile = replace(
+            PERISCOPE_PROFILE, rtmp_viewer_threshold=threshold, has_push_tier=push_tier
+        )
+        service = LivestreamService(profile=profile)
+        service.users.register_many(10)
+        broadcast = service.start_broadcast(1, time=0.0)
+        time = 0.0
+        for action, viewer, repeats in actions:
+            for _ in range(repeats):
+                time += 1.0
+                if action == "leave":
+                    service.leave(broadcast.broadcast_id, viewer_id=viewer, time=time)
+                    continue
+                web = action == "web"
+                expected = _scan_tier(broadcast.views, profile, web)
+                record = service.join(broadcast.broadcast_id, viewer, time, web=web)
+                assert record.tier is expected
+        rtmp = sum(1 for view in broadcast.views if view.tier is DeliveryTier.RTMP)
+        assert broadcast.rtmp_view_count == rtmp
+        assert broadcast.hls_view_count == len(broadcast.views) - rtmp
+
+
 class TestJoinPolicy:
     def test_first_viewers_get_rtmp(self, service, live_broadcast):
         record = service.join(live_broadcast.broadcast_id, viewer_id=2, time=1.0)
@@ -92,6 +161,19 @@ class TestJoinPolicy:
         broadcast = service.start_broadcast(1, time=0.0)
         record = service.join(broadcast.broadcast_id, viewer_id=2, time=1.0)
         assert record.tier is DeliveryTier.HLS
+
+    def test_join_does_not_walk_the_views(self, service, live_broadcast):
+        """The tier comes from the kept RTMP count: joining never iterates
+        the broadcast's views, however many there are."""
+        live_broadcast.views = _UnwalkableViews()
+        threshold = PERISCOPE_PROFILE.rtmp_viewer_threshold
+        tiers = [
+            service.join(live_broadcast.broadcast_id, viewer_id=2 + i, time=1.0).tier
+            for i in range(threshold + 5)
+        ]
+        assert tiers == [DeliveryTier.RTMP] * threshold + [DeliveryTier.HLS] * 5
+        assert live_broadcast.rtmp_view_count == threshold
+        assert live_broadcast.hls_view_count == 5
 
     def test_join_ended_broadcast_rejected(self, service, live_broadcast):
         service.end_broadcast(live_broadcast.broadcast_id, time=5.0)

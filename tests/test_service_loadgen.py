@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.registry import ExperimentResult
+from repro.experiments.serving import flash_config
+from repro.obs.metrics import MetricsRegistry
 from repro.service.loadgen import (
     FlashCrowdConfig,
     LoadGenConfig,
@@ -98,3 +101,32 @@ class TestFlashCrowd:
         assert "serve-bench" in text
         assert "p50" in text
         assert isinstance(report, ServeBenchReport)
+
+
+#: ``fingerprint`` of the ``serving`` experiment's flash run at seed 2016:
+#: "data" covers its report and the run's whole metrics snapshot (every
+#: ``service.*`` and ``engine.span.*`` histogram included), "text" the
+#: rendered report.
+SERVING_FLASH_DIGESTS = {
+    "data": "8316bfc65cd688323765092fe1b48ee631f1edeecb19c36c385efc461fbed4b1",
+    "text": "036d6e3b9036b4fd6f6a1282358c7f460e0965a11654ca536ba5566804c36d5c",
+}
+
+
+class TestWholeOutputPin:
+    def test_flash_report_and_metrics_pinned(self, golden):
+        """Checked as GOLDEN.json checks an experiment: both digests on the
+        recorded numpy version, the text alone (with a warning) on another."""
+        metrics = MetricsRegistry()
+        report = run_serve_bench(seed=2016, config=flash_config(), metrics=metrics)
+        result = ExperimentResult(
+            "serving-flash",
+            "serving experiment, flash posture",
+            {"report": report.to_dict(), "metrics": metrics.snapshot()},
+            report.render(),
+        )
+        recorded = {
+            "numpy": golden.load_golden()["numpy"],
+            "experiments": {"serving-flash": SERVING_FLASH_DIGESTS},
+        }
+        assert golden.check_experiments(recorded, {"serving-flash": result}) == []

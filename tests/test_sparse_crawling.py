@@ -7,7 +7,9 @@ wakes at the first grid time at or after it.  ``_PerPollCrawler`` keeps
 the loop that polled every step as the oracle; everything the edge
 measures or draws must match it bit for bit, with strictly fewer polls.
 Likewise ``_transfer_delay_formula`` is the per-call transfer formula that
-:meth:`TransferModel.sampler` hoisted out of Figure 15's inner loop.
+:meth:`TransferModel.sampler` hoisted out of Figure 15's inner loop, and
+``_geolocation_means_per_chunk`` that loop itself, one scalar draw per
+variate, which ``geolocation_study`` now batches into two calls a chunk.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cdn.fastly import FastlyEdge
+from repro.cdn.fastly import EdgeUnavailable, FastlyEdge
 from repro.cdn.queueing import ServerQueue
 from repro.cdn.transfer import TransferModel
 from repro.cdn.wowza import WowzaIngest
 from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient
+from repro.core.geolocation import geolocation_study
 from repro.core.pipeline import DelayMeasurementCampaign
 from repro.crawler.delay_crawler import DelayCrawler
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultWindow
@@ -32,7 +35,8 @@ from repro.simulation.engine import Simulator
 
 
 class _PerPollCrawler(DelayCrawler):
-    """The HLS crawler before sparse polling: one poll every 0.1 s step."""
+    """The HLS crawler before sparse polling: one poll every 0.1 s step,
+    with the same count of polls a downed POP refuses."""
 
     def attach_hls(self, edge: FastlyEdge) -> None:
         self._edge = edge
@@ -41,7 +45,10 @@ class _PerPollCrawler(DelayCrawler):
     def _poll(self) -> None:
         if self._stopped or self._edge is None or self.simulator.now > self.stop_after:
             return
-        self._edge.poll(self.broadcast_id, self._on_chunklist)
+        try:
+            self._edge.poll(self.broadcast_id, self._on_chunklist)
+        except EdgeUnavailable:
+            self.failed_polls += 1
         self.simulator.schedule(
             self.poll_interval_s, self._poll, label=f"crawler-poll:{self.broadcast_id}"
         )
@@ -64,6 +71,8 @@ _ORIGIN_OUTAGES = (
     FaultWindow(FaultKind.ORIGIN_DOWN, 9.37, 6.0),
     FaultWindow(FaultKind.ORIGIN_DOWN, 27.71, 2.5),
 )
+#: The crawled POP itself is down from 10 s to 15 s.
+_EDGE_OUTAGE = (FaultWindow(FaultKind.EDGE_DOWN, 10.0, 5.0),)
 
 
 def _pop(wowza, far: bool):
@@ -82,6 +91,7 @@ def _run(
     far: bool = False,
     stop_after: float = _DURATION_S + 10.0,
     stop_at: float | None = None,
+    edge_down: bool = False,
 ):
     """One broadcast behind a bursty mobile uplink, crawled at one POP."""
     simulator = Simulator()
@@ -97,10 +107,12 @@ def _run(
         else None,
     )
     edge.attach_broadcast(1, wowza)
-    if outages:
+    windows = (_ORIGIN_OUTAGES if outages else ()) + (_EDGE_OUTAGE if edge_down else ())
+    if windows:
         injector = FaultInjector(simulator)
         injector.register_origin("origin", wowza)
-        injector.arm(FaultPlan(_ORIGIN_OUTAGES))
+        injector.register_edge("pop", edge)
+        injector.arm(FaultPlan(windows))
     broadcaster = BroadcasterClient(
         broadcast_id=1, token="t", simulator=simulator, wowza=wowza,
         uplink=LastMileLink.mobile_uplink(
@@ -131,6 +143,7 @@ def _run(
         "viewer": None
         if client is None
         else (client.chunk_arrivals, client.chunk_response_times, client.poll_times),
+        "crawler_failed_polls": crawler.failed_polls,
     }
     crawler_polls = [time for time, caller in edge.poll_log if caller is crawler]
     return observed, edge.poll_count(1), crawler_polls
@@ -233,6 +246,37 @@ class TestCrawlerOracle:
             DelayCrawler(broadcast_id=1, simulator=simulator).attach_hls(edge)
 
 
+class TestDownedPop:
+    """A POP taken down mid-crawl refuses polls with ``EdgeUnavailable``.
+    The crawler counts each refusal and keeps stepping its grid, so the run
+    completes and measures what the per-poll loop with the same catch does."""
+
+    @pytest.mark.parametrize("viewer", [False, True], ids=["alone", "viewer"])
+    @pytest.mark.parametrize("seed", [3, 6, 2016])
+    def test_crawl_survives_edge_down(self, seed, viewer):
+        expected, _, oracle_times = _run(_PerPollCrawler, seed=seed, viewer=viewer, edge_down=True)
+        got, _, times = _run(DelayCrawler, seed=seed, viewer=viewer, edge_down=True)
+        oracle_failed = expected.pop("crawler_failed_polls")
+        failed = got.pop("crawler_failed_polls")
+        assert got == expected  # availability_map, origin_pulls and the rest
+        assert set(times) <= set(oracle_times)
+        # The oracle steps through the whole window; the sparse crawler polls
+        # a subset of that grid, and every poll it makes there is refused.
+        assert oracle_failed == 50
+        assert failed <= oracle_failed
+        assert failed == sum(1 for time in times if 10.0 <= time < 15.0)
+        assert any(landed >= 15.0 for landed in got["availability"].values())
+
+    def test_crawler_polls_the_downed_pop(self):
+        """At seed 2016 the first expiry inside the window wakes the crawler
+        while the POP is down, and it steps the grid until the POP is back."""
+        observed, _, times = _run(DelayCrawler, seed=2016, edge_down=True)
+        refused = [time for time in times if 10.0 <= time < 15.0]
+        assert observed["crawler_failed_polls"] == len(refused) > 0
+        after = [time for time in times if time >= 15.0]
+        assert after and after[0] - refused[-1] < 0.15
+
+
 class TestFreshAfterPull:
     def test_chunk_finished_mid_pull_lands_with_it(self):
         """The origin snapshot is taken as a pull lands, so a chunk that
@@ -327,3 +371,37 @@ class TestTransferSampler:
         }
         # Co-located, gateway-city (Sao Paulo's gateway is abroad) and remote.
         assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def _geolocation_means_per_chunk(model, rng, broadcasts_per_pair, chunks_per_broadcast):
+    """``geolocation_study``'s per-broadcast means as its loop drew them
+    before the draws were batched: per chunk, the per-call transfer formula
+    (one ``lognormal`` per factor) plus one ``uniform`` poll offset."""
+    means = []
+    for wowza in WOWZA_DATACENTERS:
+        for fastly in FASTLY_DATACENTERS:
+            for _ in range(broadcasts_per_pair):
+                delays = [
+                    _transfer_delay_formula(model, wowza, fastly, rng)
+                    + float(rng.uniform(0.0, 0.1))
+                    for _ in range(chunks_per_broadcast)
+                ]
+                means.append(float(np.mean(delays)))
+    return means
+
+
+class TestGeolocationStudy:
+    @pytest.mark.parametrize("model_name", sorted(_MODELS))
+    @pytest.mark.parametrize("seed", [7, 2016])
+    def test_matches_per_chunk_loop(self, model_name, seed):
+        model = _MODELS[model_name]
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _geolocation_means_per_chunk(model, expected_rng, 3, 40)
+        samples = geolocation_study(
+            rng, broadcasts_per_pair=3, chunks_per_broadcast=40, transfer=model
+        )
+        assert [sample.mean_delay_s.hex() for sample in samples] == [
+            mean.hex() for mean in expected
+        ]
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+

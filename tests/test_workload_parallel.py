@@ -234,11 +234,24 @@ class TestSerialFallback:
         monkeypatch.undo()  # lift this module's forced pool
         assert _bytes_for(workers=4) == reference_bytes
 
+    @pytest.mark.parametrize("shards, planned", [(0, 1), (6, 6)], ids=["auto", "explicit"])
+    def test_auto_shards_planned_for_the_workers_used(self, monkeypatch, shards, planned):
+        """A run that falls back to one worker plans one automatic shard
+        (not four per configured worker); an explicit count stands."""
+        monkeypatch.undo()  # lift this module's forced pool
+        config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=4, shards=shards)
+        registry = MetricsRegistry()
+        generate_trace(config, registry=registry)
+        assert registry.gauge("trace.workers").value == 1
+        assert registry.gauge("trace.shards").value == planned
+        assert registry.histogram("trace.shard_seconds").count == planned
+
     def test_forced_pool_engages_workers(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=2)
         registry = MetricsRegistry()
         generate_trace(config, registry=registry)
         assert registry.gauge("trace.workers").value == 2
+        assert registry.gauge("trace.shards").value == 2 * AUTO_SHARDS_PER_WORKER
 
 
 class TestCacheFirstProbe:

@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flash-crowd", action="store_true",
         help=(
-            "hit the 'serve-bench' run with a mid-run flash crowd "
-            "(10x extra clients polling at 0.25s think time)"
+            "hit the 'serve-bench' run with a flash crowd over the middle "
+            "third of the run (15x extra clients polling at 0.15 s think time)"
         ),
     )
     parser.add_argument(
@@ -337,21 +337,15 @@ def _render_chaos(args: argparse.Namespace) -> str:
 
 def _render_serve_bench(args: argparse.Namespace) -> str:
     """Run the closed-loop serving benchmark and format its report."""
-    from repro.service.loadgen import FlashCrowdConfig, LoadGenConfig, run_serve_bench
+    from repro.experiments.serving import flash_config
+    from repro.service.loadgen import LoadGenConfig, run_serve_bench
 
     n_clients = args.clients if args.clients is not None else 16
     duration_s = args.duration if args.duration is not None else 60.0
-    flash = None
     if args.flash_crowd:
-        flash = FlashCrowdConfig(
-            start_s=duration_s / 3.0,
-            duration_s=duration_s / 3.0,
-            extra_clients=15 * n_clients,
-            think_time_s=0.15,
-        )
-    config = LoadGenConfig(
-        n_clients=n_clients, duration_s=duration_s, flash_crowd=flash
-    )
+        config = flash_config(n_clients, duration_s)
+    else:
+        config = LoadGenConfig(n_clients=n_clients, duration_s=duration_s)
     report = run_serve_bench(
         seed=args.seed if args.seed is not None else 2016,
         config=config,

@@ -40,7 +40,6 @@ class CrawlerAccount:
     account_id: int
     refresh_s: float
     start_offset_s: float
-    rate_limit: Optional[TokenBucket] = None
     queries_made: int = field(default=0, init=False)
     queries_throttled: int = field(default=0, init=False)
     queries_failed: int = field(default=0, init=False)

@@ -24,23 +24,21 @@ from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.rate_limit import TokenBucket
 
+#: Broadcasts launched 20 s apart, each with half RTMP, half HLS viewers.
+N_BROADCASTS = 3
+VIEWERS_PER_BROADCAST = 4
+BROADCAST_DURATION_S = 30.0
+HORIZON_S = 150.0
 
-def run_metrics_scenario(
-    seed: int = 7,
-    n_broadcasts: int = 3,
-    viewers_per_broadcast: int = 4,
-    broadcast_duration_s: float = 30.0,
-    horizon_s: float = 150.0,
-) -> MetricsRegistry:
+
+def run_metrics_scenario(seed: int = 7) -> MetricsRegistry:
     """Run the instrumented micro-scenario; returns the populated registry."""
-    if n_broadcasts <= 0:
-        raise ValueError("need at least one broadcast")
     streams = RandomStreams(seed)
     registry = MetricsRegistry()
     simulator = Simulator(metrics=registry)
 
     service = LivestreamService(metrics=registry)
-    service.users.register_many(50 + n_broadcasts * viewers_per_broadcast)
+    service.users.register_many(50 + N_BROADCASTS * VIEWERS_PER_BROADCAST)
 
     wowza = WowzaIngest(
         WOWZA_DATACENTERS[0], simulator, frames_per_chunk=25, metrics=registry
@@ -55,7 +53,7 @@ def run_metrics_scenario(
     server_queue = ServerQueue(simulator, metrics=registry)
 
     engagement_rng = streams.get("engagement")
-    for index in range(n_broadcasts):
+    for index in range(N_BROADCASTS):
         start = index * 20.0
         broadcaster_id = 1 + index
 
@@ -65,15 +63,15 @@ def run_metrics_scenario(
             bid = broadcast.broadcast_id
             edge.attach_broadcast(bid, wowza)
             uplink = LastMileLink.mobile_uplink(
-                streams.get(f"uplink/{slot}"), horizon_s=horizon_s
+                streams.get(f"uplink/{slot}"), horizon_s=HORIZON_S
             )
             client = BroadcasterClient(
                 broadcast_id=bid, token=f"tok-{bid}", simulator=simulator,
                 wowza=wowza, uplink=uplink,
             )
-            client.start(start_time=now, duration_s=broadcast_duration_s)
-            for viewer_offset in range(viewers_per_broadcast):
-                viewer_id = 40 + slot * viewers_per_broadcast + viewer_offset
+            client.start(start_time=now, duration_s=BROADCAST_DURATION_S)
+            for viewer_offset in range(VIEWERS_PER_BROADCAST):
+                viewer_id = 40 + slot * VIEWERS_PER_BROADCAST + viewer_offset
                 service.join(bid, viewer_id, time=now)
                 service.heart(bid, viewer_id, time=now)
                 service.comment(bid, viewer_id, time=now)
@@ -90,14 +88,14 @@ def run_metrics_scenario(
                         viewer_id=viewer_id, broadcast_id=bid, simulator=simulator,
                         edge=edge,
                         downlink=LastMileLink.stable_wifi(streams.get(f"hls/{viewer_id}")),
-                        stop_after=now + broadcast_duration_s + 15.0,
+                        stop_after=now + BROADCAST_DURATION_S + 15.0,
                         metrics=registry,
                     )
                     hls.start_polling(first_poll_at=now + float(
                         engagement_rng.uniform(0.5, 2.0)
                     ))
             simulator.schedule(
-                broadcast_duration_s + 5.0,
+                BROADCAST_DURATION_S + 5.0,
                 lambda bid=bid: service.end_broadcast(bid, simulator.now),
                 label="platform-end",
             )
@@ -111,5 +109,5 @@ def run_metrics_scenario(
         metrics=registry,
     )
     crawler.start()
-    simulator.run(until=horizon_s)
+    simulator.run(until=HORIZON_S)
     return registry

@@ -41,6 +41,15 @@ from repro.simulation.randomness import RandomStreams
 from repro.simulation.rate_limit import TokenBucket
 from repro.simulation.resilience import CircuitBreaker, RetryPolicy
 
+#: Featured broadcasts, each with HLS viewers behind the Fastly POPs.
+N_BROADCASTS = 3
+VIEWERS_PER_BROADCAST = 4
+#: Short-lived platform-only broadcasts timed against the brownout and
+#: the crawler-quota starvation.
+BACKGROUND_BROADCASTS = 12
+BROADCAST_DURATION_S = 40.0
+HORIZON_S = 240.0
+
 
 @dataclass(frozen=True)
 class ChaosReport:
@@ -143,11 +152,6 @@ def run_chaos_scenario(
     seed: int = 7,
     fault_intensity: float = 1.0,
     resilient: bool = True,
-    n_broadcasts: int = 3,
-    viewers_per_broadcast: int = 4,
-    background_broadcasts: int = 12,
-    broadcast_duration_s: float = 40.0,
-    horizon_s: float = 240.0,
     metrics: MetricsRegistry = NULL_REGISTRY,
 ) -> ChaosReport:
     """One end-to-end run through the chaos schedule.
@@ -158,8 +162,6 @@ def run_chaos_scenario(
     seeds, broadcasts, viewers, the fault schedule — is identical, which
     is what makes naive/resilient reports comparable.
     """
-    if n_broadcasts <= 0:
-        raise ValueError("need at least one broadcast")
     if fault_intensity < 0:
         raise ValueError("fault intensity must be non-negative")
     streams = RandomStreams(seed)
@@ -167,7 +169,7 @@ def run_chaos_scenario(
 
     service = LivestreamService(metrics=metrics, load_shedding=resilient)
     service.users.register_many(
-        100 + n_broadcasts * viewers_per_broadcast + background_broadcasts
+        100 + N_BROADCASTS * VIEWERS_PER_BROADCAST + BACKGROUND_BROADCASTS
     )
 
     wowza = WowzaIngest(
@@ -223,7 +225,7 @@ def run_chaos_scenario(
     hls_viewers: list[HlsViewerClient] = []
     featured_bids: list[int] = []
 
-    for index in range(n_broadcasts):
+    for index in range(N_BROADCASTS):
         start = 10.0 + index * 20.0
         broadcaster_id = 1 + index
 
@@ -235,15 +237,15 @@ def run_chaos_scenario(
             for edge in edges:  # failover candidates must know the broadcast
                 edge.attach_broadcast(bid, wowza)
             uplink = LastMileLink.mobile_uplink(
-                streams.get(f"uplink/{slot}"), horizon_s=horizon_s
+                streams.get(f"uplink/{slot}"), horizon_s=HORIZON_S
             )
             client = BroadcasterClient(
                 broadcast_id=bid, token=f"tok-{bid}", simulator=simulator,
                 wowza=wowza, uplink=uplink,
             )
-            client.start(start_time=now, duration_s=broadcast_duration_s)
-            for viewer_offset in range(viewers_per_broadcast):
-                viewer_id = 60 + slot * viewers_per_broadcast + viewer_offset
+            client.start(start_time=now, duration_s=BROADCAST_DURATION_S)
+            for viewer_offset in range(VIEWERS_PER_BROADCAST):
+                viewer_id = 60 + slot * VIEWERS_PER_BROADCAST + viewer_offset
                 # Engagement calls may land inside a brownout window; the
                 # naive posture surfaces that as errors the launcher eats.
                 try:
@@ -256,7 +258,7 @@ def run_chaos_scenario(
                     viewer_id=viewer_id, broadcast_id=bid, simulator=simulator,
                     edge=edges[0],
                     downlink=LastMileLink.stable_wifi(streams.get(f"hls/{viewer_id}")),
-                    stop_after=now + broadcast_duration_s + 30.0,
+                    stop_after=now + BROADCAST_DURATION_S + 30.0,
                     retry_policy=viewer_policy,
                     failover_edges=edges if resilient else (),
                     metrics=metrics,
@@ -266,7 +268,7 @@ def run_chaos_scenario(
                     first_poll_at=now + float(engagement_rng.uniform(0.5, 2.0))
                 )
             simulator.schedule(
-                broadcast_duration_s + 5.0,
+                BROADCAST_DURATION_S + 5.0,
                 lambda bid=bid: service.end_broadcast(bid, simulator.now),
                 label="platform-end",
             )
@@ -276,12 +278,12 @@ def run_chaos_scenario(
     # Background broadcasts: platform-only, short-lived, timed so the
     # brownout (and for the last few, the quota starvation) is the only
     # thing standing between the crawler and full coverage.
-    for index in range(background_broadcasts):
+    for index in range(BACKGROUND_BROADCASTS):
         owner = 20 + index
-        if index < background_broadcasts - 4:
+        if index < BACKGROUND_BROADCASTS - 4:
             start = 40.0 + index * 6.0
         else:
-            start = 152.0 + (index - (background_broadcasts - 4)) * 8.0
+            start = 152.0 + (index - (BACKGROUND_BROADCASTS - 4)) * 8.0
         lifetime = 8.0
 
         def bg_launch(owner=owner, lifetime=lifetime):
@@ -311,18 +313,18 @@ def run_chaos_scenario(
         injector.register_edge(edge.datacenter.name, edge)
     injector.register_origin(wowza.datacenter.name, wowza)
     injector.register_queue("pop-frontend", server_queue)
-    injector.register_service("platform", service, streams.get("brownout"))
+    injector.register_service("platform", service.gate, streams.get("brownout"))
     injector.register_bucket("crawler-quota", bucket)
     plan = build_fault_plan(
         streams.get("faults"),
-        horizon_s=horizon_s,
+        horizon_s=HORIZON_S,
         intensity=fault_intensity,
         primary_edge=edges[0].datacenter.name,
         origin=wowza.datacenter.name,
     )
     injector.arm(plan)
 
-    simulator.run(until=horizon_s)
+    simulator.run(until=HORIZON_S)
 
     # -- fold the run into a domain-level report ------------------------
     produced = {
@@ -337,7 +339,7 @@ def run_chaos_scenario(
     delay_list: list[float] = []
     for viewer in hls_viewers:
         record = wowza.record_for(viewer.broadcast_id)
-        censor_at = min(viewer.stop_after, horizon_s)
+        censor_at = min(viewer.stop_after, HORIZON_S)
         for index, chunk in record.chunks.items():
             if index in viewer.chunk_arrivals:
                 delay_list.append(
@@ -372,13 +374,9 @@ def run_chaos_scenario(
 
 
 def run_chaos_pair(
-    seed: int = 7, fault_intensity: float = 1.0, **kwargs
+    seed: int = 7, fault_intensity: float = 1.0
 ) -> tuple[ChaosReport, ChaosReport]:
     """Run the naive and resilient postures through the same schedule."""
-    naive = run_chaos_scenario(
-        seed=seed, fault_intensity=fault_intensity, resilient=False, **kwargs
-    )
-    hardened = run_chaos_scenario(
-        seed=seed, fault_intensity=fault_intensity, resilient=True, **kwargs
-    )
+    naive = run_chaos_scenario(seed=seed, fault_intensity=fault_intensity, resilient=False)
+    hardened = run_chaos_scenario(seed=seed, fault_intensity=fault_intensity, resilient=True)
     return naive, hardened

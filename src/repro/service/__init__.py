@@ -7,9 +7,10 @@ list of 50 random live broadcasts.  It operates on the
 :mod:`repro.platform` records and delegates to a request-driven serving
 stack split the way the paper's production system is described: a
 storage tier (:mod:`repro.service.store` — the broadcast store with its
-live list, plus per-region list-snapshot caches), a service tier
+live list, plus the global-list page cache), a service tier
 (:mod:`repro.service.services` — lifecycle/engagement policy and the
-global-list API over storage, sharing one brownout fault gate), an API
+global-list API over storage, sharing one brownout fault gate that also
+decides load shedding), an API
 tier (:mod:`repro.service.frontend` — a deterministic event-loop frontend
 with token-bucket admission control from :mod:`repro.service.admission`),
 and a closed-loop benchmark driver (:mod:`repro.service.loadgen`,
@@ -42,11 +43,7 @@ from repro.service.loadgen import (
     run_serve_bench,
 )
 from repro.service.services import BroadcastService, FaultGate, ListService
-from repro.service.store import (
-    BroadcastStore,
-    RegionCache,
-    StoreError,
-)
+from repro.service.store import BroadcastStore, ListCache, StoreError
 
 __all__ = [
     "ACTION_CLASSES",
@@ -61,8 +58,8 @@ __all__ = [
     "GlobalListPage",
     "ListService",
     "LivestreamService",
+    "ListCache",
     "LoadGenConfig",
-    "RegionCache",
     "Request",
     "Response",
     "SHED_QUEUE_FULL",

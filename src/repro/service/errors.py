@@ -29,14 +29,25 @@ class GlobalListPage:
     """One response from the global broadcast list API.
 
     ``time`` is always the query time the caller supplied.  When the page
-    was answered from a stale snapshot (brown-out load shedding) or a
-    region cache, ``snapshot_time`` records when the underlying sample was
+    was answered from a stale snapshot (brown-out load shedding) or the
+    list cache, ``snapshot_time`` records when the underlying sample was
     actually taken; for a freshly sampled page it is ``None``.
     """
 
     time: float
     broadcast_ids: tuple[int, ...]
     snapshot_time: Optional[float] = None
+
+    def restamped(self, time: float) -> "GlobalListPage":
+        """This freshly sampled page served again at query ``time``.
+
+        The one re-stamp rule for pages answered from an older sample (the
+        list cache, brown-out load shedding): the response carries the
+        query time, and ``snapshot_time`` keeps when the sample was taken.
+        """
+        return GlobalListPage(
+            time=time, broadcast_ids=self.broadcast_ids, snapshot_time=self.time
+        )
 
     @property
     def is_stale(self) -> bool:

@@ -9,8 +9,10 @@ returns 50 randomly-selected active broadcasts per query (§3.1).
 in this package — a :class:`~repro.service.store.BroadcastStore`
 (storage tier) operated by :class:`~repro.service.services.BroadcastService`
 and :class:`~repro.service.services.ListService` (service tier), sharing one
-:class:`~repro.service.services.FaultGate` brownout surface.  The error and
-page types it raises and returns live in :mod:`repro.service.errors`.
+:class:`~repro.service.services.FaultGate` brownout surface (``gate``, the
+object a :class:`~repro.faults.injector.FaultInjector` browns out).  The
+error and page types it raises and returns live in
+:mod:`repro.service.errors`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.platform.broadcasts import Broadcast, ViewRecord
 from repro.platform.users import UserRegistry
 from repro.service.errors import GlobalListPage
 from repro.service.services import BroadcastService, FaultGate, ListService
-from repro.service.store import BroadcastStore, RegionCache
+from repro.service.store import BroadcastStore, ListCache
 
 
 @dataclass
@@ -43,51 +45,33 @@ class LivestreamService:
     global_list_size: int = 50
     users: UserRegistry = field(default_factory=UserRegistry)
     metrics: MetricsRegistry = field(default=NULL_REGISTRY, repr=False)
-    #: Resilience knob: during a brownout, answer global-list queries that
-    #: would otherwise fail with the last good (stale) snapshot instead of
-    #: raising :class:`ServiceUnavailable` — graceful degradation.
+    #: Resilience knob, handed to the fault gate: during a brownout, absorb
+    #: calls that would otherwise raise :class:`ServiceUnavailable` (a
+    #: global-list query gets the last good, stale snapshot) — graceful
+    #: degradation.
     load_shedding: bool = False
-    #: Optional region cache shared with a frontend tier; the facade alone
-    #: never populates it (``global_list`` passes no region).
-    region_cache: Optional[RegionCache] = field(default=None, repr=False)
+    #: Optional list cache shared with a frontend tier: every fresh
+    #: global-list sample fills it, every start/end invalidates it.
+    list_cache: Optional[ListCache] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.store = BroadcastStore(metrics=self.metrics)
-        self.gate = FaultGate(metrics=self.metrics)
+        self.gate = FaultGate(load_shedding=self.load_shedding, metrics=self.metrics)
         self.broadcasts = BroadcastService(
             self.store,
             self.users,
             self.profile,
             self.gate,
-            load_shedding=self.load_shedding,
-            region_cache=self.region_cache,
+            list_cache=self.list_cache,
             metrics=self.metrics,
         )
         self.lists = ListService(
             self.store,
             self.gate,
             global_list_size=self.global_list_size,
-            load_shedding=self.load_shedding,
-            region_cache=self.region_cache,
+            list_cache=self.list_cache,
             metrics=self.metrics,
         )
-
-    # -- fault surface (driven by repro.faults.FaultInjector) --------------
-
-    @property
-    def browned_out(self) -> bool:
-        """True while a fault injector marks the service browned out."""
-        return self.gate.browned_out
-
-    def set_brownout(self, fail_rate: float, rng: np.random.Generator) -> None:
-        """Mark the service browned out: each API call fails with probability
-        ``fail_rate`` (drawn from ``rng`` in event order, so runs stay
-        deterministic for a fixed seed)."""
-        self.gate.set_brownout(fail_rate, rng)
-
-    def clear_brownout(self) -> None:
-        """End the brownout; subsequent API calls succeed normally."""
-        self.gate.clear_brownout()
 
     # -- broadcast lifecycle -------------------------------------------
 

@@ -3,19 +3,19 @@
 :class:`ServiceFrontend` turns client requests into Simulator events: a
 request is admission-checked on arrival (token buckets + queue depth, see
 :mod:`repro.service.admission`), then waits in a FIFO queue for one of
-``concurrency`` logical workers, executes against the service tier after a
-per-action service time, and answers through the caller's callback.  Every
-request's end-to-end latency span (submit to response) is recorded through
-:mod:`repro.obs` histograms (``service.request.latency_s`` plus a
-per-action breakdown), and backend executions carry ``serve:<action>``
-event labels so the engine's span recorder aggregates per-action event
-counts for free.
+:data:`CONCURRENCY` logical workers, executes against the service tier
+after its action's service time (:data:`SERVICE_TIMES_S`), and answers
+through the caller's callback.  Every request's end-to-end latency span
+(submit to response) is recorded through :mod:`repro.obs` histograms
+(``service.request.latency_s`` plus a per-action breakdown), and backend
+executions carry ``serve:<action>`` event labels so the engine's span
+recorder aggregates per-action event counts for free.
 
-Global-list requests try the per-region snapshot cache *before* the
-queue: a fresh cached page is answered on the fast path without touching
-the backend (and without flipping the brownout coin — the backend was
-never consulted), which is what keeps list p99 flat when a flash crowd
-piles onto one region.
+Global-list requests try the list cache *before* the queue: a fresh
+cached page is answered on the fast path after :data:`CACHE_HIT_TIME_S`
+without touching the backend (and without flipping the brownout coin —
+the backend was never consulted), which is what keeps list p99 flat when
+a flash crowd piles on.
 
 Everything runs on simulated time with injected randomness only (the
 single rng is consumed by global-list sampling, in request-completion
@@ -46,8 +46,11 @@ ACTION_CLASSES = {
     "end_broadcast": "lifecycle",
 }
 
+#: Logical workers draining the request queue.
+CONCURRENCY = 4
+
 #: Backend service time per action (simulated seconds of worker time).
-DEFAULT_SERVICE_TIMES_S = {
+SERVICE_TIMES_S = {
     "global_list": 0.030,
     "join": 0.010,
     "comment": 0.008,
@@ -55,6 +58,9 @@ DEFAULT_SERVICE_TIMES_S = {
     "start_broadcast": 0.015,
     "end_broadcast": 0.015,
 }
+
+#: Simulated seconds to answer a global-list request from the list cache.
+CACHE_HIT_TIME_S = 0.002
 
 #: Response statuses.
 OK = "ok"
@@ -76,7 +82,6 @@ class Request:
     action: str
     client_id: int
     submitted_at: float
-    region: str = "global"
     broadcast_id: Optional[int] = None
     viewer_id: Optional[int] = None
     broadcaster_id: Optional[int] = None
@@ -124,26 +129,13 @@ class ServiceFrontend:
         lists: ListService,
         rng: np.random.Generator,
         admission: Optional[AdmissionController] = None,
-        concurrency: int = 4,
-        service_times_s: Optional[dict[str, float]] = None,
-        cache_hit_time_s: float = 0.002,
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
         self.simulator = simulator
         self.broadcasts = broadcasts
         self.lists = lists
         self.rng = rng
         self.admission = admission
-        self.concurrency = concurrency
-        self.service_times_s = dict(DEFAULT_SERVICE_TIMES_S)
-        if service_times_s:
-            for action in service_times_s:
-                if action not in ACTION_CLASSES:
-                    raise ValueError(f"unknown action {action!r}")
-            self.service_times_s.update(service_times_s)
-        self.cache_hit_time_s = cache_hit_time_s
         self._queue: deque[tuple[Request, ResponseCallback]] = deque()
         self._busy = 0
         self._next_request_id = 1
@@ -156,7 +148,7 @@ class ServiceFrontend:
         }
         self._m_cache_served = metrics.counter(
             "service.frontend.cache_served",
-            help="global-list requests answered from the region cache",
+            help="global-list requests answered from the list cache",
         )
         self._g_queue = metrics.gauge(
             "service.frontend.queue_depth", help="requests waiting for a worker"
@@ -182,7 +174,6 @@ class ServiceFrontend:
         action: str,
         client_id: int,
         callback: ResponseCallback,
-        region: str = "global",
         broadcast_id: Optional[int] = None,
         viewer_id: Optional[int] = None,
         broadcaster_id: Optional[int] = None,
@@ -196,7 +187,6 @@ class ServiceFrontend:
             action=action,
             client_id=client_id,
             submitted_at=now,
-            region=region,
             broadcast_id=broadcast_id,
             viewer_id=viewer_id,
             broadcaster_id=broadcaster_id,
@@ -225,22 +215,18 @@ class ServiceFrontend:
                 )
                 return request
         if action == "global_list":
-            cached = self.lists.cache_lookup(request.region, now)
+            cached = self.lists.cache_lookup(now)
             if cached is not None:
                 self._m_cache_served.inc()
                 self.simulator.schedule(
-                    self.cache_hit_time_s,
+                    CACHE_HIT_TIME_S,
                     lambda: self._respond(
                         callback,
                         Response(
                             request=request,
                             status=OK,
                             completed_at=self.simulator.now,
-                            page=GlobalListPage(
-                                time=self.simulator.now,
-                                broadcast_ids=cached.broadcast_ids,
-                                snapshot_time=cached.snapshot_time,
-                            ),
+                            page=cached.restamped(self.simulator.now),
                             detail="cache",
                         ),
                         record_latency=True,
@@ -256,12 +242,12 @@ class ServiceFrontend:
     # -- the worker loop --------------------------------------------------
 
     def _pump(self) -> None:
-        while self._busy < self.concurrency and self._queue:
+        while self._busy < CONCURRENCY and self._queue:
             request, callback = self._queue.popleft()
             self._g_queue.set(float(len(self._queue)))
             self._busy += 1
             self.simulator.schedule(
-                self.service_times_s[request.action],
+                SERVICE_TIMES_S[request.action],
                 lambda request=request, callback=callback: self._execute(
                     request, callback
                 ),
@@ -278,9 +264,7 @@ class ServiceFrontend:
         try:
             action = request.action
             if action == "global_list":
-                page = self.lists.query(
-                    now, self.rng, allow_stale=True, region=request.region
-                )
+                page = self.lists.query(now, self.rng)
             elif action == "join":
                 self.broadcasts.join(request.broadcast_id, request.viewer_id, now)
             elif action == "comment":

@@ -2,14 +2,16 @@
 
 :func:`run_serve_bench` stands up the full serving stack — a
 :class:`~repro.service.facade.LivestreamService` (store, service tier)
-with a region cache, behind an admission-controlled frontend — and drives
+with a list cache, behind an admission-controlled frontend — and drives
 it with N closed-loop polling clients.  Each client thinks (exponential think
 time from its own named rng substream), polls the global list, joins a
 broadcast off the page with some probability, maybe comments or hearts,
 and goes back to thinking; 503-style responses (shed / browned out) are
 retried through the existing :class:`~repro.simulation.resilience.RetryPolicy`
 with exponential backoff.  A churn driver starts and ends broadcasts on
-the control plane so the live set the clients poll keeps moving.
+the control plane so the live set the clients poll keeps moving.  The
+client behaviour and the churn are module constants; a run varies only
+in its client count, duration and flash crowd (:class:`LoadGenConfig`).
 
 An optional flash crowd joins mid-run: a burst of extra clients with a
 much shorter think time, modelling the paper's suddenly-popular-broadcast
@@ -30,24 +32,37 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import AdmissionController
 from repro.service.facade import LivestreamService
 from repro.service.frontend import ERROR, OK, Response, ServiceFrontend
 from repro.service.services import BroadcastService
-from repro.service.store import RegionCache
+from repro.service.store import ListCache
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.resilience import RetryPolicy
+
+
+#: Mean think time of a polling client between cycles (simulated seconds).
+THINK_TIME_S = 2.0
+#: Broadcasters the churn driver keeps on air, one broadcast each.
+N_BROADCASTERS = 8
+#: Simulated seconds between churn ticks (end the oldest, start a fresh one).
+CHURN_INTERVAL_S = 5.0
+#: Per cycle: chance to join a broadcast off the polled page, then (after a
+#: join) to comment, else to heart.
+JOIN_PROB = 0.5
+COMMENT_PROB = 0.3
+HEART_PROB = 0.5
 
 
 @dataclass(frozen=True)
 class FlashCrowdConfig:
     """A mid-run burst of impatient extra clients."""
 
-    start_s: float = 20.0
-    duration_s: float = 20.0
-    extra_clients: int = 150
-    think_time_s: float = 0.25
+    start_s: float
+    duration_s: float
+    extra_clients: int
+    think_time_s: float
 
     def __post_init__(self) -> None:
         if self.start_s < 0 or self.duration_s <= 0:
@@ -60,32 +75,17 @@ class FlashCrowdConfig:
 
 @dataclass(frozen=True)
 class LoadGenConfig:
-    """Knobs for one serve-bench run (defaults = the toy baseline)."""
+    """One serve-bench run's load (defaults = the toy baseline)."""
 
     n_clients: int = 16
     duration_s: float = 60.0
-    think_time_s: float = 2.0
-    n_broadcasters: int = 8
-    churn_interval_s: float = 5.0
-    join_prob: float = 0.5
-    comment_prob: float = 0.3
-    heart_prob: float = 0.5
-    region: str = "global"
-    cache_ttl_s: float = 1.0
-    concurrency: int = 4
     flash_crowd: Optional[FlashCrowdConfig] = None
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1 or self.n_broadcasters < 1:
-            raise ValueError("need at least one client and one broadcaster")
-        if self.duration_s <= 0 or self.think_time_s <= 0:
-            raise ValueError("duration_s and think_time_s must be positive")
-        if self.churn_interval_s < 0:
-            raise ValueError("churn_interval_s must be non-negative (0 = no churn)")
-        for name in ("join_prob", "comment_prob", "heart_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
+        if self.n_clients < 1:
+            raise ValueError("need at least one client")
+        if self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
 
 
 @dataclass
@@ -107,7 +107,6 @@ class _Client:
         client_id: int,
         viewer_id: int,
         frontend: ServiceFrontend,
-        config: LoadGenConfig,
         rng,
         stats: _ClientStats,
         stop_at: float,
@@ -117,7 +116,6 @@ class _Client:
         self.viewer_id = viewer_id
         self.frontend = frontend
         self.simulator = frontend.simulator
-        self.config = config
         self.rng = rng
         self.stats = stats
         self.stop_at = stop_at
@@ -146,9 +144,7 @@ class _Client:
         self._poll()
 
     def _poll(self) -> None:
-        self.frontend.submit(
-            "global_list", self.client_id, self._on_list, region=self.config.region
-        )
+        self.frontend.submit("global_list", self.client_id, self._on_list)
 
     def _on_list(self, response: Response) -> None:
         if response.retryable:
@@ -168,7 +164,7 @@ class _Client:
             response.status == OK
             and page is not None
             and page.broadcast_ids
-            and self.rng.random() < self.config.join_prob
+            and self.rng.random() < JOIN_PROB
         ):
             index = int(self.rng.integers(len(page.broadcast_ids)))
             self.frontend.submit(
@@ -185,13 +181,13 @@ class _Client:
         self._count_failure(response)
         if response.status == OK:
             broadcast_id = response.request.broadcast_id
-            if self.rng.random() < self.config.comment_prob:
+            if self.rng.random() < COMMENT_PROB:
                 self.frontend.submit(
                     "comment", self.client_id, self._on_engage,
                     broadcast_id=broadcast_id, viewer_id=self.viewer_id,
                 )
                 return
-            if self.rng.random() < self.config.heart_prob:
+            if self.rng.random() < HEART_PROB:
                 self.frontend.submit(
                     "heart", self.client_id, self._on_engage,
                     broadcast_id=broadcast_id, viewer_id=self.viewer_id,
@@ -230,13 +226,11 @@ class _ChurnDriver:
         broadcasts: BroadcastService,
         simulator: Simulator,
         broadcaster_ids: list[int],
-        interval_s: float,
         stop_at: float,
     ) -> None:
         self.broadcasts = broadcasts
         self.simulator = simulator
         self.broadcaster_ids = broadcaster_ids
-        self.interval_s = interval_s
         self.stop_at = stop_at
         self.live: deque[int] = deque()
         self._next_broadcaster = 0
@@ -244,8 +238,7 @@ class _ChurnDriver:
     def start_initial(self) -> None:
         for _ in self.broadcaster_ids:
             self._start_one()
-        if self.interval_s > 0:
-            self.simulator.schedule(self.interval_s, self._tick, label="churn")
+        self.simulator.schedule(CHURN_INTERVAL_S, self._tick, label="churn")
 
     def _start_one(self) -> None:
         broadcaster_id = self.broadcaster_ids[
@@ -263,8 +256,8 @@ class _ChurnDriver:
         if self.live:
             self.broadcasts.end_broadcast(self.live.popleft(), self.simulator.now)
         self._start_one()
-        if self.simulator.now + self.interval_s <= self.stop_at:
-            self.simulator.schedule(self.interval_s, self._tick, label="churn")
+        if self.simulator.now + CHURN_INTERVAL_S <= self.stop_at:
+            self.simulator.schedule(CHURN_INTERVAL_S, self._tick, label="churn")
 
     def end_all(self, time: float) -> None:
         """Wind down every still-live bench broadcast."""
@@ -367,12 +360,11 @@ def run_serve_bench(
     seed: int = 2016,
     config: Optional[LoadGenConfig] = None,
     admission: bool = True,
-    admission_policy: Optional[AdmissionPolicy] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ServeBenchReport:
     """Run one closed-loop serving benchmark and summarize it.
 
-    Builds the tiered stack (the service facade with a region cache, the
+    Builds the tiered stack (the service facade with a list cache, the
     frontend) and drives it with ``config.n_clients`` polling clients for
     ``config.duration_s`` simulated seconds, plus the configured flash
     crowd.  Deterministic: the report (including exact latency histogram
@@ -383,31 +375,22 @@ def run_serve_bench(
     simulator = Simulator(metrics=metrics)
     streams = RandomStreams(seed=seed)
 
-    service = LivestreamService(
-        metrics=metrics,
-        region_cache=RegionCache(ttl_s=config.cache_ttl_s, metrics=metrics),
-    )
-    controller = (
-        AdmissionController(policy=admission_policy, metrics=metrics)
-        if admission
-        else None
-    )
+    service = LivestreamService(metrics=metrics, list_cache=ListCache(metrics=metrics))
+    controller = AdmissionController(metrics=metrics) if admission else None
     frontend = ServiceFrontend(
         simulator,
         service.broadcasts,
         service.lists,
         rng=streams.get("service.list"),
         admission=controller,
-        concurrency=config.concurrency,
         metrics=metrics,
     )
 
-    broadcasters = service.users.register_many(config.n_broadcasters)
+    broadcasters = service.users.register_many(N_BROADCASTERS)
     churn = _ChurnDriver(
         service.broadcasts,
         simulator,
         [user.user_id for user in broadcasters],
-        config.churn_interval_s,
         stop_at=config.duration_s,
     )
     churn.start_initial()
@@ -422,11 +405,10 @@ def run_serve_bench(
             client_id=index,
             viewer_id=viewers[index].user_id,
             frontend=frontend,
-            config=config,
             rng=streams.get(f"loadgen.client.{index:04d}"),
             stats=stats,
             stop_at=config.duration_s,
-            think_time_s=config.think_time_s,
+            think_time_s=THINK_TIME_S,
         ).start()
 
     if flash is not None:
@@ -439,7 +421,6 @@ def run_serve_bench(
                     client_id=index,
                     viewer_id=viewers[index].user_id,
                     frontend=frontend,
-                    config=config,
                     rng=streams.get(f"loadgen.flash.{offset:04d}"),
                     stats=stats,
                     stop_at=stop_at,

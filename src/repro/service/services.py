@@ -6,17 +6,18 @@ Two services own all application policy, operating on a shared
 * :class:`BroadcastService` — broadcast lifecycle and viewer actions:
   start/end, the RTMP-to-HLS spillover on join, the 100-commenter cap,
   hearts, leaves.  Every start/end invalidates the attached
-  :class:`~repro.service.store.RegionCache`, so cached global-list pages
+  :class:`~repro.service.store.ListCache`, so cached global-list pages
   never misreport the live set for longer than the cache TTL.
 * :class:`ListService` — the global broadcast list API: sampling up to 50
   random public live broadcasts, brown-out load shedding from the last
   good snapshot (re-stamped, with ``snapshot_time`` carrying data age),
-  and the per-region snapshot cache the frontend tier serves from.
+  and the list cache the frontend tier serves from.
 
 Both share one :class:`FaultGate`, the brownout fault surface driven by
-:class:`~repro.faults.injector.FaultInjector`.  The gate draws exactly one
-rng coin per *guarded* API call, in API-call order — the draw-order
-contract the chaos baselines depend on (pinned by
+:class:`~repro.faults.injector.FaultInjector`, which also decides whether
+a browned-out call is shed (absorbed in degraded mode) or fails.  The
+gate draws exactly one rng coin per *guarded* API call, in API-call
+order — the draw-order contract the chaos baselines depend on (pinned by
 ``tests/test_platform_service.py::TestBrownoutGuardAudit``).
 
 Guarded vs exempt APIs
@@ -49,7 +50,7 @@ from repro.platform.broadcasts import (
 )
 from repro.platform.users import UserRegistry
 from repro.service.errors import GlobalListPage, ServiceError, ServiceUnavailable
-from repro.service.store import BroadcastStore, RegionCache
+from repro.service.store import BroadcastStore, ListCache
 
 
 class FaultGate:
@@ -58,12 +59,17 @@ class FaultGate:
     While browned out, each guarded API call fails with probability
     ``fail_rate``; coins are drawn from the injected rng in event order so
     runs stay deterministic for a fixed seed.  No rng is ever consumed
-    while healthy.
+    while healthy.  With ``load_shedding`` on, a failed call is absorbed
+    in degraded mode instead (:meth:`shed`): a stale list page, a dropped
+    comment or heart, a join that goes through.
     """
 
-    __slots__ = ("_fail_rate", "_rng", "_m_unavailable", "_m_shed")
+    __slots__ = ("load_shedding", "_fail_rate", "_rng", "_m_unavailable", "_m_shed")
 
-    def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
+    def __init__(
+        self, load_shedding: bool = False, metrics: MetricsRegistry = NULL_REGISTRY
+    ) -> None:
+        self.load_shedding = load_shedding
         self._fail_rate = 0.0
         self._rng: Optional[np.random.Generator] = None
         self._m_unavailable = metrics.counter(
@@ -73,11 +79,6 @@ class FaultGate:
             "platform.load_shed",
             help="browned-out calls absorbed in degraded mode (stale or dropped)",
         )
-
-    @property
-    def browned_out(self) -> bool:
-        """True while a fault injector marks the service browned out."""
-        return self._fail_rate > 0.0
 
     def set_brownout(self, fail_rate: float, rng: np.random.Generator) -> None:
         """Arm the brownout at ``fail_rate`` with coins drawn from ``rng``."""
@@ -96,18 +97,22 @@ class FaultGate:
             return False
         return bool(self._rng.random() < self._fail_rate)
 
+    def shed(self) -> bool:
+        """Absorb one would-be brownout failure in degraded mode, if shedding."""
+        if not self.load_shedding:
+            return False
+        self._m_shed.inc()
+        return True
+
     def count_unavailable(self) -> None:
         self._m_unavailable.inc()
-
-    def count_shed(self) -> None:
-        self._m_shed.inc()
 
 
 class BroadcastService:
     """Lifecycle and viewer-action policy over the broadcast store."""
 
     __slots__ = (
-        "store", "users", "profile", "gate", "load_shedding", "region_cache",
+        "store", "users", "profile", "gate", "list_cache",
         "_next_broadcast_id",
         "_m_api", "_m_starts", "_m_ends", "_m_joins",
         "_m_comments", "_m_comments_rejected", "_m_hearts", "_m_live",
@@ -119,16 +124,14 @@ class BroadcastService:
         users: UserRegistry,
         profile: AppProfile,
         gate: FaultGate,
-        load_shedding: bool = False,
-        region_cache: Optional[RegionCache] = None,
+        list_cache: Optional[ListCache] = None,
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.store = store
         self.users = users
         self.profile = profile
         self.gate = gate
-        self.load_shedding = load_shedding
-        self.region_cache = region_cache
+        self.list_cache = list_cache
         self._next_broadcast_id = 1
         self._m_api = metrics.counter("platform.api_calls", help="all service API calls")
         self._m_starts = metrics.counter("platform.broadcasts_started")
@@ -143,16 +146,9 @@ class BroadcastService:
             "platform.live_broadcasts", help="broadcasts currently live"
         )
 
-    def _shed(self) -> bool:
-        """Absorb one would-be brownout failure in degraded mode."""
-        if not self.load_shedding:
-            return False
-        self.gate.count_shed()
-        return True
-
     def _invalidate_lists(self) -> None:
-        if self.region_cache is not None:
-            self.region_cache.invalidate_all()
+        if self.list_cache is not None:
+            self.list_cache.invalidate()
 
     # -- broadcast lifecycle (brownout-exempt; see module docstring) ------
 
@@ -214,7 +210,7 @@ class BroadcastService:
         RTMP count, so a join costs the same however many came before it.
         """
         self._m_api.inc()
-        if self.gate.failing_now() and not self._shed():
+        if self.gate.failing_now() and not self.gate.shed():
             self.gate.count_unavailable()
             raise ServiceUnavailable("join failed: service browned out")
         broadcast = self.get_broadcast(broadcast_id)
@@ -251,7 +247,7 @@ class BroadcastService:
         """Post a comment; returns False when rejected by the cap."""
         self._m_api.inc()
         if self.gate.failing_now():
-            if self._shed():
+            if self.gate.shed():
                 return False  # degraded mode: the comment is dropped, not errored
             self.gate.count_unavailable()
             raise ServiceUnavailable("comment failed: service browned out")
@@ -270,7 +266,7 @@ class BroadcastService:
         """Send a heart — all viewers may heart, without limit."""
         self._m_api.inc()
         if self.gate.failing_now():
-            if self._shed():
+            if self.gate.shed():
                 return  # degraded mode: the heart is dropped, not errored
             self.gate.count_unavailable()
             raise ServiceUnavailable("heart failed: service browned out")
@@ -307,7 +303,7 @@ class ListService:
     """The global broadcast list API over the store's live view."""
 
     __slots__ = (
-        "store", "gate", "global_list_size", "load_shedding", "region_cache",
+        "store", "gate", "global_list_size", "list_cache",
         "_stale_list", "_m_api", "_m_lists",
     )
 
@@ -316,25 +312,19 @@ class ListService:
         store: BroadcastStore,
         gate: FaultGate,
         global_list_size: int = 50,
-        load_shedding: bool = False,
-        region_cache: Optional[RegionCache] = None,
+        list_cache: Optional[ListCache] = None,
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.store = store
         self.gate = gate
         self.global_list_size = global_list_size
-        self.load_shedding = load_shedding
-        self.region_cache = region_cache
+        self.list_cache = list_cache
         self._stale_list: Optional[GlobalListPage] = None
         self._m_api = metrics.counter("platform.api_calls", help="all service API calls")
         self._m_lists = metrics.counter("platform.global_list_queries")
 
     def query(
-        self,
-        time: float,
-        rng: np.random.Generator,
-        allow_stale: bool = True,
-        region: Optional[str] = None,
+        self, time: float, rng: np.random.Generator, allow_stale: bool = True
     ) -> GlobalListPage:
         """The global list API: up to ``global_list_size`` random *public*
         active broadcasts.
@@ -350,26 +340,21 @@ class ListService:
         ``snapshot_time`` so degraded-mode consumers can tell data age
         apart from response time.
 
-        ``region`` names the region cache entry a fresh sample should
-        populate (the frontend tier's fast path); the facade passes None.
+        A fresh sample also fills the attached list cache, the frontend
+        tier's fast path.
         """
         self._m_api.inc()
         self._m_lists.inc()
         if self.gate.failing_now():
-            if allow_stale and self.load_shedding and self._stale_list is not None:
+            if allow_stale and self._stale_list is not None and self.gate.shed():
                 # Brown-out load shedding: answer from the last good
                 # snapshot instead of erroring (stale but available).
-                self.gate.count_shed()
-                return GlobalListPage(
-                    time=time,
-                    broadcast_ids=self._stale_list.broadcast_ids,
-                    snapshot_time=self._stale_list.time,
-                )
+                return self._stale_list.restamped(time)
             self.gate.count_unavailable()
             raise ServiceUnavailable("global list failed: service browned out")
         page = self.sample(time, rng)
-        if region is not None and self.region_cache is not None:
-            self.region_cache.put(region, page)
+        if self.list_cache is not None:
+            self.list_cache.put(page)
         return page
 
     def sample(self, time: float, rng: np.random.Generator) -> GlobalListPage:
@@ -389,12 +374,12 @@ class ListService:
         self._stale_list = page  # refreshed on every success: shedding source
         return page
 
-    def cache_lookup(self, region: str, now: float) -> Optional[GlobalListPage]:
-        """The region's cached page re-stamped at ``now``, if still fresh.
+    def cache_lookup(self, now: float) -> Optional[GlobalListPage]:
+        """The cached page, if still fresh at ``now`` (not yet re-stamped).
 
         The frontend answers cache hits ahead of the backend queue (no
         brownout coin is flipped — the backend was never consulted).
         """
-        if self.region_cache is None:
+        if self.list_cache is None:
             return None
-        return self.region_cache.get(region, now)
+        return self.list_cache.get(now)

@@ -1,4 +1,4 @@
-"""The storage tier: the broadcast store and per-region list caches.
+"""The storage tier: the broadcast store and the global-list cache.
 
 :class:`BroadcastStore` owns every broadcast record and one live list:
 the ids of the live broadcasts in insertion order, with a position index
@@ -11,11 +11,11 @@ the live list, and every listed id must still be live.  Ending a
 broadcast twice cannot corrupt it — :meth:`retire` refuses to retire a
 broadcast that is not live.
 
-:class:`RegionCache` holds the last good global-list snapshot per region
-with simulated-time TTL expiry and explicit whole-cache invalidation
-(the service tier invalidates on every broadcast start/end, so a cached
-page can never outlive the live set it was sampled from by more than the
-TTL).
+:class:`ListCache` holds the last freshly sampled global-list page with
+simulated-time TTL expiry (:data:`CACHE_TTL_S`) and explicit
+invalidation (the service tier invalidates on every broadcast start/end,
+so a cached page can never outlive the live set it was sampled from by
+more than the TTL).
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from typing import Optional
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.platform.broadcasts import Broadcast
 from repro.service.errors import GlobalListPage
+
+
+#: Simulated seconds a sampled global-list page answers later list requests.
+CACHE_TTL_S = 1.0
 
 
 class StoreError(Exception):
@@ -144,62 +148,51 @@ class BroadcastStore:
                 raise StoreError(f"live list contains dead id {broadcast_id}")
 
 
-class RegionCache:
-    """Per-region global-list snapshots with sim-time TTL and invalidation.
+class ListCache:
+    """The last sampled global-list page, with sim-time TTL and invalidation.
 
-    ``get`` answers a query from the region's snapshot while it is younger
-    than ``ttl_s``; the returned page is re-stamped with the query time and
-    carries the snapshot's own time in ``snapshot_time`` (the same contract
-    as brown-out load shedding, so degraded-mode consumers can always tell
-    data age from response time).  The service tier calls
-    :meth:`invalidate_all` on every broadcast start/end.
+    ``get`` returns the stored page while it is at most :data:`CACHE_TTL_S`
+    old; the caller re-stamps it at delivery
+    (:meth:`~repro.service.errors.GlobalListPage.restamped`), so the
+    response carries the sample's own time in ``snapshot_time``.  The
+    service tier calls :meth:`invalidate` on every broadcast start/end.
     """
 
-    __slots__ = ("ttl_s", "_entries", "_m_hits", "_m_misses", "_m_expired", "_m_invalidations")
+    __slots__ = ("_page", "_m_hits", "_m_misses", "_m_expired", "_m_invalidations")
 
-    def __init__(
-        self, ttl_s: float = 1.0, metrics: MetricsRegistry = NULL_REGISTRY
-    ) -> None:
-        if ttl_s <= 0:
-            raise StoreError(f"ttl_s must be positive, got {ttl_s}")
-        self.ttl_s = ttl_s
-        self._entries: dict[str, GlobalListPage] = {}
-        self._m_hits = metrics.counter("service.cache.hits", help="region-cache hits")
-        self._m_misses = metrics.counter("service.cache.misses", help="region-cache misses")
+    def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
+        self._page: Optional[GlobalListPage] = None
+        self._m_hits = metrics.counter("service.cache.hits", help="list-cache hits")
+        self._m_misses = metrics.counter("service.cache.misses", help="list-cache misses")
         self._m_expired = metrics.counter(
-            "service.cache.expired", help="lookups that found only an expired snapshot"
+            "service.cache.expired", help="lookups that found only an expired page"
         )
         self._m_invalidations = metrics.counter(
-            "service.cache.invalidations", help="explicit whole-cache invalidations"
+            "service.cache.invalidations", help="explicit cache invalidations"
         )
 
-    def get(self, region: str, now: float) -> Optional[GlobalListPage]:
-        """The region's snapshot re-stamped at ``now``, or None."""
-        entry = self._entries.get(region)
-        if entry is None:
+    def get(self, now: float) -> Optional[GlobalListPage]:
+        """The stored page while still fresh at ``now``, or None."""
+        page = self._page
+        if page is None:
             self._m_misses.inc()
             return None
-        if now - entry.time > self.ttl_s:
-            del self._entries[region]
+        if now - page.time > CACHE_TTL_S:
+            self._page = None
             self._m_expired.inc()
             self._m_misses.inc()
             return None
         self._m_hits.inc()
-        return GlobalListPage(
-            time=now, broadcast_ids=entry.broadcast_ids, snapshot_time=entry.time
-        )
+        return page
 
-    def put(self, region: str, page: GlobalListPage) -> None:
-        """Store a freshly sampled page as the region's snapshot."""
+    def put(self, page: GlobalListPage) -> None:
+        """Store a freshly sampled page."""
         if page.snapshot_time is not None:
-            raise StoreError("only fresh pages may populate the region cache")
-        self._entries[region] = page
+            raise StoreError("only fresh pages may populate the list cache")
+        self._page = page
 
-    def invalidate_all(self) -> None:
-        """Drop every region's snapshot (a broadcast started or ended)."""
-        if self._entries:
-            self._entries.clear()
+    def invalidate(self) -> None:
+        """Drop the stored page (a broadcast started or ended)."""
+        if self._page is not None:
+            self._page = None
             self._m_invalidations.inc()
-
-    def __len__(self) -> int:
-        return len(self._entries)

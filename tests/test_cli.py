@@ -136,6 +136,22 @@ class TestCli:
         assert "cannot be combined" in capsys.readouterr().err
 
 
+class TestServeBenchTarget:
+    def test_flash_crowd_runs_the_serving_flash_posture(self, capsys):
+        from repro.experiments.serving import flash_config
+        from repro.service.loadgen import run_serve_bench
+
+        args = ["serve-bench", "--flash-crowd", "--clients", "8", "--duration", "20"]
+        assert main(args) == 0
+        expected = run_serve_bench(seed=2016, config=flash_config(8, 20.0)).render()
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_flash_crowd_help_names_the_posture(self):
+        help_text = " ".join(build_parser().format_help().split())
+        assert "15x extra clients" in help_text
+        assert "0.15 s think time" in help_text
+
+
 class TestTraceTarget:
     def test_trace_generates_and_summarizes(self, capsys):
         assert main(["trace", "--scale", "0.0001", "--seed", "4"]) == 0

@@ -17,6 +17,7 @@ from repro.cdn.assignment import CdnAssignment
 from repro.cdn.fastly import FastlyEdge
 from repro.cdn.transfer import TransferModel
 from repro.cdn.wowza import WowzaIngest
+from repro.experiments.registry import ExperimentResult
 from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient
@@ -132,3 +133,29 @@ class TestSeededRunsAreReproducible:
         report_a = run_chaos_scenario(seed=11, fault_intensity=1.0, resilient=True)
         report_b = run_chaos_scenario(seed=12, fault_intensity=1.0, resilient=True)
         assert report_a != report_b
+
+
+#: ``fingerprint`` of the registry a resilient chaos run fills at seed 7,
+#: full intensity (the ``repro chaos`` and ``faultsweep`` reports do not
+#: show it): "data" is the snapshot, "text" its JSON rendering.
+CHAOS_METRICS_DIGESTS = {
+    "data": "905217700ce82143b8e8750731268bdc99f1ca5c1d25c9e8603c891a5676740f",
+    "text": "f5a9febe4fee35fc1323cc885843ff848b016f82d357d3a0256b5e023270a8a8",
+}
+
+
+class TestWholeOutputPin:
+    def test_chaos_metrics_pinned(self, golden):
+        """Checked as GOLDEN.json checks an experiment: both digests on the
+        recorded numpy version, the text alone (with a warning) on another."""
+        registry = MetricsRegistry()
+        run_chaos_scenario(seed=7, fault_intensity=1.0, resilient=True, metrics=registry)
+        result = ExperimentResult(
+            "chaos-metrics", "resilient chaos run, registry snapshot",
+            registry.snapshot(), registry.as_json(),
+        )
+        recorded = {
+            "numpy": golden.load_golden()["numpy"],
+            "experiments": {"chaos-metrics": CHAOS_METRICS_DIGESTS},
+        }
+        assert golden.check_experiments(recorded, {"chaos-metrics": result}) == []

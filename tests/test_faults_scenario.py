@@ -59,8 +59,6 @@ class TestChaosScenario:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_chaos_scenario(n_broadcasts=0)
-        with pytest.raises(ValueError):
             run_chaos_scenario(fault_intensity=-0.5)
 
 

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.experiments.metrics_scenario import run_metrics_scenario
+from repro.experiments.registry import ExperimentResult
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -224,19 +225,42 @@ class TestSpanContextManager:
 
 class TestDeterminism:
     def test_identical_runs_identical_snapshots(self):
-        first = run_metrics_scenario(seed=11, horizon_s=60.0)
-        second = run_metrics_scenario(seed=11, horizon_s=60.0)
+        first = run_metrics_scenario(seed=11)
+        second = run_metrics_scenario(seed=11)
         assert first.as_json() == second.as_json()
 
     def test_different_seed_changes_something(self):
-        first = run_metrics_scenario(seed=11, horizon_s=60.0)
-        second = run_metrics_scenario(seed=12, horizon_s=60.0)
+        first = run_metrics_scenario(seed=11)
+        second = run_metrics_scenario(seed=12)
         assert first.as_json() != second.as_json()
+
+
+#: ``fingerprint`` of ``repro metrics`` at its default seed 7: "data" is the
+#: scenario's registry snapshot, "text" the JSON the command prints.
+METRICS_DIGESTS = {
+    "data": "e2e7a8c6d9906620ab52c87e702126898eabec83ecdd945d33a410e8228da0fc",
+    "text": "0957f7058e6cda8d693d0b708807740b4f53443b57e7a6aa696f3c207abee54f",
+}
+
+
+class TestWholeOutputPin:
+    def test_metrics_snapshot_pinned(self, golden):
+        """Checked as GOLDEN.json checks an experiment: both digests on the
+        recorded numpy version, the text alone (with a warning) on another."""
+        registry = run_metrics_scenario(seed=7)
+        result = ExperimentResult(
+            "metrics", "repro metrics", registry.snapshot(), registry.as_json()
+        )
+        recorded = {
+            "numpy": golden.load_golden()["numpy"],
+            "experiments": {"metrics": METRICS_DIGESTS},
+        }
+        assert golden.check_experiments(recorded, {"metrics": result}) == []
 
 
 class TestScenarioCoverage:
     def test_counters_from_all_subsystems(self):
-        snap = run_metrics_scenario(seed=7, horizon_s=90.0).snapshot()
+        snap = run_metrics_scenario(seed=7).snapshot()
         counters = snap["counters"]
         for prefix in ("engine.", "cdn.", "platform.", "crawler.", "client."):
             assert any(name.startswith(prefix) and c["value"] > 0

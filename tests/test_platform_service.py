@@ -408,7 +408,7 @@ class TestLoadShedSnapshotTime:
         service = self._shedding_service()
         rng = np.random.default_rng(0)
         service.global_list(10.0, rng)  # seeds the stale snapshot
-        service.set_brownout(1.0, np.random.default_rng(1))
+        service.gate.set_brownout(1.0, np.random.default_rng(1))
         page = service.global_list(25.0, rng)
         # Re-stamped with the *query* time, never the snapshot's...
         assert page.time == 25.0
@@ -421,7 +421,7 @@ class TestLoadShedSnapshotTime:
         service = self._shedding_service()
         rng = np.random.default_rng(0)
         good = service.global_list(10.0, rng)
-        service.set_brownout(1.0, np.random.default_rng(1))
+        service.gate.set_brownout(1.0, np.random.default_rng(1))
         page = service.global_list(25.0, rng)
         assert page.broadcast_ids == good.broadcast_ids
 
@@ -447,7 +447,7 @@ class TestBrownoutGuardAudit:
         bid = broadcast.broadcast_id
         fault_rng = np.random.default_rng(99)
         control = np.random.default_rng(99)
-        service.set_brownout(0.5, fault_rng)
+        service.gate.set_brownout(0.5, fault_rng)
         list_rng = np.random.default_rng(7)
         calls = [
             lambda: service.join(bid, 2, time=1.0),
@@ -469,7 +469,7 @@ class TestBrownoutGuardAudit:
         service.join(bid, 2, time=1.0)
         fault_rng = np.random.default_rng(99)
         control = np.random.default_rng(99)
-        service.set_brownout(0.5, fault_rng)
+        service.gate.set_brownout(0.5, fault_rng)
         # Lifecycle and bookkeeping are exempt by design: the chaos
         # scenario starts/ends broadcasts during brownouts without guards.
         service.can_comment(bid, 2)
@@ -483,8 +483,8 @@ class TestBrownoutGuardAudit:
         broadcast = service.start_broadcast(1, time=0.0)
         fault_rng = np.random.default_rng(99)
         before = self._state(fault_rng)
-        service.set_brownout(0.5, fault_rng)
-        service.clear_brownout()
+        service.gate.set_brownout(0.5, fault_rng)
+        service.gate.clear_brownout()
         try:
             service.join(broadcast.broadcast_id, 2, time=1.0)
         except ServiceUnavailable:  # pragma: no cover - must not happen

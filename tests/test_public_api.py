@@ -100,6 +100,8 @@ GONE_EXPORTS = {
         "load_csv_columns",
     ],
     "repro.lint": ["sanitized"],
+    # One list cache: the per-region cache only ever held "global".
+    "repro.service": ["RegionCache"],
 }
 
 #: Second copies deleted outright, with no alias left: module -> names.
@@ -107,7 +109,8 @@ GONE_ATTRIBUTES = {
     "repro.social.graph": ["FollowGraph", "AnyFollowGraph"],
     "repro.social.generation": ["generate_follow_graph_compiled"],
     "repro.social.metrics": ["_compiled"],
-    "repro.service.store": ["DEFAULT_N_SHARDS"],
+    "repro.service.store": ["DEFAULT_N_SHARDS", "RegionCache"],
+    "repro.service.frontend": ["DEFAULT_SERVICE_TIMES_S"],
     "repro.workload.broadcast_model": ["BroadcastParams"],
     "repro.protocols.hls": ["HlsPollSchedule"],
     "repro.parallel.generate": [
@@ -138,6 +141,30 @@ GONE_MEMBERS = {
     "repro.parallel.checkpoint:RunCheckpoint": ["is_done", "total_shards"],
     "repro.cdn.fastly:FastlyEdge": ["breaker_for", "render_playlist"],
     "repro.service.frontend:ServiceFrontend": ["in_flight"],
+    # Serving knobs only tests set are module constants now.
+    "repro.service.loadgen:LoadGenConfig": [
+        "think_time_s",
+        "n_broadcasters",
+        "churn_interval_s",
+        "join_prob",
+        "comment_prob",
+        "heart_prob",
+        "region",
+        "cache_ttl_s",
+        "concurrency",
+    ],
+    "repro.service.frontend:Request": ["region"],
+    # Brownouts are driven on ``service.gate``; shedding is the gate's call.
+    "repro.service.facade:LivestreamService": [
+        "set_brownout",
+        "clear_brownout",
+        "browned_out",
+        "region_cache",
+    ],
+    "repro.service.services:FaultGate": ["browned_out", "count_shed"],
+    "repro.service.services:BroadcastService": ["load_shedding", "region_cache", "_shed"],
+    "repro.service.services:ListService": ["load_shedding", "region_cache"],
+    "repro.crawler.global_list:CrawlerAccount": ["rate_limit"],
     "repro.overlay.tree:ForwardingNode": ["is_leaf", "path_to_root"],
     "repro.protocols.messages:MessageChannel": ["subscriber_count"],
     "repro.experiments.registry:ExperimentResult": ["paper_expectation"],
@@ -151,6 +178,31 @@ GONE_PARAMETERS = {
     "repro.client.network:LastMileLink.send": ["size_kb"],
     "repro.parallel.merge:stream_merge_shards": ["verify_order"],
     "repro.core.playback:sweep_prebuffer": ["strategy"],
+    "repro.service.loadgen:run_serve_bench": ["admission_policy"],
+    "repro.service.frontend:ServiceFrontend": [
+        "concurrency",
+        "service_times_s",
+        "cache_hit_time_s",
+    ],
+    "repro.service.frontend:ServiceFrontend.submit": ["region"],
+    "repro.service.services:ListService.query": ["region"],
+    "repro.service.services:ListService": ["load_shedding", "region_cache"],
+    "repro.service.services:BroadcastService": ["load_shedding", "region_cache"],
+    "repro.service.store:ListCache": ["ttl_s"],
+    "repro.faults.scenario:run_chaos_scenario": [
+        "n_broadcasts",
+        "viewers_per_broadcast",
+        "background_broadcasts",
+        "broadcast_duration_s",
+        "horizon_s",
+    ],
+    "repro.faults.scenario:run_chaos_pair": ["kwargs"],
+    "repro.experiments.metrics_scenario:run_metrics_scenario": [
+        "n_broadcasts",
+        "viewers_per_broadcast",
+        "broadcast_duration_s",
+        "horizon_s",
+    ],
 }
 
 

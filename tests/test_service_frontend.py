@@ -13,38 +13,35 @@ from repro.service.admission import (
     AdmissionPolicy,
     ApiClassLimit,
 )
-from repro.service.frontend import ServiceFrontend
+from repro.service import errors
+from repro.service.frontend import (
+    CACHE_HIT_TIME_S,
+    CONCURRENCY,
+    SERVICE_TIMES_S,
+    ServiceFrontend,
+)
 from repro.service.services import BroadcastService, FaultGate, ListService
-from repro.service.store import BroadcastStore, RegionCache
+from repro.service.store import BroadcastStore, ListCache
 from repro.simulation.engine import Simulator
 
 
-def build_stack(
-    admission=None,
-    concurrency=4,
-    load_shedding=False,
-    cache_ttl_s=1.0,
-    metrics=None,
-):
+def build_stack(admission=None):
     """A full serving stack with two live broadcasts, ready for requests."""
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    metrics = MetricsRegistry()
     simulator = Simulator(metrics=metrics)
     store = BroadcastStore(metrics=metrics)
-    cache = RegionCache(ttl_s=cache_ttl_s, metrics=metrics)
+    cache = ListCache(metrics=metrics)
     gate = FaultGate(metrics=metrics)
     users = UserRegistry()
     users.register_many(20)
     broadcasts = BroadcastService(
-        store, users, PERISCOPE_PROFILE, gate,
-        load_shedding=load_shedding, region_cache=cache, metrics=metrics,
+        store, users, PERISCOPE_PROFILE, gate, list_cache=cache, metrics=metrics
     )
-    lists = ListService(
-        store, gate, load_shedding=load_shedding, region_cache=cache, metrics=metrics
-    )
+    lists = ListService(store, gate, list_cache=cache, metrics=metrics)
     frontend = ServiceFrontend(
         simulator, broadcasts, lists,
         rng=np.random.default_rng(0),
-        admission=admission, concurrency=concurrency, metrics=metrics,
+        admission=admission, metrics=metrics,
     )
     first = broadcasts.start_broadcast(1, time=0.0)
     second = broadcasts.start_broadcast(2, time=0.0)
@@ -62,7 +59,7 @@ class TestRequestFlow:
         assert set(response.page.broadcast_ids) == {
             first.broadcast_id, second.broadcast_id,
         }
-        assert response.latency_s == frontend.service_times_s["global_list"]
+        assert response.latency_s == SERVICE_TIMES_S["global_list"]
 
     def test_join_through_frontend(self):
         simulator, frontend, _, _, (first, _) = build_stack()
@@ -76,18 +73,19 @@ class TestRequestFlow:
         assert first.views[0].viewer_id == 5
 
     def test_queueing_delays_when_workers_busy(self):
-        simulator, frontend, _, _, (first, _) = build_stack(concurrency=1)
+        simulator, frontend, _, _, (first, _) = build_stack()
         responses = []
-        for viewer in (5, 6):
+        for viewer in range(CONCURRENCY + 1):
             frontend.submit(
                 "join", viewer, responses.append,
-                broadcast_id=first.broadcast_id, viewer_id=viewer,
+                broadcast_id=first.broadcast_id, viewer_id=viewer + 3,
             )
         simulator.run()
-        service_time = frontend.service_times_s["join"]
-        assert responses[0].latency_s == pytest.approx(service_time)
-        # The second request waited for the single worker.
-        assert responses[1].latency_s == pytest.approx(2 * service_time)
+        service_time = SERVICE_TIMES_S["join"]
+        for response in responses[:CONCURRENCY]:
+            assert response.latency_s == pytest.approx(service_time)
+        # The last request waited for the first free worker.
+        assert responses[CONCURRENCY].latency_s == pytest.approx(2 * service_time)
 
     def test_lifecycle_actions(self):
         simulator, frontend, _, _, _ = build_stack()
@@ -110,23 +108,43 @@ class TestCacheFastPath:
     def test_second_list_request_served_from_cache(self):
         simulator, frontend, _, _, _ = build_stack()
         responses = []
-        frontend.submit("global_list", 0, responses.append, region="us")
+        frontend.submit("global_list", 0, responses.append)
         simulator.run()
-        frontend.submit("global_list", 1, responses.append, region="us")
+        frontend.submit("global_list", 1, responses.append)
         simulator.run()
         assert responses[0].detail == ""
         assert responses[1].detail == "cache"
-        assert responses[1].latency_s == pytest.approx(frontend.cache_hit_time_s)
-        assert responses[1].page.snapshot_time is not None
+        assert responses[1].latency_s == pytest.approx(CACHE_HIT_TIME_S)
+        # Stamped at delivery; the data's age is the first sample's time.
+        assert responses[1].page.time == responses[1].completed_at
+        assert responses[1].page.snapshot_time == responses[0].page.time
         assert responses[1].page.broadcast_ids == responses[0].page.broadcast_ids
+
+    def test_cache_hit_builds_one_page(self, monkeypatch):
+        simulator, frontend, _, _, _ = build_stack()
+        frontend.submit("global_list", 0, lambda response: None)
+        simulator.run()
+        built = []
+        original = errors.GlobalListPage.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(errors.GlobalListPage, "__init__", counting_init)
+        responses = []
+        frontend.submit("global_list", 1, responses.append)
+        simulator.run()
+        assert responses[0].detail == "cache"
+        assert len(built) == 1
 
     def test_cache_hit_skips_brownout_coin(self):
         simulator, frontend, _, gate, _ = build_stack()
         responses = []
-        frontend.submit("global_list", 0, responses.append, region="us")
+        frontend.submit("global_list", 0, responses.append)
         simulator.run()
         gate.set_brownout(1.0, np.random.default_rng(0))
-        frontend.submit("global_list", 1, responses.append, region="us")
+        frontend.submit("global_list", 1, responses.append)
         simulator.run()
         # Served from cache: no backend call, no ServiceUnavailable.
         assert responses[1].status == "ok"
@@ -184,22 +202,21 @@ class TestAdmissionAtTheDoor:
         admission = AdmissionController(
             AdmissionPolicy(
                 limits={"join": ApiClassLimit(rate_per_s=1000.0, burst=1000.0)},
-                max_queue_depth=2,
+                max_queue_depth=CONCURRENCY + 1,
             )
         )
-        simulator, frontend, _, _, (first, _) = build_stack(
-            admission=admission, concurrency=1
-        )
+        simulator, frontend, _, _, (first, _) = build_stack(admission=admission)
         responses = []
-        for viewer in range(5):
+        for viewer in range(CONCURRENCY + 4):
             frontend.submit(
                 "join", viewer, responses.append,
                 broadcast_id=first.broadcast_id, viewer_id=viewer + 3,
             )
         simulator.run()
         by_status = sorted(response.status for response in responses)
-        # Depth counts waiting + in-flight: one serving, one queued, rest shed.
-        assert by_status == ["ok", "ok", "shed", "shed", "shed"]
+        # Depth counts waiting + in-flight: every worker serving, one
+        # queued, the rest shed.
+        assert by_status == ["ok"] * (CONCURRENCY + 1) + ["shed"] * 3
         assert all(
             response.detail == "queue_full"
             for response in responses
@@ -209,7 +226,7 @@ class TestAdmissionAtTheDoor:
 
 class TestDeterminism:
     def _run_once(self):
-        simulator, frontend, _, _, (first, _) = build_stack(concurrency=2)
+        simulator, frontend, _, _, (first, _) = build_stack()
         log = []
 
         def record(response):
@@ -218,7 +235,7 @@ class TestDeterminism:
             )
 
         for viewer in range(6):
-            frontend.submit("global_list", viewer, record, region="us")
+            frontend.submit("global_list", viewer, record)
             frontend.submit(
                 "join", viewer, record,
                 broadcast_id=first.broadcast_id, viewer_id=viewer + 3,

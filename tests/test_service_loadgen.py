@@ -31,9 +31,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LoadGenConfig(duration_s=0.0)
         with pytest.raises(ValueError):
-            LoadGenConfig(join_prob=1.5)
-        with pytest.raises(ValueError):
-            FlashCrowdConfig(extra_clients=0)
+            FlashCrowdConfig(
+                start_s=20.0, duration_s=20.0, extra_clients=0, think_time_s=0.25
+            )
 
 
 class TestBaseline:

@@ -1,7 +1,8 @@
-"""Tests for the storage tier: the broadcast store and region caches."""
+"""Tests for the storage tier: the broadcast store and the list cache."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.platform.broadcasts import Broadcast
 from repro.service.errors import GlobalListPage
 from repro.service.facade import LivestreamService
-from repro.service.store import BroadcastStore, RegionCache, StoreError
+from repro.service.store import CACHE_TTL_S, BroadcastStore, ListCache, StoreError
 
 
 def _broadcast(broadcast_id: int, start: float = 0.0) -> Broadcast:
@@ -69,47 +70,49 @@ class TestBroadcastStore:
             store.check_invariants()
 
 
-class TestRegionCache:
+class TestListCache:
     def test_hit_within_ttl_is_restamped(self):
-        cache = RegionCache(ttl_s=2.0)
-        cache.put("us", GlobalListPage(time=10.0, broadcast_ids=(1, 2)))
-        page = cache.get("us", 11.0)
-        assert page is not None
+        cache = ListCache()
+        sample = GlobalListPage(time=10.0, broadcast_ids=(1, 2))
+        cache.put(sample)
+        # A hit hands back the stored page; the caller stamps it at delivery.
+        assert cache.get(10.0 + CACHE_TTL_S) is sample
+        page = sample.restamped(11.0)
         assert page.time == 11.0
         assert page.snapshot_time == 10.0
         assert page.broadcast_ids == (1, 2)
         assert page.is_stale
 
     def test_expires_after_ttl(self):
-        cache = RegionCache(ttl_s=2.0)
-        cache.put("us", GlobalListPage(time=10.0, broadcast_ids=(1,)))
-        assert cache.get("us", 12.5) is None
-        assert len(cache) == 0
-
-    def test_invalidate_all_drops_every_region(self):
-        cache = RegionCache(ttl_s=100.0)
-        cache.put("us", GlobalListPage(time=0.0, broadcast_ids=(1,)))
-        cache.put("eu", GlobalListPage(time=0.0, broadcast_ids=(2,)))
-        cache.invalidate_all()
-        assert cache.get("us", 0.1) is None
-        assert cache.get("eu", 0.1) is None
+        cache = ListCache()
+        cache.put(GlobalListPage(time=10.0, broadcast_ids=(1,)))
+        assert cache.get(10.0 + CACHE_TTL_S + 0.5) is None
+        assert cache.get(10.0) is None  # the expired page was dropped
 
     def test_only_fresh_pages_cacheable(self):
-        cache = RegionCache()
+        cache = ListCache()
         stale = GlobalListPage(time=5.0, broadcast_ids=(1,), snapshot_time=1.0)
         with pytest.raises(StoreError):
-            cache.put("us", stale)
+            cache.put(stale)
 
     def test_service_invalidates_on_lifecycle(self):
-        cache = RegionCache(ttl_s=100.0)
-        service = LivestreamService(region_cache=cache)
+        cache = ListCache()
+        service = LivestreamService(list_cache=cache)
         service.users.register_many(5)
-        cache.put("us", GlobalListPage(time=0.0, broadcast_ids=(9,)))
+        cache.put(GlobalListPage(time=1.0, broadcast_ids=(9,)))
         broadcast = service.start_broadcast(1, time=1.0)
-        assert cache.get("us", 1.1) is None  # start invalidated
-        cache.put("us", GlobalListPage(time=2.0, broadcast_ids=(9,)))
+        assert cache.get(1.1) is None  # start invalidated
+        cache.put(GlobalListPage(time=3.0, broadcast_ids=(9,)))
         service.end_broadcast(broadcast.broadcast_id, time=3.0)
-        assert cache.get("us", 3.1) is None  # end invalidated
+        assert cache.get(3.1) is None  # end invalidated
+
+    def test_fresh_sample_fills_the_cache(self):
+        cache = ListCache()
+        service = LivestreamService(list_cache=cache)
+        service.users.register_many(5)
+        service.start_broadcast(1, time=0.0)
+        page = service.global_list(2.0, np.random.default_rng(0))
+        assert cache.get(2.5) is page
 
 
 operations = st.lists(

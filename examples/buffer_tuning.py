@@ -25,6 +25,7 @@ from repro.core.pipeline import (
     rtmp_viewer_traces,
 )
 from repro.core.playback import sweep_prebuffer
+from repro.platform.apps import PERISCOPE_PROFILE
 
 N_BROADCASTS = 40
 
@@ -49,15 +50,16 @@ def main() -> None:
     traces = DelayMeasurementCampaign(n_broadcasts=N_BROADCASTS, seed=2).run()
 
     rtmp_sweep = sweep_prebuffer(
-        rtmp_viewer_traces(traces), [0.0, 0.5, 1.0], unit_duration_s=0.04
+        rtmp_viewer_traces(traces), [0.0, 0.5, 1.0],
+        unit_duration_s=PERISCOPE_PROFILE.frame_interval_s,
     )
     report("RTMP viewers (40 ms frames):", rtmp_sweep, "frames")
 
     rng = np.random.default_rng(2)
     hls_sweep = sweep_prebuffer(
-        hls_viewer_traces(traces, rng, poll_interval_s=2.8),
+        hls_viewer_traces(traces, rng),
         [0.0, 3.0, 6.0, 9.0],
-        unit_duration_s=3.0,
+        unit_duration_s=PERISCOPE_PROFILE.chunk_duration_s,
     )
     report("HLS viewers (3 s chunks, 2.8 s polling):", hls_sweep, "chunks")
 
@@ -66,8 +68,8 @@ def main() -> None:
     delay_6 = float(np.median(hls_sweep[6.0]["buffering_delay"]))
     delay_9 = float(np.median(hls_sweep[9.0]["buffering_delay"]))
     adaptive = evaluate_policies(
-        hls_viewer_traces(traces, np.random.default_rng(3), poll_interval_s=2.8),
-        3.0,
+        hls_viewer_traces(traces, np.random.default_rng(3)),
+        PERISCOPE_PROFILE.chunk_duration_s,
         adaptive=AdaptiveBufferPolicy(probe=JitterProbe(probe_s=30.0)),
     )["adaptive"]
     print("adaptive policy (probe 30s, fall back to 9s on instability):")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
 from typing import Callable, Optional, Sequence
@@ -22,6 +23,27 @@ from repro.experiments.registry import get_experiment, list_experiments, run_exp
 #: Runner parameter -> the flag that sets it, for every runner whose
 #: signature names the parameter.
 _RUNNER_FLAGS = {"seed": "seed", "scale": "scale", "n_broadcasts": "broadcasts"}
+
+
+def _checked(convert: Callable[[str], float], accept: Callable[[float], bool], requirement: str):
+    """An argparse ``type``: ``convert`` the text, then refuse a value
+    ``accept`` rejects, so out-of-range input is a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, ">= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,24 +76,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", help="list experiment IDs and exit")
     parser.add_argument("--all", action="store_true", help="run every experiment in paper order")
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_checked(float, lambda value: 0 < value <= 1, "in (0, 1]"),
+        default=None,
         help="trace scale for table1/table2/fig1-7 (default 0.0005)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="root random seed")
     parser.add_argument(
-        "--broadcasts", type=int, default=None,
+        "--seed", type=_checked(int, lambda value: value >= 0, ">= 0"), default=None,
+        help="root random seed",
+    )
+    parser.add_argument(
+        "--broadcasts", type=_POSITIVE_INT, default=None,
         help="delay-crawl campaign size for fig12/13/16/17 (default 60)",
     )
     parser.add_argument(
-        "--intensity", type=float, default=None,
+        "--intensity", type=_checked(float, lambda value: 0 <= value < math.inf, "finite and >= 0"),
+        default=None,
         help="fault intensity for the 'chaos' target (default 1.0)",
     )
     parser.add_argument(
-        "--clients", type=int, default=None,
+        "--clients", type=_POSITIVE_INT, default=None,
         help="closed-loop clients for the 'serve-bench' target (default 16)",
     )
     parser.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=_checked(float, lambda value: 0 < value < math.inf, "finite and > 0"),
+        default=None,
         help="simulated seconds for the 'serve-bench' target (default 60)",
     )
     parser.add_argument(
@@ -425,7 +453,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(arguments)
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else None
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as error:
+        parser.error(f"argument --out: can't open {args.out!r}: {error.strerror}")
 
     def emit(text: str) -> None:
         print(text)

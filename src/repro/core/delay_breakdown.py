@@ -33,6 +33,7 @@ from repro.client.viewer_client import HlsViewerClient, RtmpViewerClient
 from repro.core.playback import PlaybackConfig, simulate_playback
 from repro.crawler.delay_crawler import DelayCrawler
 from repro.geo.coordinates import GeoPoint
+from repro.geo.latency import LatencyModel
 from repro.platform.apps import AppProfile, PERISCOPE_PROFILE
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
@@ -40,6 +41,11 @@ from repro.simulation.randomness import RandomStreams
 #: Component order used in Figure 11's stacked bars.
 RTMP_COMPONENTS = ("upload", "last_mile", "buffering")
 HLS_COMPONENTS = ("upload", "chunking", "wowza2fastly", "polling", "last_mile", "buffering")
+
+#: The controlled session's fixed geography: the broadcaster phone in Los
+#: Angeles, both viewer phones in New York.
+BROADCASTER_LOCATION = GeoPoint(34.05, -118.24)
+VIEWER_LOCATION = GeoPoint(40.71, -74.01)
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,6 @@ class ControlledExperiment:
     seed: int = 7
     profile: AppProfile = field(default_factory=lambda: PERISCOPE_PROFILE)
     duration_s: float = 120.0
-    broadcaster_location: GeoPoint = field(default_factory=lambda: GeoPoint(34.05, -118.24))
-    viewer_location: GeoPoint = field(default_factory=lambda: GeoPoint(40.71, -74.01))
-    transfer_model: TransferModel = field(default_factory=TransferModel)
-    assignment: CdnAssignment = field(default_factory=CdnAssignment)
 
     def run_once(self, repetition: int = 0) -> tuple[DelayBreakdown, DelayBreakdown]:
         """One repetition; returns (RTMP breakdown, HLS breakdown)."""
@@ -82,23 +84,25 @@ class ControlledExperiment:
         """Run one full controlled session; returns the raw artifacts."""
         streams = RandomStreams(self.seed).spawn(f"rep{repetition}")
         simulator = Simulator()
+        assignment = CdnAssignment()
+        transfer_model = TransferModel()
 
-        wowza_dc = self.assignment.wowza_for_broadcaster(self.broadcaster_location)
-        fastly_dc = self.assignment.fastly_for_viewer(self.viewer_location)
+        wowza_dc = assignment.wowza_for_broadcaster(BROADCASTER_LOCATION)
+        fastly_dc = assignment.fastly_for_viewer(VIEWER_LOCATION)
 
         wowza = WowzaIngest(
             wowza_dc, simulator, frames_per_chunk=self.profile.frames_per_chunk
         )
-        edge = FastlyEdge(fastly_dc, simulator, self.transfer_model, streams.get("edge"))
+        edge = FastlyEdge(fastly_dc, simulator, transfer_model, streams.get("edge"))
 
         broadcast_id = 1
         edge.attach_broadcast(broadcast_id, wowza)
 
         # Upload link includes WAN propagation to the ingest DC plus the
         # phone's capture/encode pipeline latency.
-        uplink = self._wan_link(
-            streams, "uplink", self.broadcaster_location, wowza_dc.location,
-            access_delay_s=0.16,
+        uplink = _wan_link(
+            streams.get("uplink"), transfer_model.latency, BROADCASTER_LOCATION,
+            wowza_dc.location, access_delay_s=0.16,
         )
         broadcaster = BroadcasterClient(
             broadcast_id=broadcast_id,
@@ -109,8 +113,8 @@ class ControlledExperiment:
             frame_interval_s=self.profile.frame_interval_s,
         )
 
-        rtmp_downlink = self._wan_link(
-            streams, "rtmp-down", wowza_dc.location, self.viewer_location
+        rtmp_downlink = _wan_link(
+            streams.get("rtmp-down"), transfer_model.latency, wowza_dc.location, VIEWER_LOCATION
         )
         rtmp_viewer = RtmpViewerClient(
             viewer_id=1001,
@@ -119,8 +123,8 @@ class ControlledExperiment:
             downlink=rtmp_downlink,
         )
 
-        hls_downlink = self._wan_link(
-            streams, "hls-down", fastly_dc.location, self.viewer_location
+        hls_downlink = _wan_link(
+            streams.get("hls-down"), transfer_model.latency, fastly_dc.location, VIEWER_LOCATION
         )
         poll_rng = streams.get("poll")
         low, high = self.profile.polling_interval_range_s
@@ -155,14 +159,14 @@ class ControlledExperiment:
         record = wowza.record_for(broadcast_id)
         return record, edge, rtmp_viewer, hls_viewer, broadcast_id
 
-    def run_timeline(self, repetition: int = 0) -> dict[str, dict[str, float]]:
-        """Figure 10's timestamp diagram from one live run.
+    def run_timeline(self) -> dict[str, dict[str, float]]:
+        """Figure 10's timestamp diagram from the first repetition's run.
 
         Returns ``{"rtmp": {...}, "hls": {...}}`` with every numbered
         timestamp of the paper's Figure 10, measured for a sample frame
         (RTMP path) and a sample chunk (HLS path) from mid-broadcast.
         """
-        record, edge, rtmp_viewer, hls_viewer, broadcast_id = self._simulate(repetition)
+        record, edge, rtmp_viewer, hls_viewer, broadcast_id = self._simulate(0)
 
         # RTMP path: a frame past the warm-up.
         frame_index = len(rtmp_viewer.frame_sequences) // 2
@@ -230,21 +234,6 @@ class ControlledExperiment:
 
     # -- internals -------------------------------------------------------
 
-    def _wan_link(
-        self,
-        streams: RandomStreams,
-        name: str,
-        a: GeoPoint,
-        b: GeoPoint,
-        access_delay_s: float = 0.09,
-    ) -> LastMileLink:
-        """Stable WiFi access hop plus WAN propagation to the other end."""
-        rng = streams.get(name)
-        propagation = self.transfer_model.latency.propagation_s(a, b)
-        return LastMileLink(
-            rng=rng, base_delay_s=access_delay_s + propagation, jitter_sigma=0.15
-        )
-
     def _rtmp_breakdown(
         self, record, viewer: RtmpViewerClient
     ) -> DelayBreakdown:
@@ -311,3 +300,17 @@ class ControlledExperiment:
                 "buffering": playback.mean_buffering_delay_s,
             },
         )
+
+
+def _wan_link(
+    rng: np.random.Generator,
+    latency: LatencyModel,
+    a: GeoPoint,
+    b: GeoPoint,
+    access_delay_s: float = 0.09,
+) -> LastMileLink:
+    """Stable WiFi access hop plus WAN propagation to the other end."""
+    propagation = latency.propagation_s(a, b)
+    return LastMileLink(
+        rng=rng, base_delay_s=access_delay_s + propagation, jitter_sigma=0.15
+    )

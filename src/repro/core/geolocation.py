@@ -23,11 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.cdn.transfer import TransferModel
-from repro.geo.datacenters import (
-    Datacenter,
-    FASTLY_DATACENTERS,
-    WOWZA_DATACENTERS,
-)
+from repro.crawler.delay_crawler import POLL_INTERVAL_S
+from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
 from repro.geo.latency import distance_bucket
 
 
@@ -46,25 +43,22 @@ def geolocation_study(
     rng: np.random.Generator,
     broadcasts_per_pair: int = 10,
     chunks_per_broadcast: int = 40,
-    crawler_poll_interval_s: float = 0.1,
     transfer: TransferModel | None = None,
-    wowza_sites: Sequence[Datacenter] = WOWZA_DATACENTERS,
-    fastly_sites: Sequence[Datacenter] = FASTLY_DATACENTERS,
 ) -> list[GeoDelaySample]:
-    """Per-broadcast mean Wowza2Fastly delay across all DC pairs."""
+    """Per-broadcast mean Wowza2Fastly delay across all catalog DC pairs."""
     if broadcasts_per_pair <= 0 or chunks_per_broadcast <= 0:
         raise ValueError("counts must be positive")
     model = transfer or TransferModel()
     samples: list[GeoDelaySample] = []
-    for wowza in wowza_sites:
-        for fastly in fastly_sites:
+    for wowza in WOWZA_DATACENTERS:
+        for fastly in FASTLY_DATACENTERS:
             distance = wowza.distance_km(fastly)
             bucket = "co-located" if model.is_colocated(wowza, fastly) else distance_bucket(distance)
             transfer_delay = model.sampler(wowza, fastly)
             for _ in range(broadcasts_per_pair):
                 # The poll offset is uniform(0, interval), drawn as interval·u.
                 delays = [
-                    transfer_delay(rng) + crawler_poll_interval_s * rng.random()
+                    transfer_delay(rng) + POLL_INTERVAL_S * rng.random()
                     for _ in range(chunks_per_broadcast)
                 ]
                 samples.append(

@@ -33,6 +33,18 @@ from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.distributions import lognormal_from_median
 
+#: Broadcast durations: a lognormal around the campaign's median with this
+#: sigma, clipped below at ``MIN_DURATION_S``.
+DURATION_SIGMA = 0.5
+MIN_DURATION_S = 60.0
+#: Broadcaster uplinks are realistic mobile links with bursty outages;
+#: §6 attributes the long RTMP buffering tail to them.  These differ from
+#: ``LastMileLink.mobile_uplink``'s defaults.
+OUTAGE_RATE_PER_S = 1.0 / 140.0
+OUTAGE_MEAN_S = 3.0
+#: §6's HLS viewers poll their chunklist every 2.8 s.
+HLS_VIEWER_POLL_INTERVAL_S = 2.8
+
 
 @dataclass(frozen=True)
 class BroadcastTrace:
@@ -59,20 +71,12 @@ class DelayMeasurementCampaign:
     seed: int = 2016
     profile: AppProfile = field(default_factory=lambda: PERISCOPE_PROFILE)
     duration_median_s: float = 180.0
-    duration_sigma: float = 0.5
-    min_duration_s: float = 60.0
     max_duration_s: float = 600.0
-    #: Broadcaster uplinks are realistic mobile links with bursty outages;
-    #: §6 attributes the long RTMP buffering tail to them.
-    outage_rate_per_s: float = 1.0 / 140.0
-    outage_mean_s: float = 3.0
     #: Per-broadcast chunk-duration mix (None = every broadcast uses the
     #: profile's chunk size).  §5.2 observed >85.9% on 3 s with a spread of
     #: other sizes; pass ``repro.core.chunk_stats.PERISCOPE_CHUNK_MIX`` to
     #: reproduce that heterogeneity.
     chunk_duration_mix: dict[float, float] | None = None
-    transfer_model: TransferModel = field(default_factory=TransferModel)
-    assignment: CdnAssignment = field(default_factory=CdnAssignment)
 
     def run(self) -> list[BroadcastTrace]:
         streams = RandomStreams(self.seed)
@@ -83,9 +87,9 @@ class DelayMeasurementCampaign:
             duration = float(
                 np.clip(
                     lognormal_from_median(
-                        duration_rng, self.duration_median_s, self.duration_sigma
+                        duration_rng, self.duration_median_s, DURATION_SIGMA
                     ),
-                    self.min_duration_s,
+                    MIN_DURATION_S,
                     self.max_duration_s,
                 )
             )
@@ -101,13 +105,15 @@ class DelayMeasurementCampaign:
     ) -> BroadcastTrace:
         simulator = Simulator()
         local = streams.spawn(f"broadcast/{index}")
+        assignment = CdnAssignment()
+        transfer_model = TransferModel()
 
         broadcaster_location = sample_user_location(placement_rng)
-        wowza_dc = self.assignment.wowza_for_broadcaster(broadcaster_location)
+        wowza_dc = assignment.wowza_for_broadcaster(broadcaster_location)
         # The crawler picks the POP nearest the broadcaster's ingest DC
         # (the paper ran dedicated crawlers near every DC; one suffices
         # per broadcast for trace collection).
-        fastly_dc = self.assignment.fastly_for_viewer(wowza_dc.location)
+        fastly_dc = assignment.fastly_for_viewer(wowza_dc.location)
 
         chunk_duration_s = self.profile.chunk_duration_s
         if self.chunk_duration_mix is not None:
@@ -120,19 +126,19 @@ class DelayMeasurementCampaign:
         frames_per_chunk = max(1, round(chunk_duration_s / self.profile.frame_interval_s))
 
         wowza = WowzaIngest(wowza_dc, simulator, frames_per_chunk=frames_per_chunk)
-        edge = FastlyEdge(fastly_dc, simulator, self.transfer_model, local.get("edge"))
+        edge = FastlyEdge(fastly_dc, simulator, transfer_model, local.get("edge"))
         broadcast_id = index + 1
         edge.attach_broadcast(broadcast_id, wowza)
 
         uplink_rng = local.get("uplink")
-        propagation = self.transfer_model.latency.propagation_s(
+        propagation = transfer_model.latency.propagation_s(
             broadcaster_location, wowza_dc.location
         )
         uplink = LastMileLink.mobile_uplink(
             uplink_rng,
             horizon_s=duration_s + 30.0,
-            outage_rate_per_s=self.outage_rate_per_s,
-            outage_mean_s=self.outage_mean_s,
+            outage_rate_per_s=OUTAGE_RATE_PER_S,
+            outage_mean_s=OUTAGE_MEAN_S,
         )
         uplink.base_delay_s += propagation
 
@@ -176,23 +182,22 @@ def rtmp_viewer_traces(traces: list[BroadcastTrace]) -> list[np.ndarray]:
 
 
 def hls_viewer_traces(
-    traces: list[BroadcastTrace],
-    rng: np.random.Generator,
-    poll_interval_s: float = 2.8,
+    traces: list[BroadcastTrace], rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Chunk pickup traces driving the Figure 17 playback simulation.
 
-    Per §6, each HLS viewer polls at 2.8 s with a random phase; a chunk is
-    picked up at the first poll after it becomes available at the POP.
+    Per §6, each HLS viewer polls every ``HLS_VIEWER_POLL_INTERVAL_S``
+    (2.8 s) with a random phase; a chunk is picked up at the first poll
+    after it becomes available at the POP.
     """
     pickups = []
     for trace in traces:
         if trace.chunk_count == 0:
             continue
         phase = float(trace.chunk_availability[0]) - float(
-            rng.uniform(0.0, poll_interval_s)
+            rng.uniform(0.0, HLS_VIEWER_POLL_INTERVAL_S)
         )
         pickups.append(
-            poll_pickup_times(trace.chunk_availability, poll_interval_s, phase)
+            poll_pickup_times(trace.chunk_availability, HLS_VIEWER_POLL_INTERVAL_S, phase)
         )
     return pickups

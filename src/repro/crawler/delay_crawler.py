@@ -34,6 +34,9 @@ from repro.cdn.wowza import WowzaIngest
 from repro.protocols.hls import Chunklist
 from repro.simulation.engine import Simulator
 
+#: The HLS crawler's poll grid step (§4.3: 0.1 s, 20× a real viewer's rate).
+POLL_INTERVAL_S = 0.1
+
 
 @dataclass(frozen=True)
 class ChunkObservation:
@@ -50,7 +53,6 @@ class DelayCrawler:
 
     broadcast_id: int
     simulator: Simulator
-    poll_interval_s: float = 0.1
     stop_after: float = float("inf")
     #: RTMP side, in sequence order: frame, capture ① and server time ②.
     frame_sequences: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -112,7 +114,7 @@ class DelayCrawler:
                 self._asleep = True
                 return
         self.simulator.schedule(
-            self.poll_interval_s, self._poll, label=f"crawler-poll:{self.broadcast_id}"
+            POLL_INTERVAL_S, self._poll, label=f"crawler-poll:{self.broadcast_id}"
         )
 
     def _on_expiry(self) -> None:
@@ -122,9 +124,9 @@ class DelayCrawler:
         if not self._asleep:
             return
         self._asleep = False
-        wake = self._last_poll + self.poll_interval_s
+        wake = self._last_poll + POLL_INTERVAL_S
         while wake < self.simulator.now:
-            wake += self.poll_interval_s
+            wake += POLL_INTERVAL_S
         self.simulator.schedule_at(wake, self._poll, label=f"crawler-poll:{self.broadcast_id}")
 
     def _on_chunklist(self, chunklist: Chunklist, response_time: float) -> None:

@@ -11,9 +11,9 @@ from repro.core.pipeline import rtmp_viewer_traces
 from repro.core.playback import sweep_prebuffer
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
 from repro.experiments.registry import experiment
+from repro.platform.apps import PERISCOPE_PROFILE
 
 RTMP_PREBUFFERS_S = [0.0, 0.5, 1.0]
-FRAME_INTERVAL_S = 0.040
 
 
 @experiment(
@@ -27,7 +27,7 @@ def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
 ) -> tuple[dict, str]:
     traces = rtmp_viewer_traces(list(delay_traces(n_broadcasts, seed)))
-    sweep = sweep_prebuffer(traces, RTMP_PREBUFFERS_S, FRAME_INTERVAL_S)
+    sweep = sweep_prebuffer(traces, RTMP_PREBUFFERS_S, PERISCOPE_PROFILE.frame_interval_s)
 
     stall_cdfs = {f"P={p:g}s stall": Cdf(v["stall_ratio"]) for p, v in sweep.items()}
     delay_cdfs = {f"P={p:g}s delay": Cdf(v["buffering_delay"]) for p, v in sweep.items()}

@@ -16,10 +16,9 @@ from repro.core.pipeline import hls_viewer_traces
 from repro.core.playback import sweep_prebuffer
 from repro.experiments.context import DEFAULT_CAMPAIGN_BROADCASTS, DEFAULT_SEED, delay_traces
 from repro.experiments.registry import experiment
+from repro.platform.apps import PERISCOPE_PROFILE
 
 HLS_PREBUFFERS_S = [0.0, 3.0, 6.0, 9.0]
-CHUNK_DURATION_S = 3.0
-VIEWER_POLL_INTERVAL_S = 2.8
 
 
 @experiment(
@@ -32,10 +31,8 @@ def run(
     n_broadcasts: int = DEFAULT_CAMPAIGN_BROADCASTS, seed: int = DEFAULT_SEED
 ) -> tuple[dict, str]:
     rng = np.random.default_rng(seed + 17)
-    traces = hls_viewer_traces(
-        list(delay_traces(n_broadcasts, seed)), rng, VIEWER_POLL_INTERVAL_S
-    )
-    sweep = sweep_prebuffer(traces, HLS_PREBUFFERS_S, CHUNK_DURATION_S)
+    traces = hls_viewer_traces(list(delay_traces(n_broadcasts, seed)), rng)
+    sweep = sweep_prebuffer(traces, HLS_PREBUFFERS_S, PERISCOPE_PROFILE.chunk_duration_s)
 
     stall_cdfs = {f"P={p:g}s stall": Cdf(v["stall_ratio"]) for p, v in sweep.items()}
     delay_cdfs = {f"P={p:g}s delay": Cdf(v["buffering_delay"]) for p, v in sweep.items()}

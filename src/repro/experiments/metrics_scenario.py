@@ -17,7 +17,7 @@ from repro.client.broadcaster import BroadcasterClient
 from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient, RtmpViewerClient
 from repro.crawler.global_list import GlobalListCrawler
-from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
+from repro.geo.datacenters import WOWZA_DATACENTERS, colocated_fastly
 from repro.obs.metrics import MetricsRegistry
 from repro.service.facade import LivestreamService
 from repro.simulation.engine import Simulator
@@ -43,12 +43,9 @@ def run_metrics_scenario(seed: int = 7) -> MetricsRegistry:
     wowza = WowzaIngest(
         WOWZA_DATACENTERS[0], simulator, frames_per_chunk=25, metrics=registry
     )
-    pop = next(
-        (dc for dc in FASTLY_DATACENTERS if dc.city == wowza.datacenter.city),
-        FASTLY_DATACENTERS[0],
-    )
     edge = FastlyEdge(
-        pop, simulator, TransferModel(), streams.get("edge"), metrics=registry
+        colocated_fastly(wowza.datacenter), simulator, TransferModel(), streams.get("edge"),
+        metrics=registry,
     )
     server_queue = ServerQueue(simulator, metrics=registry)
 

@@ -27,7 +27,7 @@ from repro.obs.metrics import (
     StreamingQuantile,
 )
 from repro.obs.process import peak_rss_mb
-from repro.obs.tracing import SpanRecorder, span
+from repro.obs.tracing import SpanRecorder
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -40,5 +40,4 @@ __all__ = [
     "NullRegistry",
     "SpanRecorder",
     "peak_rss_mb",
-    "span",
 ]

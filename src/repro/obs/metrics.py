@@ -1,7 +1,7 @@
 """Simulation-time-aware metrics primitives.
 
 The registry deliberately never reads the wall clock: the only notion of
-"now" is a clock callable bound to a :class:`~repro.simulation.engine.Simulator`
+"now" is the clock of a bound :class:`~repro.simulation.engine.Simulator`
 (``registry.bind_simulator(sim)``), so two runs with the same seed produce
 byte-identical snapshots.  Three primitive families cover the repo's needs:
 
@@ -23,9 +23,6 @@ import bisect
 import json
 import math
 from typing import Callable, Iterable, Optional, Sequence
-
-#: A simulated-time source, e.g. ``lambda: simulator.now``.
-Clock = Callable[[], float]
 
 #: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -238,23 +235,20 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
+        self._simulator = None
         self._metrics: dict[str, object] = {}
         self._collectors: list[Collector] = []
 
     # -- clock -----------------------------------------------------------
 
-    def bind_clock(self, clock: Clock) -> None:
-        self._clock = clock
-
     def bind_simulator(self, simulator) -> None:
         """Use ``simulator.now`` as this registry's notion of time."""
-        self._clock = lambda: simulator.now
+        self._simulator = simulator
 
     def now(self) -> float:
-        """Current simulated time (0.0 when no clock is bound)."""
-        return self._clock() if self._clock is not None else 0.0
+        """Current simulated time (0.0 when no simulator is bound)."""
+        return self._simulator.now if self._simulator is not None else 0.0
 
     # -- get-or-create ---------------------------------------------------
 

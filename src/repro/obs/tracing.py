@@ -1,22 +1,15 @@
 """Lightweight span timing on simulated time.
 
-Two facilities:
-
-* :class:`SpanRecorder` — per-component event accounting for the engine's
-  run loop.  Event labels like ``"hls-poll:42"`` are keyed by their prefix
-  (``"hls-poll"``), so per-component event counts and the simulated time
-  between consecutive events of a component come for free from labels the
-  codebase already sets.  The hot path is two dict operations plus one
-  histogram observe; counts are published to the registry lazily via a
-  snapshot collector.
-* :func:`span` — a context manager measuring the *simulated* time a block
-  spans (via the registry clock), recorded into ``span.<name>.duration_s``.
+:class:`SpanRecorder` does per-component event accounting for the engine's
+run loop.  Event labels like ``"hls-poll:42"`` are keyed by their prefix
+(``"hls-poll"``), so per-component event counts and the simulated time
+between consecutive events of a component come for free from labels the
+codebase already sets.  The hot path is two dict operations plus one
+histogram observe; counts are published to the registry lazily via a
+snapshot collector.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -60,15 +53,3 @@ class SpanRecorder:
             if count > done:
                 counter.inc(count - done)
                 self._published[key] = float(count)
-
-
-@contextmanager
-def span(registry: MetricsRegistry, name: str) -> Iterator[None]:
-    """Record the simulated time a block spans into ``span.<name>.duration_s``."""
-    start = registry.now()
-    try:
-        yield
-    finally:
-        registry.histogram(
-            f"span.{name}.duration_s", help="simulated duration of this span"
-        ).observe(registry.now() - start)

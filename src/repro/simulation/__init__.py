@@ -12,31 +12,24 @@ too: :class:`RetryPolicy` and :class:`CircuitBreaker`
 limiter (:mod:`repro.simulation.rate_limit`).
 """
 
-from repro.simulation.engine import Event, EventQueue, Simulator
+from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams, substream_seed
-from repro.simulation.rate_limit import RateLimitExceeded, TokenBucket
+from repro.simulation.rate_limit import TokenBucket
 from repro.simulation.resilience import CircuitBreaker, RetryPolicy
 from repro.simulation.distributions import (
     bounded_pareto,
     lognormal_from_median,
-    sample_zipf,
-    truncated_normal,
     zipf_weights,
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulator",
     "RandomStreams",
     "substream_seed",
-    "RateLimitExceeded",
     "TokenBucket",
     "CircuitBreaker",
     "RetryPolicy",
     "bounded_pareto",
     "lognormal_from_median",
-    "sample_zipf",
-    "truncated_normal",
     "zipf_weights",
 ]

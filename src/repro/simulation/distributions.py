@@ -75,53 +75,3 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks**-exponent
     return weights / weights.sum()
-
-
-def sample_zipf(
-    rng: np.random.Generator,
-    n: int,
-    exponent: float,
-    size: Union[int, None] = None,
-) -> Union[int, np.ndarray]:
-    """Sample 0-based ranks from a Zipf distribution over ``n`` items."""
-    weights = zipf_weights(n, exponent)
-    return rng.choice(n, size=size, p=weights)
-
-
-def truncated_normal(
-    rng: np.random.Generator,
-    mean: float,
-    std: float,
-    lower: float,
-    upper: float,
-    size: Union[int, None] = None,
-) -> ArrayOrFloat:
-    """Normal samples clipped by rejection into ``[lower, upper]``.
-
-    Falls back to clipping after 100 rejection rounds, which in practice only
-    happens with degenerate parameters.
-    """
-    if lower > upper:
-        raise ValueError(f"need lower <= upper, got lower={lower}, upper={upper}")
-    want_scalar = size is None
-    count = 1 if want_scalar else int(np.prod(size))
-    out = np.empty(count)
-    filled = 0
-    for _ in range(100):
-        needed = count - filled
-        if needed <= 0:
-            break
-        draw = rng.normal(mean, std, size=needed)
-        good = draw[(draw >= lower) & (draw <= upper)]
-        out[filled : filled + len(good)] = good
-        filled += len(good)
-    if filled < count:
-        out[filled:] = np.clip(rng.normal(mean, std, size=count - filled), lower, upper)
-    if want_scalar:
-        return float(out[0])
-    return out.reshape(size)
-
-
-def discretize_counts(values: ArrayOrFloat) -> np.ndarray:
-    """Round non-negative float samples to integer counts (at least zero)."""
-    return np.maximum(np.rint(np.asarray(values)), 0).astype(np.int64)

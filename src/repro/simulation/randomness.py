@@ -47,7 +47,3 @@ class RandomStreams:
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child factory whose streams are independent of this one."""
         return RandomStreams(substream_seed(self.seed, f"spawn/{name}"))
-
-    def reset(self) -> None:
-        """Drop all streams; subsequent :meth:`get` calls restart them."""
-        self._streams.clear()

@@ -16,10 +16,6 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 
-class RateLimitExceeded(Exception):
-    """Raised when a request is attempted with an empty bucket."""
-
-
 @dataclass
 class TokenBucket:
     """A standard token bucket driven by explicit (simulated) time.
@@ -98,13 +94,6 @@ class TokenBucket:
         if tokens_now >= tokens:
             return 0.0
         return (tokens - tokens_now) / self.effective_rate_per_s
-
-    def acquire(self, now: float, tokens: float = 1.0) -> None:
-        """Take ``tokens`` or raise :class:`RateLimitExceeded`."""
-        if not self.try_acquire(now, tokens):
-            raise RateLimitExceeded(
-                f"{tokens} token(s) requested, {self._tokens:.2f} available"
-            )
 
     def drain(self) -> None:
         """Remove all tokens immediately (fault injection: quota revoked)."""

@@ -136,6 +136,48 @@ class TestCli:
         assert "cannot be combined" in capsys.readouterr().err
 
 
+class TestOutOfRangeInput:
+    """Bad flag values are usage errors: exit 2 with ``error:`` on stderr
+    and no traceback, before any experiment runs."""
+
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["table1", "--scale", "0"], "--scale"),
+            (["--all", "--seed", "-7"], "--seed"),
+            (["fig12", "--broadcasts", "0"], "--broadcasts"),
+            (["serve-bench", "--clients", "0"], "--clients"),
+            (["serve-bench", "--duration", "-5"], "--duration"),
+            # A non-finite duration would run the closed loop forever.
+            (["serve-bench", "--duration", "inf"], "--duration"),
+            (["serve-bench", "--duration", "nan"], "--duration"),
+            (["chaos", "--intensity", "-1"], "--intensity"),
+            (["chaos", "--intensity", "inf"], "--intensity"),
+            (["--list", "--out", "/nonexistent/x"], "--out"),
+        ],
+        ids=[
+            "scale", "seed", "broadcasts", "clients", "duration", "duration-inf",
+            "duration-nan", "intensity", "intensity-inf", "out",
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_range_bounds_are_accepted(self):
+        args = build_parser().parse_args(
+            ["--scale", "1", "--seed", "0", "--broadcasts", "1", "--clients", "1",
+             "--duration", "0.5", "--intensity", "0"]
+        )
+        assert (args.scale, args.seed, args.broadcasts, args.clients) == (1.0, 0, 1, 1)
+        assert (args.duration, args.intensity) == (0.5, 0.0)
+
+
 class TestServeBenchTarget:
     def test_flash_crowd_runs_the_serving_flash_posture(self, capsys):
         from repro.experiments.serving import flash_config

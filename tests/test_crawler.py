@@ -24,7 +24,7 @@ from repro.crawler.delay_crawler import DelayCrawler
 from repro.crawler.global_list import GlobalListCrawler
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS
 from repro.service import LivestreamService
-from repro.simulation import RateLimitExceeded, TokenBucket
+from repro.simulation import TokenBucket
 from repro.simulation.engine import Simulator
 
 
@@ -157,12 +157,6 @@ class TestTokenBucket:
         bucket.try_acquire(0.0, 5.0)
         bucket.try_acquire(100.0, 0.1)  # long idle; refill capped at 5
         assert bucket.available < 5.0
-
-    def test_acquire_raises_when_empty(self):
-        bucket = TokenBucket(rate_per_s=0.1, capacity=1.0)
-        bucket.acquire(0.0)
-        with pytest.raises(RateLimitExceeded):
-            bucket.acquire(0.0)
 
     def test_time_going_backwards_rejected(self):
         bucket = TokenBucket(rate_per_s=1.0, capacity=1.0)

@@ -226,7 +226,7 @@ class TestFaultInjector:
     def test_metrics_reported(self):
         metrics = MetricsRegistry()
         simulator = Simulator()
-        metrics.bind_clock(lambda: simulator.now)
+        metrics.bind_simulator(simulator)
         injector = FaultInjector(simulator, metrics=metrics)
         injector.register_edge("sea", _FakeEdge())
         injector.arm(FaultPlan((FaultWindow(FaultKind.EDGE_DOWN, 1.0, 2.0, "sea"),)))

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     NullRegistry,
     StreamingQuantile,
 )
-from repro.obs.tracing import span
 from repro.simulation.engine import Simulator
 
 
@@ -190,16 +189,18 @@ class TestEngineInstrumentation:
         assert hist["count"] == 3
         assert hist["mean"] == pytest.approx(2.0)
 
-    def test_cancelled_counter_published(self):
+    def test_processed_counter_and_queue_depth_published(self):
         registry = MetricsRegistry()
         simulator = Simulator(metrics=registry)
-        keep = simulator.schedule(1.0, lambda: None)
-        simulator.schedule(2.0, lambda: None).cancel()
-        simulator.run()
+        simulator.schedule(1.0, lambda: None)
+        simulator.schedule(2.0, lambda: None)
+        simulator.run(until=1.5)
         snap = registry.snapshot()
-        assert snap["counters"]["engine.events_cancelled"]["value"] == 1.0
         assert snap["counters"]["engine.events_processed"]["value"] == 1.0
-        assert keep.cancelled is False
+        assert snap["gauges"]["engine.queue_depth"]["value"] == 1.0
+        assert [name for name in snap["counters"] if name.startswith("engine.events_")] == [
+            "engine.events_processed"
+        ]
 
     def test_snapshot_is_idempotent(self):
         registry = MetricsRegistry()
@@ -209,18 +210,6 @@ class TestEngineInstrumentation:
         first = registry.snapshot()
         second = registry.snapshot()
         assert first == second
-
-
-class TestSpanContextManager:
-    def test_records_simulated_duration(self):
-        registry = MetricsRegistry()
-        simulator = Simulator(metrics=registry)
-        simulator.schedule(4.0, lambda: None)
-        with span(registry, "drain"):
-            simulator.run()
-        hist = registry.snapshot()["histograms"]["span.drain.duration_s"]
-        assert hist["count"] == 1
-        assert hist["mean"] == pytest.approx(4.0)
 
 
 class TestDeterminism:
@@ -238,8 +227,8 @@ class TestDeterminism:
 #: ``fingerprint`` of ``repro metrics`` at its default seed 7: "data" is the
 #: scenario's registry snapshot, "text" the JSON the command prints.
 METRICS_DIGESTS = {
-    "data": "e2e7a8c6d9906620ab52c87e702126898eabec83ecdd945d33a410e8228da0fc",
-    "text": "0957f7058e6cda8d693d0b708807740b4f53443b57e7a6aa696f3c207abee54f",
+    "data": "c95368a36aeb88787d7a8f92429e0b4f89bee5fcd1a74d13f274ca2b2d59cf67",
+    "text": "2b95a9e734f0cbf3b3c2e6d462ea947e108f54ea27c65dc87426cbe8be4c6b49",
 }
 
 

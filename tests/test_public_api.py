@@ -46,7 +46,6 @@ HOMES = [
     "repro.simulation.RetryPolicy",
     "repro.simulation.CircuitBreaker",
     "repro.simulation.TokenBucket",
-    "repro.simulation.RateLimitExceeded",
     "repro.experiments.metrics_scenario.run_metrics_scenario",
     "repro.social.CompiledGraph",
 ]
@@ -102,6 +101,15 @@ GONE_EXPORTS = {
     "repro.lint": ["sanitized"],
     # One list cache: the per-region cache only ever held "global".
     "repro.service": ["RegionCache"],
+    # One callback heap, no cancellation; kernel code only tests reached.
+    "repro.simulation": [
+        "Event",
+        "EventQueue",
+        "RateLimitExceeded",
+        "sample_zipf",
+        "truncated_normal",
+    ],
+    "repro.obs": ["span"],
 }
 
 #: Second copies deleted outright, with no alias left: module -> names.
@@ -125,6 +133,18 @@ GONE_ATTRIBUTES = {
     "repro.lint.sanitizer": ["active_sanitizer_note", "sanitized"],
     "repro.crawler.storage": ["save_traces", "load_traces"],
     "repro.core.playback": ["_STRATEGIES", "_simulate_fixed"],
+    "repro.simulation.engine": ["Event", "EventQueue"],
+    "repro.simulation.rate_limit": ["RateLimitExceeded"],
+    "repro.simulation.distributions": [
+        "sample_zipf",
+        "truncated_normal",
+        "discretize_counts",
+    ],
+    "repro.obs.tracing": ["span"],
+    "repro.obs.metrics": ["Clock"],
+    # Catalog facts read from the app profile, not copied.
+    "repro.experiments.fig16": ["FRAME_INTERVAL_S"],
+    "repro.experiments.fig17": ["CHUNK_DURATION_S", "VIEWER_POLL_INTERVAL_S"],
 }
 
 #: Methods, properties and fields deleted from a class: "module:Class" -> names.
@@ -171,6 +191,26 @@ GONE_MEMBERS = {
     "repro.core.playback:PlaybackConfig": ["strategy"],
     "repro.core.playback:PlaybackResult": ["played", "discarded_count"],
     "repro.cdn.wowza:WowzaIngest": ["rtmp_subscriber_count"],
+    "repro.simulation.randomness:RandomStreams": ["reset"],
+    "repro.simulation.rate_limit:TokenBucket": ["acquire"],
+    "repro.obs.metrics:MetricsRegistry": ["bind_clock"],
+    # Delay-measurement knobs no caller set are module constants now.
+    "repro.core.pipeline:DelayMeasurementCampaign": [
+        "duration_sigma",
+        "min_duration_s",
+        "outage_rate_per_s",
+        "outage_mean_s",
+        "transfer_model",
+        "assignment",
+    ],
+    "repro.core.delay_breakdown:ControlledExperiment": [
+        "broadcaster_location",
+        "viewer_location",
+        "transfer_model",
+        "assignment",
+        "_wan_link",
+    ],
+    "repro.crawler.delay_crawler:DelayCrawler": ["poll_interval_s"],
 }
 
 #: Parameters deleted from a callable: "module:qualified.name" -> names.
@@ -202,6 +242,16 @@ GONE_PARAMETERS = {
         "viewers_per_broadcast",
         "broadcast_duration_s",
         "horizon_s",
+    ],
+    "repro.simulation.engine:Simulator": ["start_time"],
+    "repro.simulation.engine:Simulator.run": ["max_events"],
+    "repro.obs.metrics:MetricsRegistry": ["clock"],
+    "repro.core.delay_breakdown:ControlledExperiment.run_timeline": ["repetition"],
+    "repro.core.pipeline:hls_viewer_traces": ["poll_interval_s"],
+    "repro.core.geolocation:geolocation_study": [
+        "wowza_sites",
+        "fastly_sites",
+        "crawler_poll_interval_s",
     ],
 }
 

@@ -108,7 +108,7 @@ class TestFlashCrowd:
 #: ``service.*`` and ``engine.span.*`` histogram included), "text" the
 #: rendered report.
 SERVING_FLASH_DIGESTS = {
-    "data": "8316bfc65cd688323765092fe1b48ee631f1edeecb19c36c385efc461fbed4b1",
+    "data": "f7587fadfc14c2227225e1738a26753efa30d9881ad932426847ce26062cf300",
     "text": "036d6e3b9036b4fd6f6a1282358c7f460e0965a11654ca536ba5566804c36d5c",
 }
 

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from repro.simulation.distributions import (
     bounded_pareto,
-    discretize_counts,
     lognormal_from_median,
-    sample_zipf,
-    truncated_normal,
     zipf_weights,
 )
 
@@ -98,44 +95,3 @@ class TestZipf:
             zipf_weights(0, 1.0)
         with pytest.raises(ValueError):
             zipf_weights(10, -1.0)
-
-    def test_sample_zipf_favours_low_ranks(self, rng):
-        samples = sample_zipf(rng, n=100, exponent=1.2, size=10_000)
-        low = np.mean(np.asarray(samples) < 10)
-        assert low > 0.4  # the head dominates
-
-    def test_sample_zipf_range(self, rng):
-        samples = np.asarray(sample_zipf(rng, n=20, exponent=1.0, size=1000))
-        assert samples.min() >= 0
-        assert samples.max() < 20
-
-
-class TestTruncatedNormal:
-    def test_respects_bounds(self, rng):
-        samples = truncated_normal(rng, mean=0.0, std=5.0, lower=-1.0, upper=1.0, size=5000)
-        assert np.all((samples >= -1.0) & (samples <= 1.0))
-
-    def test_scalar_output(self, rng):
-        value = truncated_normal(rng, mean=0.0, std=1.0, lower=-2.0, upper=2.0)
-        assert isinstance(value, float)
-
-    def test_rejects_inverted_bounds(self, rng):
-        with pytest.raises(ValueError):
-            truncated_normal(rng, 0.0, 1.0, lower=1.0, upper=-1.0)
-
-    @given(mean=st.floats(-5, 5), std=st.floats(0.1, 5.0))
-    @settings(max_examples=25, deadline=None)
-    def test_bounds_hold_generally(self, mean, std):
-        rng = np.random.default_rng(2)
-        samples = truncated_normal(rng, mean, std, lower=-1.0, upper=1.0, size=100)
-        assert np.all((samples >= -1.0) & (samples <= 1.0))
-
-
-class TestDiscretizeCounts:
-    def test_rounds_to_integers(self):
-        out = discretize_counts(np.array([0.4, 0.6, 2.5, 3.49]))
-        assert out.dtype == np.int64
-        assert list(out) == [0, 1, 2, 3]
-
-    def test_clamps_negatives_to_zero(self):
-        assert list(discretize_counts(np.array([-3.2, -0.1]))) == [0, 0]

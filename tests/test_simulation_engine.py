@@ -4,103 +4,67 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import EventQueue, SimulationError, Simulator
+from repro.simulation.engine import SimulationError, Simulator
 
 
 class TestEventQueue:
+    """The simulator's one heap: callbacks fire in time order, and those due
+    at the same instant in the order they were scheduled."""
+
     def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(3.0, lambda: fired.append("c"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(2.0, lambda: fired.append("b"))
-        times = [queue.pop().time for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        sim.schedule(3.0, lambda: fired.append(("c", sim.now)))
+        sim.schedule(1.0, lambda: fired.append(("a", sim.now)))
+        sim.schedule_at(2.0, lambda: fired.append(("b", sim.now)))
+        sim.run()
+        assert fired == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
     def test_ties_break_by_insertion_order(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        second = queue.push(1.0, lambda: None)
-        assert queue.pop() is first
-        assert queue.pop() is second
+        sim = Simulator()
+        fired = []
+        for name in "abcde":
+            sim.schedule(1.0, lambda name=name: fired.append(name))
+        sim.schedule_at(1.0, lambda: fired.append("f"))
+        sim.run()
+        assert fired == list("abcdef")
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert queue.pop().time == 2.0
+    def test_callback_scheduled_for_now_runs_after_queued_ties(self):
+        """An action that schedules a zero-delay callback: it fires at the
+        same instant, after every callback already queued for it and
+        before anything later."""
+        sim = Simulator()
+        fired = []
 
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        event.cancel()
-        assert len(queue) == 1
+        def first() -> None:
+            fired.append(("first", sim.now))
+            sim.schedule(0.0, lambda: fired.append(("scheduled now", sim.now)))
+            sim.schedule_at(sim.now, lambda: fired.append(("scheduled at now", sim.now)))
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 5.0
+        sim.schedule(2.0, first)
+        sim.schedule(2.0, lambda: fired.append(("second", sim.now)))
+        sim.schedule(2.5, lambda: fired.append(("later", sim.now)))
+        sim.run()
+        assert fired == [
+            ("first", 2.0),
+            ("second", 2.0),
+            ("scheduled now", 2.0),
+            ("scheduled at now", 2.0),
+            ("later", 2.5),
+        ]
 
     def test_empty_queue_pops_none(self):
-        assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None
+        sim = Simulator()
+        sim.run()
+        assert sim.events_processed == 0
+        assert sim.pending == 0
+        assert sim.now == 0.0
 
-    def test_len_is_constant_time_accounting(self):
-        """Regression: __len__ used to scan the whole heap on every call."""
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(100)]
-        assert len(queue) == 100
-        for event in events[:60]:
-            event.cancel()
-        assert len(queue) == 40
-        # Double-cancel must not double-count.
-        events[0].cancel()
-        assert len(queue) == 40
-        assert queue.cancelled_total == 60
-
-    def test_cancel_after_pop_does_not_corrupt_len(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert queue.pop() is first
-        first.cancel()  # already out of the heap
-        assert len(queue) == 1
-        assert queue.pop().time == 2.0
-        assert len(queue) == 0
-
-    def test_compaction_purges_cancelled_and_keeps_order(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[::2]:  # cancel half -> triggers compaction
-            event.cancel()
-        assert queue.heap_size < 200  # cancelled events physically removed
-        assert len(queue) == 100
-        times = [queue.pop().time for _ in range(100)]
-        assert times == [float(i) for i in range(1, 200, 2)]
-        assert queue.pop() is None
-
-    def test_compaction_preserves_tie_order(self):
-        queue = EventQueue()
-        cancels = [queue.push(0.5, lambda: None) for _ in range(80)]
-        ties = [queue.push(1.0, lambda: None) for _ in range(20)]
-        for event in cancels:
-            event.cancel()
-        popped = [queue.pop() for _ in range(20)]
-        assert popped == ties  # insertion order survives heapify
-
-    def test_peek_time_updates_accounting(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
-        assert len(queue) == 1
-        assert queue.dead == 0  # the cancelled head was purged
+    def test_schedule_returns_nothing(self):
+        sim = Simulator()
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
+        assert sim.pending == 2
 
 
 class TestSimulator:
@@ -130,6 +94,14 @@ class TestSimulator:
         assert sim.now == 5.0
         assert sim.pending == 1
 
+    def test_run_until_fires_events_at_the_horizon(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(5))
+        sim.run(until=5.0)
+        assert fired == [5]
+        assert sim.events_processed == 1
+
     def test_run_until_then_resume(self):
         sim = Simulator()
         fired = []
@@ -158,33 +130,10 @@ class TestSimulator:
             sim.schedule(-0.1, lambda: None)
 
     def test_schedule_at_in_the_past_raises(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(4.0, lambda: None)
-
-    def test_max_events_limits_processing(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        sim.run(max_events=4)
-        assert sim.events_processed == 4
-        assert sim.pending == 6
-
-    def test_start_time_respected(self):
-        sim = Simulator(start_time=100.0)
-        assert sim.now == 100.0
-        observed = []
-        sim.schedule(1.0, lambda: observed.append(sim.now))
-        sim.run()
-        assert observed == [101.0]
-
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
-        sim.run()
-        assert fired == []
 
     def test_run_is_not_reentrant(self):
         sim = Simulator()

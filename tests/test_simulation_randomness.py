@@ -57,10 +57,3 @@ class TestRandomStreams:
         a = RandomStreams(7).spawn("w").get("x").random(5)
         b = RandomStreams(7).spawn("w").get("x").random(5)
         assert np.allclose(a, b)
-
-    def test_reset_restarts_streams(self):
-        streams = RandomStreams(7)
-        first = streams.get("x").random(5)
-        streams.reset()
-        again = streams.get("x").random(5)
-        assert np.allclose(first, again)

@@ -26,7 +26,7 @@ from repro.client.network import LastMileLink
 from repro.client.viewer_client import HlsViewerClient
 from repro.core.geolocation import geolocation_study
 from repro.core.pipeline import DelayMeasurementCampaign
-from repro.crawler.delay_crawler import DelayCrawler
+from repro.crawler.delay_crawler import POLL_INTERVAL_S, DelayCrawler
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultWindow
 from repro.geo.datacenters import FASTLY_DATACENTERS, WOWZA_DATACENTERS, colocated_fastly
 from repro.geo.latency import LatencyModel
@@ -50,7 +50,7 @@ class _PerPollCrawler(DelayCrawler):
         except EdgeUnavailable:
             self.failed_polls += 1
         self.simulator.schedule(
-            self.poll_interval_s, self._poll, label=f"crawler-poll:{self.broadcast_id}"
+            POLL_INTERVAL_S, self._poll, label=f"crawler-poll:{self.broadcast_id}"
         )
 
 

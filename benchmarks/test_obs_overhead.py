@@ -2,95 +2,61 @@
 
 The contract that makes ``repro.obs`` safe-by-default: a Simulator built
 without a registry (the ``NULL_REGISTRY`` default) must run the event-engine
-micro-benchmark within ~10% of a bare, uninstrumented event loop — the seed
-engine replicated below verbatim, minus cancellation bookkeeping and obs
-hooks.  A second (non-budget) measurement reports what a live registry
-costs, so future PRs can see the price of always-on metrics.
+micro-benchmark within ~10% of a bare event loop — today's engine loop
+replicated below without its observability: the same tuple heap, past-time
+check and processed counter, but no span hook, metrics or reentrancy guard.
+A second (non-budget) measurement reports what a live registry costs, so
+future PRs can see the price of always-on metrics.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+import math
 import os
 import time
-from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import SimulationError, Simulator
 
 #: Smoke mode (OBS_OVERHEAD_SMOKE=1): a fast CI-gate pass that still
 #: exercises both code paths but with a smaller workload and a looser
 #: budget (short runs are noisier).
 _SMOKE = os.environ.get("OBS_OVERHEAD_SMOKE", "") not in ("", "0")
 N_EVENTS = 5_000 if _SMOKE else 30_000
-ROUNDS = 3 if _SMOKE else 9
+ROUNDS = 9 if _SMOKE else 21
 #: Budget for the default (NullRegistry) path vs the bare loop.
 MAX_OVERHEAD = 1.35 if _SMOKE else 1.10
 
 
-@dataclass(order=True)
-class _BareEvent:
-    """The seed engine's Event, field-for-field."""
-
-    time: float
-    sequence: int
-    action: object = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-
-
 class _BareSimulator:
-    """A faithful replica of the *seed* engine's scheduling/run loop — the
+    """``Simulator``'s scheduling and run loop without the span hook — the
     uninstrumented baseline the overhead budget is measured against."""
 
     def __init__(self) -> None:
-        self._heap: list[_BareEvent] = []
-        self._counter = itertools.count()
-        self.now = 0.0
+        self._heap: list = []
+        self._sequence = itertools.count()
+        self._now = 0.0
         self._events_processed = 0
-        self._running = False
 
-    def schedule(self, delay: float, action) -> None:
-        heapq.heappush(
-            self._heap, _BareEvent(self.now + delay, next(self._counter), action)
-        )
+    def schedule(self, delay: float, action, label: str = "") -> None:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(self._heap, (self._now + delay, next(self._sequence), label, action))
 
-    def _peek_time(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def _pop(self):
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
-
-    def run(self, until=None, max_events=None) -> None:
-        self._running = True
-        processed_this_run = 0
-        try:
-            while True:
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                event = self._pop()
-                if event is None:
-                    break
-                self.now = event.time
-                event.action()
-                self._events_processed += 1
-                processed_this_run += 1
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
+    def run(self, until=None) -> None:
+        heap = self._heap
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        while heap and heap[0][0] <= horizon:
+            at, _, _, action = pop(heap)
+            self._now = at
+            action()
+            self._events_processed += 1
+        if until is not None and self._now < until:
+            self._now = until
 
 
 def _workload(simulator) -> int:
@@ -106,14 +72,26 @@ def _workload(simulator) -> int:
     return count
 
 
-def _best_of(make_simulator) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        simulator = make_simulator()
-        started = time.perf_counter()
-        assert _workload(simulator) == N_EVENTS
-        best = min(best, time.perf_counter() - started)
-    return best
+def _best_interleaved(make_baseline, make_candidate) -> tuple[float, float]:
+    """Each side's best round, timing the two sides in alternating order so
+    host drift between rounds lands on both.  The cyclic collector is
+    paused inside each round (as ``timeit`` does), so its passes, which
+    fall at the same allocation count every round, cannot land on one
+    side only."""
+    best = [float("inf"), float("inf")]
+    makers = (make_baseline, make_candidate)
+    for round_ in range(ROUNDS):
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            simulator = makers[side]()
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                assert _workload(simulator) == N_EVENTS
+                best[side] = min(best[side], time.perf_counter() - started)
+            finally:
+                gc.enable()
+    return best[0], best[1]
 
 
 def test_null_registry_overhead_within_budget():
@@ -122,8 +100,7 @@ def test_null_registry_overhead_within_budget():
     _workload(_BareSimulator())
     _workload(Simulator())
 
-    bare = _best_of(_BareSimulator)
-    instrumented = _best_of(Simulator)
+    bare, instrumented = _best_interleaved(_BareSimulator, Simulator)
     ratio = instrumented / bare
     print(f"\nnull-registry overhead: bare={bare * 1e3:.1f}ms "
           f"default={instrumented * 1e3:.1f}ms ratio={ratio:.3f}")
@@ -150,7 +127,8 @@ def test_live_registry_cost_is_bounded(benchmark):
     gap = snap["histograms"]["engine.span.unlabelled.gap_s"]
     assert gap["count"] == N_EVENTS - 1
 
-    bare = _best_of(_BareSimulator)
-    live = _best_of(lambda: Simulator(metrics=MetricsRegistry()))
+    bare, live = _best_interleaved(
+        _BareSimulator, lambda: Simulator(metrics=MetricsRegistry())
+    )
     print(f"live-registry overhead: {live / bare:.2f}x over bare")
     assert live / bare < 10.0

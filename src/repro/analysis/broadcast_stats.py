@@ -53,17 +53,16 @@ def creations_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     return Cdf(np.array(list(counts.values()), dtype=float))
 
 
-def viewer_activity_skew(dataset: BroadcastDataset, top_fraction: float = 0.15) -> float:
-    """How many times the median user's viewing the top watchers average.
+def viewer_activity_skew(views: Cdf, top_fraction: float = 0.15) -> float:
+    """How many times the median user's viewing the top watchers average,
+    over the per-user view counts ``views`` (:func:`views_per_user_cdf`).
 
     The paper: "the most active 15% of users watch 10x more broadcasts
     than the median user."
     """
     if not 0 < top_fraction < 1:
         raise ValueError("top_fraction must be in (0, 1)")
-    counts = np.sort(np.array(list(views_per_user(dataset).values()), dtype=float))
-    if len(counts) == 0:
-        raise ValueError("dataset has no views")
+    counts = views.values
     median = float(np.median(counts))
     top_count = max(1, int(len(counts) * top_fraction))
     top_mean = float(np.mean(counts[-top_count:]))

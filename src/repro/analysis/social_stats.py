@@ -28,8 +28,25 @@ def followers_vs_viewers(dataset: BroadcastDataset) -> tuple[np.ndarray, np.ndar
     return columns.broadcaster_followers.astype(float), columns.total_views.astype(float)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """0-based ranks of ``values``, tied values sharing their mean rank.
+
+    Spearman's definition: the ranks, and so the correlation built on
+    them, do not depend on the order of the rows.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(ordered))
+    ranks = np.empty(len(ordered), dtype=float)
+    ranks[order] = np.repeat(starts + (sizes - 1) / 2, sizes)
+    return ranks
+
+
 def follower_viewer_correlation(dataset: BroadcastDataset) -> float:
-    """Spearman-style rank correlation between followers and viewers.
+    """Spearman rank correlation between followers and viewers.
 
     Rank correlation is appropriate for the heavy-tailed Figure 7 scatter;
     a clearly positive value reproduces the paper's finding that "users
@@ -39,8 +56,8 @@ def follower_viewer_correlation(dataset: BroadcastDataset) -> float:
     followers, viewers = followers_vs_viewers(dataset)
     if len(followers) < 3:
         raise ValueError("need at least 3 broadcasts")
-    ranks_f = np.argsort(np.argsort(followers)).astype(float)
-    ranks_v = np.argsort(np.argsort(viewers)).astype(float)
+    ranks_f = _average_ranks(followers)
+    ranks_v = _average_ranks(viewers)
     if ranks_f.std() == 0 or ranks_v.std() == 0:
         return 0.0
     return float(np.corrcoef(ranks_f, ranks_v)[0, 1])

@@ -372,7 +372,7 @@ class BroadcastDataset:
 
     @property
     def broadcaster_count(self) -> int:
-        return len(np.unique(self.columns.broadcaster_id))
+        return _distinct_count(self.columns.broadcaster_id)
 
     @property
     def total_views(self) -> int:
@@ -388,7 +388,7 @@ class BroadcastDataset:
 
     @property
     def unique_viewer_count(self) -> int:
-        return len(np.unique(self.columns.viewer_ids))
+        return _distinct_count(self.columns.viewer_ids)
 
     def table1_row(self) -> dict[str, int]:
         """The Table 1 row for this dataset."""
@@ -449,10 +449,41 @@ class BroadcastDataset:
         )
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a sorted array."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def _distinct_count(values: np.ndarray) -> int:
+    """The number of distinct values: one sort and a run count."""
+    return int(np.count_nonzero(_run_starts(np.sort(values))))
+
+
 def _distinct_pairs(
     groups: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``(group, id)`` pairs of two parallel arrays, sorted."""
+    """The distinct ``(group, id)`` pairs of two parallel int64 arrays,
+    sorted by group, then id.
+
+    When the two spans fit one int64 together, each pair packs into the
+    order-preserving key ``(group - g0) << s | (id - i0)`` and one sort of
+    the keys replaces a two-key ``np.lexsort``.  The width comes from the
+    data, so pairs that do not fit (63-bit anonymized IDs) still count
+    exactly, on the lexsort.
+    """
+    if len(groups) == 0:
+        return groups.copy(), ids.copy()
+    g0, i0 = groups.min(), ids.min()
+    shift = (int(ids.max()) - int(i0)).bit_length()
+    if (int(groups.max()) - int(g0)).bit_length() + shift <= 63:
+        keys = groups - g0
+        keys <<= shift
+        keys |= ids - i0
+        keys.sort()
+        keys = keys[_run_starts(keys)]
+        return (keys >> shift) + g0, (keys & ((1 << shift) - 1)) + i0
     order = np.lexsort((ids, groups))
     g = groups[order]
     v = ids[order]
@@ -465,10 +496,12 @@ def views_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts viewed per registered user (Figure 6)."""
     cols = dataset.columns
     row = np.repeat(np.arange(len(cols), dtype=np.int64), cols.mobile_views)
-    # Dedup (row, viewer) pairs, then tally each viewer's rows.
-    _, viewers = _distinct_pairs(row, cols.viewer_ids)
-    users, counts = np.unique(viewers, return_counts=True)
-    return dict(zip(users.tolist(), counts.tolist()))
+    # Dedup (viewer, row) pairs viewer-major: each viewer's distinct
+    # broadcasts form one run, and the run lengths are the tallies.
+    viewers, _ = _distinct_pairs(cols.viewer_ids, row)
+    starts = np.flatnonzero(_run_starts(viewers))
+    counts = np.diff(starts, append=len(viewers))
+    return dict(zip(viewers[starts].tolist(), counts.tolist()))
 
 
 def creations_per_user(dataset: BroadcastDataset) -> dict[int, int]:

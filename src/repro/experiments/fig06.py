@@ -27,7 +27,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, s
     p_creates = creations_per_user_cdf(periscope)
     m_views = views_per_user_cdf(meerkat)
     m_creates = creations_per_user_cdf(meerkat)
-    skew = viewer_activity_skew(periscope, top_fraction=0.15)
+    skew = viewer_activity_skew(p_views, top_fraction=0.15)
 
     data = {
         "periscope_top15_vs_median": skew,

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.report import format_table, render_cdf_summary, render_series
+from repro.analysis.social_stats import follower_viewer_correlation
 from repro.analysis.timeseries import DailySeries
+from repro.crawler.dataset import BroadcastDataset, BroadcastRecord
+from repro.parallel import generate_trace
+from repro.workload.trace import TraceConfig
 
 
 class TestCdf:
@@ -173,3 +177,54 @@ class TestReport:
     def test_render_series_empty_rejected(self):
         with pytest.raises(ValueError):
             render_series({})
+
+
+def _scatter_dataset(followers: list[int], viewers: list[int]) -> BroadcastDataset:
+    """One broadcast per (followers, viewers) point; the viewers are web views."""
+    records = [
+        BroadcastRecord(
+            broadcast_id=i,
+            broadcaster_id=i,
+            app_name="Periscope",
+            start_time=float(i),
+            duration_s=60.0,
+            viewer_ids=np.array([], dtype=np.int64),
+            web_views=views,
+            heart_count=0,
+            comment_count=0,
+            commenter_count=0,
+            broadcaster_followers=count,
+        )
+        for i, (count, views) in enumerate(zip(followers, viewers))
+    ]
+    return BroadcastDataset.from_records("Periscope", 1, records)
+
+
+def _oracle_average_ranks(values: list[int]) -> np.ndarray:
+    """Each value's 0-based rank: the values below it plus half its other ties."""
+    return np.array(
+        [
+            sum(other < value for other in values)
+            + (sum(other == value for other in values) - 1) / 2
+            for value in values
+        ]
+    )
+
+
+class TestRankCorrelation:
+    def test_ties_take_their_average_rank(self):
+        followers = [0, 0, 0, 5, 5, 9, 9, 9, 9, 1, 0, 5]
+        viewers = [3, 3, 1, 1, 1, 7, 0, 3, 3, 2, 7, 1]
+        expected = np.corrcoef(
+            _oracle_average_ranks(followers), _oracle_average_ranks(viewers)
+        )[0, 1]
+        assert follower_viewer_correlation(_scatter_dataset(followers, viewers)) == expected
+
+    def test_row_order_does_not_move_the_correlation(self):
+        dataset = generate_trace(TraceConfig.periscope(scale=0.0001, seed=17)).dataset
+        expected = follower_viewer_correlation(dataset)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            permuted = dataset.columns.take(rng.permutation(len(dataset)))
+            shuffled = BroadcastDataset(dataset.app_name, dataset.days, permuted)
+            assert follower_viewer_correlation(shuffled) == expected

@@ -15,8 +15,12 @@ too, as is the rule that the trace analyses never materialize rows.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crawler.broadcast_monitor import anonymize_id
 from repro.crawler.dataset import (
@@ -25,6 +29,8 @@ from repro.crawler.dataset import (
     BroadcastDataset,
     BroadcastRecord,
     DowntimeWindow,
+    _distinct_count,
+    _distinct_pairs,
     creations_per_user,
     views_per_user,
 )
@@ -296,6 +302,71 @@ class TestEdgeCases:
         dataset = BroadcastDataset.from_records("Periscope", 3, records)
         assert dataset.columns.viewer_ids.max() >= 2**40
         assert_aggregates_match(dataset)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _spanned(draw, bits: int, size: int) -> list[int]:
+    """``size`` >= 2 int64 values whose span, max - min, has exactly ``bits`` bits."""
+    span = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) if bits else 0
+    low = draw(st.integers(INT64_MIN, INT64_MAX - span))
+    inner = st.integers(low, low + span)
+    return [low, low + span] + draw(st.lists(inner, min_size=size - 2, max_size=size - 2))
+
+
+@st.composite
+def pairs_spanning(draw, total_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel (group, id) arrays whose two span widths sum to ``total_bits``,
+    with repeated pairs, in a drawn order."""
+    group_bits = draw(st.integers(max(0, total_bits - 64), min(64, total_bits)))
+    size = draw(st.integers(2, 12))
+    groups = _spanned(draw, group_bits, size)
+    ids = _spanned(draw, total_bits - group_bits, size)
+    repeats = draw(st.lists(st.integers(0, size - 1), max_size=20))
+    order = draw(st.permutations(list(range(size)) + repeats))
+    return (
+        np.array(groups, dtype=np.int64)[order],
+        np.array(ids, dtype=np.int64)[order],
+    )
+
+
+def oracle_distinct_pairs(groups: np.ndarray, ids: np.ndarray) -> list[tuple[int, int]]:
+    return sorted(set(zip(groups.tolist(), ids.tolist())))
+
+
+def assert_distinct_kernels_match(groups: np.ndarray, ids: np.ndarray) -> None:
+    got_groups, got_ids = _distinct_pairs(groups, ids)
+    assert got_groups.dtype == got_ids.dtype == np.int64
+    assert list(zip(got_groups.tolist(), got_ids.tolist())) == oracle_distinct_pairs(
+        groups, ids
+    )
+    for values in (groups, ids):
+        assert _distinct_count(values) == len(set(values.tolist()))
+
+
+class TestPackingLimit:
+    """The packed one-sort path and the lexsort fallback on both sides of
+    the 63-bit limit, against a set oracle."""
+
+    @pytest.mark.parametrize("total_bits", [62, 63, 64])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_kernels_match_set_oracle(self, total_bits, data):
+        groups, ids = data.draw(pairs_spanning(total_bits))
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            assert_distinct_kernels_match(groups, ids)
+        assert lexsort.called == (total_bits > 63)
+
+    def test_empty_single_and_negative(self):
+        empty = np.array([], dtype=np.int64)
+        assert_distinct_kernels_match(empty, empty)
+        assert _distinct_count(empty) == 0
+        assert_distinct_kernels_match(np.array([-3]), np.array([INT64_MIN]))
+        groups = np.array([-1, 5, -1, -1, 5, INT64_MIN], dtype=np.int64)
+        ids = np.array([-7, 2, -7, 4, 2, -(2**40)], dtype=np.int64)
+        assert_distinct_kernels_match(groups, ids)
+        assert _distinct_pairs(groups, ids)[0].tolist() == [INT64_MIN, -1, -1, 5]
 
 
 class TestDowntimePin:

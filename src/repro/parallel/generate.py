@@ -39,8 +39,11 @@ module fans generation out over a :class:`~concurrent.futures.ProcessPoolExecuto
 * an optional on-disk cache (:class:`repro.crawler.storage.DatasetCache`,
   keyed by :meth:`TraceConfig.cache_key`) lets figure experiments reuse
   generated traces across processes.  The cache is probed *before* any
-  precompute, so a hit costs a read, not a graph build; the follow graph
-  itself is cached next to the datasets as a mappable array file.
+  precompute, so a hit costs a read, not a graph build,
+* the follow graph stays the generator's packed edge keys: generation
+  reads only their in-degrees, and ``trace.graph`` compiles the CSR on
+  first read — from the kept keys after a miss, from keys rebuilt off the
+  seed after a hit.
 
 Recovery paths are provable: the :mod:`repro.parallel.faults` harness
 (``REPRO_TRACE_FAULTS``) injects worker kills, hangs, task failures, and
@@ -54,7 +57,6 @@ through the :mod:`repro.obs` registry passed in (no-op by default).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
@@ -65,8 +67,10 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from repro.obs import NULL_REGISTRY, peak_rss_mb
-from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
+from repro.crawler.arrayfile import read_arrays, write_arrays
 from repro.crawler.storage import COLUMN_LAYOUT, DatasetCache
 from repro.parallel.checkpoint import RunCheckpoint, shard_filename
 from repro.parallel.merge import stream_merge_shards
@@ -498,59 +502,19 @@ def generate_dataset(
     return dataset
 
 
-def _graph_cache_key(config: TraceConfig) -> str:
-    """Hash of everything that determines the follow graph's bytes."""
-    basis = f"graph|{config.seed}|{config.total_users}|{config.graph_mean_out_degree}"
-    return hashlib.sha256(basis.encode("ascii")).hexdigest()[:16]
-
-
-def load_or_build_graph(
-    config: TraceConfig,
-    cache_dir: Optional[Union[str, Path]] = None,
-    registry=NULL_REGISTRY,
+def _compile_graph(
+    config: TraceConfig, edge_keys: Optional[np.ndarray] = None
 ) -> Optional[CompiledGraph]:
-    """The config's follow graph, via the mappable graph cache.
+    """``trace.graph``: the CSR of ``edge_keys``, compiled in place.
 
-    With a ``cache_dir``, a previously built graph is attached as
-    read-only ``np.memmap`` views — milliseconds instead of the full
-    generation — and a fresh build is stored back (atomically) for the
-    next run.  Corrupt cache files are discarded and rebuilt.
+    Without keys (a dataset-cache hit kept none) they are rebuilt from the
+    seed first.  ``None`` for an app without a follow graph.
     """
-    if not config.with_social_graph:
+    if edge_keys is None:
+        edge_keys = build_follow_graph(config)
+    if edge_keys is None:
         return None
-    path = None
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"graph-{_graph_cache_key(config)}.arrays"
-        if path.exists():
-            try:
-                arrays, _meta = read_arrays(path)
-                graph = CompiledGraph(
-                    arrays["node_ids"],
-                    arrays["indptr"],
-                    arrays["indices"],
-                    arrays["rindptr"],
-                    arrays["rindices"],
-                )
-                registry.counter("trace.graph_cache_hits", "follow-graph cache hits").inc()
-                return graph
-            except (ValueError, OSError, KeyError):
-                path.unlink(missing_ok=True)
-
-    graph = build_follow_graph(config)
-    if path is not None and graph is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_output(path) as temp:
-            write_arrays(
-                temp,
-                {
-                    "node_ids": graph.node_ids,
-                    "indptr": graph.indptr,
-                    "indices": graph.indices,
-                    "rindptr": graph.rindptr,
-                    "rindices": graph.rindices,
-                },
-            )
-    return graph
+    return CompiledGraph.from_packed_keys(edge_keys, n_nodes=config.total_users)
 
 
 def generate_trace(
@@ -566,10 +530,11 @@ def generate_trace(
     The fault plan is parsed *first* (a malformed ``REPRO_TRACE_FAULTS``
     fails here, not mid-run), then the dataset cache is probed: a hit
     costs the read plus the cheap population pools (their substream is
-    independent of the graph's), and the follow graph becomes a lazy
-    attribute — built, or attached from the graph cache, only if an
-    analysis actually touches ``trace.graph``.
-    Only on a miss does the full precompute run.  ``cache_format`` picks
+    independent of the graph's).  Only on a miss does the full precompute
+    run: the follow graph's edge keys, then the context, which reads
+    follower counts off them.  Either way ``trace.graph`` is lazy: its
+    first read compiles the CSR, from the miss's kept keys or from keys
+    rebuilt off the seed after a hit.  ``cache_format`` picks
     the cache serialization (``"mmap"`` uncompressed mappable columns,
     the default, or ``"v2"`` gzipped columns); both store the identical
     dataset.
@@ -597,11 +562,11 @@ def generate_trace(
         # Pools draw from their own substream, so skipping the graph
         # changes nothing about them; follower counts are only consumed
         # by generation, which a hit bypasses.
-        context, _ = build_trace_context(config, graph=None)
+        context = build_trace_context(config, None)
         return WorkloadTrace(
             config=config,
             dataset=dataset,
-            graph=lambda: load_or_build_graph(config, cache_dir, registry),
+            graph=lambda: _compile_graph(config),
             broadcaster_ids=context.broadcaster_ids,
             viewer_ids=context.viewer_ids,
         )
@@ -610,14 +575,14 @@ def generate_trace(
         registry.counter("trace.cache_misses", "dataset cache misses").inc()
 
     graph_started = time.perf_counter()
-    graph = load_or_build_graph(config, cache_dir, registry)
+    edge_keys = build_follow_graph(config)
     graph_seconds = time.perf_counter() - graph_started
     registry.gauge(
-        "trace.graph_seconds", "wall seconds building the follow graph"
+        "trace.graph_seconds", "wall seconds generating the follow graph's edges"
     ).set(graph_seconds)
 
     context_started = time.perf_counter()
-    context, graph = build_trace_context(config, graph=graph)
+    context = build_trace_context(config, edge_keys)
     registry.gauge(
         "trace.context_seconds", "wall seconds in precompute (graph + pools)"
     ).set(graph_seconds + (time.perf_counter() - context_started))
@@ -644,7 +609,7 @@ def generate_trace(
     return WorkloadTrace(
         config=config,
         dataset=dataset,
-        graph=graph,
+        graph=lambda: _compile_graph(config, edge_keys),
         broadcaster_ids=context.broadcaster_ids,
         viewer_ids=context.viewer_ids,
     )

@@ -11,18 +11,23 @@ Periscope's follow graph (Table 2): Twitter-like rather than Facebook-like —
 
 Mechanism: nodes arrive in growing chunks; each new node emits a
 heavy-tailed number of follow edges.  Each edge picks its target by
-preferential attachment on in-degree (with probability ``pref_prob``), by
+preferential attachment on in-degree (with probability ``PREF_PROB``), by
 triadic closure through one of the node's own freshly drawn followees
-(``triadic_prob``), or uniformly at random.  A small fraction of edges is
+(``TRIADIC_PROB``), or uniformly at random.  A small fraction of edges is
 reciprocated — Twitter-like graphs have low reciprocity, which keeps
 assortativity negative.
 
 The hot path is fully vectorized: every chunk samples all of its edges
 with batched numpy draws against an explicit *snapshot* of the graph built
 so far (attachment pool, CSR adjacency), then deduplicates with one
-lexsort.  The snapshot discipline also removes a latent hazard of the old
-per-edge loop, where triadic-closure draws indexed followee lists that
-grew while the same node's batch was still being generated.
+packed-key sort.  The snapshot discipline also removes a latent hazard of
+the old per-edge loop, where triadic-closure draws indexed followee lists
+that grew while the same node's batch was still being generated.
+
+The output is the edge list as packed int64 keys
+(:func:`generate_edge_keys`): follower counts are one bincount of them
+(:func:`key_in_degrees`), and only callers that walk the structure compile
+the CSR (:func:`generate_follow_graph`).
 """
 
 from __future__ import annotations
@@ -46,44 +51,39 @@ _MIN_CHUNK = 32
 _CHUNK_FRACTION = 0.2
 
 
+#: Generator constants, calibrated so the Table 2 metrics land near the
+#: paper's values (clustering ~0.13, short paths, slightly negative
+#: assortativity).  ``TRACE_SCHEMA_VERSION`` in :mod:`repro.workload.trace`
+#: covers them in the dataset-cache key.
+OUT_DEGREE_SIGMA = 1.1  # lognormal sigma of per-node out-degree
+MAX_OUT_DEGREE = 2_000
+PREF_PROB = 0.55  # preferential attachment on in-degree
+TRIADIC_PROB = 0.25  # close triangles through a followee
+RECIPROCATION_PROB = 0.12  # low reciprocity, Twitter-like
+SEED_NODES = 10  # the fully connected clique the graph grows from
+
+
 @dataclass
 class FollowGraphConfig:
-    """Knobs for :func:`generate_follow_graph`.
-
-    Defaults are calibrated so that the Table 2 metrics land near the
-    paper's values (avg total degree ~38.6, clustering ~0.13, short paths,
-    slightly negative assortativity).
-    """
+    """Size and density of a graph from :func:`generate_follow_graph`."""
 
     n_nodes: int = 10_000
-    mean_out_degree: float = 19.3  # total avg degree 38.6 = 2 * edges/node
-    out_degree_sigma: float = 1.1  # lognormal sigma of per-node out-degree
-    max_out_degree: int = 2_000
-    pref_prob: float = 0.55  # preferential attachment on in-degree
-    triadic_prob: float = 0.25  # close triangles through a followee
-    reciprocation_prob: float = 0.12  # low reciprocity, Twitter-like
-    seed_nodes: int = 10
+    #: Target forward out-degree: the edges each arriving node draws.
+    #: Reciprocated edges (``RECIPROCATION_PROB``) come on top, so the
+    #: total degree 2 * edges/node lands above 2 * 19.3 = 38.6 (Table 2
+    #: at seed 2016 reads 40.8-42.9 across scales).
+    mean_out_degree: float = 19.3
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError("need at least 2 nodes")
-        if self.seed_nodes < 2:
-            raise ValueError("need at least 2 seed nodes")
-        if self.seed_nodes > self.n_nodes:
-            raise ValueError("seed_nodes cannot exceed n_nodes")
-        if not 0 <= self.pref_prob + self.triadic_prob <= 1:
-            raise ValueError("pref_prob + triadic_prob must be within [0, 1]")
-        for name in ("reciprocation_prob",):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
+        if self.n_nodes < SEED_NODES:
+            raise ValueError(f"need at least {SEED_NODES} nodes (the seed clique)")
 
 
 def _sample_out_degrees(config: FollowGraphConfig, rng: np.random.Generator) -> np.ndarray:
     """Heavy-tailed out-degree targets for each arriving node."""
-    mu = np.log(config.mean_out_degree) - config.out_degree_sigma**2 / 2
-    raw = rng.lognormal(mean=mu, sigma=config.out_degree_sigma, size=config.n_nodes)
-    return np.clip(np.rint(raw), 1, config.max_out_degree).astype(np.int64)
+    mu = np.log(config.mean_out_degree) - OUT_DEGREE_SIGMA**2 / 2
+    raw = rng.lognormal(mean=mu, sigma=OUT_DEGREE_SIGMA, size=config.n_nodes)
+    return np.clip(np.rint(raw), 1, MAX_OUT_DEGREE).astype(np.int64)
 
 
 def _seed_clique(seed_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +117,6 @@ class _GrowBuffer:
 
 
 def _chunk_targets(
-    config: FollowGraphConfig,
     rng: np.random.Generator,
     wanted: np.ndarray,
     prefix: int,
@@ -141,8 +140,8 @@ def _chunk_targets(
     marker = np.bincount(np.cumsum(wanted), minlength=total + 1)
     owner_rel = np.cumsum(marker[:total], dtype=np.int64) if total else np.empty(0, np.int64)
     roll = rng.random(total)
-    is_pref = roll < config.pref_prob
-    is_triadic = ~is_pref & (roll < config.pref_prob + config.triadic_prob)
+    is_pref = roll < PREF_PROB
+    is_triadic = ~is_pref & (roll < PREF_PROB + TRIADIC_PROB)
     is_primary = ~is_triadic
 
     targets = np.empty(total, dtype=np.int64)
@@ -221,37 +220,55 @@ def generate_follow_graph(
 ) -> CompiledGraph:
     """Generate a Periscope-like follow graph as a frozen CSR snapshot.
 
+    Compiles :func:`generate_edge_keys`; the same ``rng`` state gives the
+    same graph either way.
+    """
+    return CompiledGraph.from_packed_keys(
+        generate_edge_keys(config, rng), n_nodes=config.n_nodes
+    )
+
+
+def generate_edge_keys(
+    config: FollowGraphConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Generate a Periscope-like follow graph as packed int64 edge keys.
+
+    Each edge ``follower -> followee`` over nodes ``0..n_nodes-1`` is the
+    key ``follower << 32 | followee``, the input
+    :meth:`CompiledGraph.from_packed_keys` compiles; keys are unique but
+    not sorted.  :func:`key_in_degrees` reads follower counts straight off
+    them, so a caller that needs only those never compiles the CSR.
+
     Runs in O(E log E) total: nodes arrive in geometrically growing
     chunks, and each chunk's edges are drawn with batched numpy sampling
-    against the prefix snapshot and deduplicated with one lexsort.  The
-    snapshot adjacency is kept in two parts so no per-chunk re-sort of the
-    full edge set is needed: forward edges arrive already grouped by
+    against the prefix snapshot and deduplicated with one packed-key sort.
+    The snapshot adjacency is kept in two parts so no per-chunk re-sort of
+    the full edge set is needed: forward edges arrive already grouped by
     source (each node's batch lands in exactly one chunk), and only the
-    small reciprocated set (~``reciprocation_prob`` of edges) is re-sorted
+    small reciprocated set (~``RECIPROCATION_PROB`` of edges) is re-sorted
     as it grows.  Edge uniqueness across chunks is structural — forward
     edges always point from a brand-new node into the prefix, and
     reciprocation edges point back at a node that cannot have been
     targeted before — so no global dedup pass is needed.
     """
     n = config.n_nodes
-    seed_nodes = min(config.seed_nodes, n)
     out_degrees = _sample_out_degrees(config, rng)
 
-    seed_src, seed_dst = _seed_clique(seed_nodes)
+    seed_src, seed_dst = _seed_clique(SEED_NODES)
     expected_edges = int(out_degrees.sum()) + len(seed_src)
 
     # Forward adjacency: sources arrive in ascending order, so the CSR is
-    # just this buffer plus a cumsum of per-source counts — never sorted.
-    fwd_src = _GrowBuffer(expected_edges)
+    # the targets plus a cumsum of per-source counts — never sorted, and
+    # the sources themselves are never stored.
     fwd_dst = _GrowBuffer(expected_edges)
     fwd_out_counts = np.zeros(n, dtype=np.int64)
-    fwd_src.append(seed_src)
     fwd_dst.append(seed_dst)
-    fwd_out_counts[:seed_nodes] = seed_nodes - 1
+    fwd_out_counts[:SEED_NODES] = SEED_NODES - 1
 
     # Reciprocated edges land on arbitrary old sources; kept separately
     # and re-sorted per chunk (a small, geometrically growing set).
-    rec_capacity = int(expected_edges * config.reciprocation_prob * 1.1) + 64
+    rec_capacity = int(expected_edges * RECIPROCATION_PROB * 1.1) + 64
     rec_src = _GrowBuffer(rec_capacity)
     rec_dst = _GrowBuffer(rec_capacity)
 
@@ -264,7 +281,7 @@ def generate_follow_graph(
     fwd_indptr = np.zeros(n + 1, dtype=np.int64)
     rec_indptr = np.zeros(n + 1, dtype=np.int64)
 
-    prefix = seed_nodes
+    prefix = SEED_NODES
     while prefix < n:
         chunk = min(n - prefix, max(_MIN_CHUNK, int(prefix * _CHUNK_FRACTION)))
         end = prefix + chunk
@@ -276,7 +293,7 @@ def generate_follow_graph(
 
         wanted = np.minimum(out_degrees[prefix:end], prefix)
         owner_rel, targets = _chunk_targets(
-            config, rng, wanted, prefix, pool.view(),
+            rng, wanted, prefix, pool.view(),
             fwd_indptr, fwd_dst.view(), rec_indptr, rec_indices,
         )
 
@@ -294,11 +311,10 @@ def generate_follow_graph(
         edge_src = np.right_shift(unique_keys, _PAIR_SHIFT) + prefix
         edge_dst = np.bitwise_and(unique_keys, _PAIR_MASK)
 
-        reciprocated = rng.random(len(edge_src)) < config.reciprocation_prob
+        reciprocated = rng.random(len(edge_src)) < RECIPROCATION_PROB
         new_rec_src = edge_dst[reciprocated]
         new_rec_dst = edge_src[reciprocated]
 
-        fwd_src.append(edge_src)
         fwd_dst.append(edge_dst)
         fwd_out_counts[prefix:end] = np.bincount(
             edge_src - prefix, minlength=chunk
@@ -308,16 +324,25 @@ def generate_follow_graph(
         pool.append(edge_dst)
         pool.append(new_rec_dst)
         prefix = end
+    del pool  # every draw is done; free it before the key buffer exists
 
-    # Pack (src, dst) pairs straight into one key buffer — no edge-array
-    # concatenation, and compilation is one int64 sort per direction.
-    n_fwd, n_rec = fwd_src.length, rec_src.length
+    # Pack (src, dst) pairs straight into one key buffer — forward edges
+    # in source order, then the reciprocated ones.
+    n_fwd, n_rec = fwd_dst.length, rec_src.length
     keys = np.empty(n_fwd + n_rec, dtype=np.int64)
-    np.left_shift(fwd_src.view(), _PAIR_SHIFT, out=keys[:n_fwd])
-    np.bitwise_or(keys[:n_fwd], fwd_dst.view(), out=keys[:n_fwd])
+    fwd_src_halves = np.left_shift(np.arange(n, dtype=np.int64), _PAIR_SHIFT)
+    np.bitwise_or(
+        np.repeat(fwd_src_halves, fwd_out_counts), fwd_dst.view(), out=keys[:n_fwd]
+    )
     np.left_shift(rec_src.view(), _PAIR_SHIFT, out=keys[n_fwd:])
     np.bitwise_or(keys[n_fwd:], rec_dst.view(), out=keys[n_fwd:])
-    # Endpoints are in-range by construction (targets are clipped and
-    # deduped against [0, n)), so skip the validation pass.
-    return CompiledGraph.from_packed_keys(keys, n_nodes=n, validate=False)
+    return keys
 
+
+def key_in_degrees(keys: np.ndarray, minlength: int) -> np.ndarray:
+    """In-degree of every node of packed edge ``keys``, indexed by node.
+
+    One ``np.bincount`` of the keys' followee halves; pass ``minlength``
+    to cover node indices past the largest followee (they read 0).
+    """
+    return np.bincount(np.bitwise_and(keys, _PAIR_MASK), minlength=minlength)

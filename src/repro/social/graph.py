@@ -2,11 +2,12 @@
 
 :class:`CompiledGraph` is the one follow-graph representation: a
 compressed-sparse-row (CSR) pair of int64 arrays per direction, which
-trace generation, the Table 2 metrics, the §3.1 graph crawler and
-follower notifications all read.  ``follower_count`` is an O(1) array
-lookup, and ``followers_of``/``followees_of`` are sorted array slices.
-Hand-built graphs (tests, examples, a crawled copy) come from
-:meth:`CompiledGraph.from_edges`.
+the Table 2 metrics, the §3.1 graph crawler and follower notifications
+read.  ``follower_count`` is an O(1) array lookup, and
+``followers_of``/``followees_of`` are sorted array slices.  Hand-built
+graphs (tests, examples, a crawled copy) come from
+:meth:`CompiledGraph.from_edges`; generated ones from
+:meth:`CompiledGraph.from_packed_keys`.
 """
 
 from __future__ import annotations
@@ -120,30 +121,24 @@ class CompiledGraph:
         return cls._from_packed_keys(keys, node_ids)
 
     @classmethod
-    def from_packed_keys(
-        cls, keys: np.ndarray, n_nodes: int, validate: bool = True
-    ) -> "CompiledGraph":
-        """Compile edges packed as ``src << 32 | dst`` int64 keys.
+    def from_packed_keys(cls, keys: np.ndarray, n_nodes: int) -> "CompiledGraph":
+        """Compile trusted edges packed as unique ``src << 32 | dst`` int64 keys.
 
-        The cheapest construction path: callers that already hold (or can
-        build in place) the packed keys skip edge-array concatenation and
-        lexsorts entirely.  ``keys`` is consumed — it is sorted in place
-        and its storage reused for one of the output arrays.  Requires
-        ``n_nodes <= 2**31`` and all endpoints within ``[0, n_nodes)``
-        (checked when ``validate``; trusted generators may skip the
-        extra full-array pass).
+        The cheapest construction path, for the generator's own output
+        (:func:`repro.social.generation.generate_edge_keys`): no
+        edge-array concatenation and no lexsorts.  ``keys`` is consumed —
+        it is sorted in place and its storage reused for one of the
+        output arrays.  Requires ``n_nodes <= 2**31``; endpoints must lie
+        in ``[0, n_nodes)``, which is not checked (outside input goes
+        through :meth:`from_edges` or :meth:`from_edge_arrays`).
         """
         if n_nodes > _PACK_MAX_NODES:
             raise ValueError("packed-key compilation requires n_nodes <= 2**31")
         keys = np.asarray(keys, dtype=np.int64)
-        return cls._from_packed_keys(
-            keys, np.arange(n_nodes, dtype=np.int64), validate=validate
-        )
+        return cls._from_packed_keys(keys, np.arange(n_nodes, dtype=np.int64))
 
     @classmethod
-    def _from_packed_keys(
-        cls, keys: np.ndarray, node_ids: np.ndarray, validate: bool = False
-    ) -> "CompiledGraph":
+    def _from_packed_keys(cls, keys: np.ndarray, node_ids: np.ndarray) -> "CompiledGraph":
         """CSR pair from packed edge keys (``keys`` is consumed).
 
         Buffer discipline keeps peak traffic at two extra edge-sized
@@ -152,13 +147,7 @@ class CompiledGraph:
         """
         n = len(node_ids)
         keys.sort()
-        if validate and len(keys):
-            # Sorted, so the src range check is O(1); dst needs one pass.
-            if keys[0] < 0 or int(keys[-1] >> _PACK_SHIFT) >= n:
-                raise ValueError("edge endpoints outside the node set")
         indices = np.bitwise_and(keys, _PACK_MASK)
-        if validate and len(indices) and int(indices.max()) >= n:
-            raise ValueError("edge endpoints outside the node set")
         bounds = np.left_shift(np.arange(n + 1, dtype=np.int64), _PACK_SHIFT)
         indptr = np.searchsorted(keys, bounds)
 
@@ -248,25 +237,6 @@ class CompiledGraph:
 
     def total_degrees(self) -> np.ndarray:
         return self.in_degrees() + self.out_degrees()
-
-    def in_degree_of(self, user_ids: np.ndarray) -> np.ndarray:
-        """Vectorized follower counts for an array of user IDs.
-
-        Unknown IDs get 0, mirroring the scalar :meth:`follower_count`.
-        """
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        degrees = self.in_degrees()
-        n = len(self.node_ids)
-        if self._contiguous:
-            known = (user_ids >= 0) & (user_ids < n)
-            safe = np.where(known, user_ids, 0)
-        else:
-            pos = np.searchsorted(self.node_ids, user_ids)
-            safe = np.minimum(pos, max(n - 1, 0))
-            known = (pos < n) & (self.node_ids[safe] == user_ids) if n else np.zeros(len(user_ids), bool)
-        if n == 0:
-            return np.zeros(len(user_ids), dtype=np.int64)
-        return np.where(known, degrees[safe], 0)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as ``(src_ids, dst_ids)`` arrays (CSR order)."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SECONDS_PER_DAY = 86_400.0
-
 #: Relative intensity per hour of day (UTC-ish aggregate), 24 entries.
 DIURNAL_WEIGHTS: tuple[float, ...] = (
     0.55, 0.45, 0.40, 0.38, 0.40, 0.48,
@@ -22,24 +20,19 @@ DIURNAL_WEIGHTS: tuple[float, ...] = (
 )
 
 
-def daily_arrival_times(
-    rng: np.random.Generator,
-    expected_count: float,
-    weights: tuple[float, ...] = DIURNAL_WEIGHTS,
-) -> np.ndarray:
+def daily_arrival_times(rng: np.random.Generator, expected_count: float) -> np.ndarray:
     """Sample sorted arrival offsets (seconds into the day).
 
     The count is Poisson around ``expected_count``; times are placed by
-    inverse-CDF over the hourly intensity curve, uniform within each hour.
+    inverse-CDF over the hourly :data:`DIURNAL_WEIGHTS` curve, uniform
+    within each hour.
     """
     if expected_count < 0:
         raise ValueError(f"expected_count must be non-negative, got {expected_count}")
-    if len(weights) != 24:
-        raise ValueError("need 24 hourly weights")
     count = int(rng.poisson(expected_count))
     if count == 0:
         return np.empty(0)
-    hourly = np.asarray(weights, dtype=float)
+    hourly = np.asarray(DIURNAL_WEIGHTS, dtype=float)
     hour_probs = hourly / hourly.sum()
     hours = rng.choice(24, size=count, p=hour_probs)
     offsets = rng.random(count)

@@ -5,10 +5,12 @@ Calibrated to Figures 1 and 2:
 * Periscope grew from roughly 70K to well over 250K daily broadcasts in the
   98-day window (>300% growth), with a visible jump after the Android app
   launched on May 26 (day 11 of the measurement) and a weekly rhythm —
-  weekend peaks, Monday troughs.  Daily viewers grew 200K to over 1M with a
-  roughly 10:1 viewer:broadcaster ratio.
-* Meerkat's daily broadcasts roughly halved in a month, ending below 4000,
-  with ~20K fluctuating daily viewers and a declining broadcaster count.
+  weekend peaks, Monday troughs.
+* Meerkat's daily broadcasts roughly halved in a month, ending below 4000.
+
+Only broadcast volume is modelled.  Daily viewers and broadcasters (Figure
+2) follow from the sampled audiences and activity skew in
+:mod:`repro.workload.trace`, not from a curve of their own.
 
 Day 0 is May 15, 2015 for Periscope (a Friday) and May 12, 2015 for
 Meerkat (a Tuesday).
@@ -31,7 +33,7 @@ DEFAULT_WEEKLY_PATTERN: tuple[float, ...] = (0.88, 0.92, 0.96, 1.00, 1.04, 1.12,
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Deterministic daily-volume curves with weekly modulation.
+    """Deterministic daily broadcast-volume curve with weekly modulation.
 
     The underlying trend is exponential between a start and end level,
     optionally with a step jump at ``launch_day`` (Periscope's Android
@@ -42,9 +44,6 @@ class GrowthModel:
     days: int
     broadcasts_start: float
     broadcasts_end: float
-    viewers_start: float
-    viewers_end: float
-    viewer_broadcaster_ratio: float = 10.0
     first_weekday: int = 4  # Friday
     launch_day: int | None = None
     launch_multiplier: float = 1.0
@@ -55,17 +54,16 @@ class GrowthModel:
             raise ValueError("days must be positive")
         if min(self.broadcasts_start, self.broadcasts_end) <= 0:
             raise ValueError("broadcast levels must be positive")
-        if min(self.viewers_start, self.viewers_end) <= 0:
-            raise ValueError("viewer levels must be positive")
         if len(self.weekly_pattern) != 7:
             raise ValueError("weekly_pattern needs 7 entries")
 
-    def _trend(self, day: int, start: float, end: float) -> float:
+    def _trend(self, day: int) -> float:
         """Exponential interpolation, with the launch step folded in."""
+        start = self.broadcasts_start
         if self.days == 1:
             base = start
         else:
-            rate = math.log(end / start) / (self.days - 1)
+            rate = math.log(self.broadcasts_end / start) / (self.days - 1)
             base = start * math.exp(rate * day)
         if self.launch_day is not None and day >= self.launch_day:
             base *= self.launch_multiplier
@@ -77,16 +75,7 @@ class GrowthModel:
     def broadcasts_on(self, day: int) -> float:
         """Expected broadcast count on measurement day ``day``."""
         self._check_day(day)
-        return self._trend(day, self.broadcasts_start, self.broadcasts_end) * self._weekly(day)
-
-    def viewers_on(self, day: int) -> float:
-        """Expected daily active viewers."""
-        self._check_day(day)
-        return self._trend(day, self.viewers_start, self.viewers_end) * self._weekly(day)
-
-    def broadcasters_on(self, day: int) -> float:
-        """Expected daily active broadcasters (viewers / ratio)."""
-        return self.viewers_on(day) / self.viewer_broadcaster_ratio
+        return self._trend(day) * self._weekly(day)
 
     def total_broadcasts(self) -> float:
         """Expected total broadcasts over the whole measurement."""
@@ -105,9 +94,6 @@ PERISCOPE_GROWTH = GrowthModel(
     days=98,
     broadcasts_start=82_000.0,
     broadcasts_end=262_000.0,
-    viewers_start=200_000.0,
-    viewers_end=1_050_000.0,
-    viewer_broadcaster_ratio=10.0,
     first_weekday=4,  # May 15, 2015 was a Friday
     launch_day=11,  # Android launch May 26
     launch_multiplier=1.28,
@@ -119,8 +105,5 @@ MEERKAT_GROWTH = GrowthModel(
     days=35,
     broadcasts_start=6_800.0,
     broadcasts_end=3_500.0,
-    viewers_start=21_000.0,
-    viewers_end=18_000.0,
-    viewer_broadcaster_ratio=3.0,  # Meerkat viewers ~20K, broadcasters 9K->3K
     first_weekday=1,  # May 12, 2015 was a Tuesday
 )

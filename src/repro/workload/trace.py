@@ -3,7 +3,10 @@
 Produces the synthetic equivalent of the paper's crawled datasets: a
 :class:`~repro.crawler.dataset.BroadcastDataset` per application, plus the
 follow graph and user population behind it.  All Table 1 / Figures 1–7
-analyses run off these traces.
+analyses run off these traces.  Generation reads the follow graph only as
+each broadcaster's follower count, taken straight from the generator's
+packed edge keys; the CSR that Table 2 walks is compiled from those keys
+on the first read of :attr:`WorkloadTrace.graph`.
 
 Scaling: the paper's Periscope crawl covers 19.6M broadcasts by 1.85M
 broadcasters with 705M views from a 12M-user network.  Running that raw
@@ -28,14 +31,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDataset
 from repro.simulation.distributions import zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
-from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.generation import FollowGraphConfig, generate_edge_keys, key_in_degrees
 from repro.social.graph import CompiledGraph
 from repro.workload.arrivals import daily_arrival_times
 from repro.workload.broadcast_model import BroadcastParamsModel
@@ -60,15 +63,20 @@ SMALL_SCALE_OPEN_RATE_CAP = 0.10
 #: chosen so the derived rate hits the cap exactly at scale = 0.001.
 _OPEN_RATE_ALPHA = math.log(SMALL_SCALE_OPEN_RATE_CAP / FULL_SCALE_OPEN_RATE) / math.log(1000)
 
+#: Zipf exponents of per-user activity skew (Figure 6): which pool slot
+#: broadcasts, and which registered viewer takes a mobile view.
+BROADCASTER_ZIPF = 0.85
+VIEWER_ZIPF = 0.95
+
 
 def derived_notification_open_rate(scale: float) -> float:
-    """Scale-aware default for :attr:`TraceConfig.notification_open_rate`.
+    """Probability that a notified follower joins, at trace scale ``scale``.
 
-    Smoothly approaches the realistic :data:`FULL_SCALE_OPEN_RATE` as
-    ``scale`` approaches 1 and the hand-tuned small-scale boost below
-    ``scale = 0.001`` — previously the 0.10 correction was applied at
-    *every* scale, silently overcounting follower-driven views on large
-    runs.
+    Drives Figure 7's follower-driven audiences.  Smoothly approaches the
+    realistic :data:`FULL_SCALE_OPEN_RATE` as ``scale`` approaches 1 and
+    the hand-tuned small-scale boost below ``scale = 0.001`` — previously
+    the 0.10 correction was applied at *every* scale, silently
+    overcounting follower-driven views on large runs.
     """
     if not 0 < scale <= 1:
         raise ValueError("scale must be in (0, 1]")
@@ -90,19 +98,8 @@ class TraceConfig:
     broadcaster_pool_full: int = 1_850_000
     viewer_pool_full: int = 7_650_000
 
-    #: Zipf exponents for per-user activity skew (Figure 6).
-    broadcaster_zipf: float = 0.85
-    viewer_zipf: float = 0.95
-
-    #: Probability a notified follower joins (Figure 7 correlation).
-    #: ``None`` (the default) derives it from ``scale`` via
-    #: :func:`derived_notification_open_rate`; an explicit value is used
-    #: untouched.
-    notification_open_rate: Optional[float] = None
-
     #: Generate a follow graph (Periscope); Meerkat's graph was unavailable.
     with_social_graph: bool = True
-    graph_mean_out_degree: float = 19.3
 
     #: Number of day-range shards generation is dispatched in; 0 = auto
     #: (one per worker batch).  Never affects the generated data.
@@ -115,8 +112,6 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1:
             raise ValueError("scale must be in (0, 1]")
-        if self.notification_open_rate is not None and not 0 <= self.notification_open_rate <= 1:
-            raise ValueError("notification_open_rate must be within [0, 1]")
         if self.shards < 0:
             raise ValueError("shards must be >= 0 (0 = auto)")
         if self.workers < 1:
@@ -134,18 +129,13 @@ class TraceConfig:
     def viewer_pool(self) -> int:
         return max(50, int(self.viewer_pool_full * self.scale))
 
-    @property
-    def effective_notification_open_rate(self) -> float:
-        """The open rate actually used: explicit value, or scale-derived."""
-        if self.notification_open_rate is not None:
-            return self.notification_open_rate
-        return derived_notification_open_rate(self.scale)
-
     def cache_key(self) -> str:
         """Stable hash of everything that determines the generated dataset.
 
         Deliberately excludes ``shards`` and ``workers`` — generation is
         schedule-independent, so the same key must hit for any of them.
+        Generator constants (activity skew, the open rate's curve, the
+        follow-graph model) are covered by ``TRACE_SCHEMA_VERSION``.
         """
         payload = {
             "trace_schema": TRACE_SCHEMA_VERSION,
@@ -157,11 +147,7 @@ class TraceConfig:
             "total_users_full": self.total_users_full,
             "broadcaster_pool_full": self.broadcaster_pool_full,
             "viewer_pool_full": self.viewer_pool_full,
-            "broadcaster_zipf": self.broadcaster_zipf,
-            "viewer_zipf": self.viewer_zipf,
-            "notification_open_rate": self.effective_notification_open_rate,
             "with_social_graph": self.with_social_graph,
-            "graph_mean_out_degree": self.graph_mean_out_degree,
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
@@ -188,19 +174,18 @@ class TraceConfig:
 
 
 class WorkloadTrace:
-    """A generated measurement: dataset + population + optional graph.
+    """A generated measurement: dataset + population + lazy follow graph.
 
-    ``graph`` may be eager (a graph object or ``None``) or lazy: pass a
-    zero-argument callable and it is invoked once on first access.  The
-    dataset-cache hit path uses the lazy form so a cached run never pays
-    the graph build unless an analysis actually touches ``trace.graph``.
+    ``graph`` is a zero-argument callable returning the follow graph (or
+    ``None``).  It runs once, on the first read of :attr:`graph`, so only
+    an analysis that walks the graph (Table 2) pays for its CSR.
     """
 
     def __init__(
         self,
         config: TraceConfig,
         dataset: BroadcastDataset,
-        graph: Union[Optional[CompiledGraph], Callable[[], Optional[CompiledGraph]]],
+        graph: Callable[[], Optional[CompiledGraph]],
         broadcaster_ids: np.ndarray,
         viewer_ids: np.ndarray,
     ) -> None:
@@ -208,12 +193,8 @@ class WorkloadTrace:
         self.dataset = dataset
         self.broadcaster_ids = broadcaster_ids  # pool of broadcaster user IDs
         self.viewer_ids = viewer_ids  # pool of registered mobile viewer IDs
-        if callable(graph):
-            self._graph: Optional[CompiledGraph] = None
-            self._graph_factory: Optional[Callable[[], Optional[CompiledGraph]]] = graph
-        else:
-            self._graph = graph
-            self._graph_factory = None
+        self._graph: Optional[CompiledGraph] = None
+        self._graph_factory: Optional[Callable[[], Optional[CompiledGraph]]] = graph
 
     @property
     def graph(self) -> Optional[CompiledGraph]:
@@ -246,36 +227,32 @@ class ShardContext:
     audience_cap: int
 
 
-#: Sentinel distinguishing "build the graph here" from an explicit
-#: ``graph=None`` (caller already knows there is none).
-_BUILD_GRAPH: Any = object()
+def build_follow_graph(config: TraceConfig) -> Optional[np.ndarray]:
+    """The trace's follow graph as packed edge keys (or ``None``).
 
-
-def build_follow_graph(config: TraceConfig) -> Optional[CompiledGraph]:
-    """The trace's follow graph (or ``None``), from the ``graph`` substream.
-
-    Split out of :func:`build_trace_context` so callers can time — and
-    reuse — the dominant precompute phase separately.
+    Draws from the ``graph`` substream only.  Nodes are ``0..N-1`` for
+    ``N = config.total_users``, each edge the int64 ``follower << 32 |
+    followee`` (:func:`repro.social.generation.generate_edge_keys`).
+    Generation reads only their in-degrees (:func:`build_trace_context`);
+    ``CompiledGraph.from_packed_keys(keys, N)`` compiles the CSR.
     """
     if not config.with_social_graph:
         return None
     streams = RandomStreams(config.seed)
-    graph_config = FollowGraphConfig(
-        n_nodes=config.total_users, mean_out_degree=config.graph_mean_out_degree
-    )
-    return generate_follow_graph(graph_config, streams.get("graph"))
+    graph_config = FollowGraphConfig(n_nodes=config.total_users)
+    return generate_edge_keys(graph_config, streams.get("graph"))
 
 
 def build_trace_context(
-    config: TraceConfig,
-    graph: Optional[CompiledGraph] = _BUILD_GRAPH,
-) -> tuple[ShardContext, Optional[CompiledGraph]]:
-    """Deterministic per-run precompute: pools, activity CDFs, graph.
+    config: TraceConfig, edge_keys: Optional[np.ndarray]
+) -> ShardContext:
+    """Deterministic per-run precompute: pools, activity CDFs, follower counts.
 
-    Draws only from the ``trace/{app}/pools`` and ``graph`` substreams, so
-    the context is identical no matter how generation is later scheduled.
-    Pass ``graph`` (from :func:`build_follow_graph`) to reuse an already
-    built graph; by default one is built here.
+    Draws only from the ``trace/{app}/pools`` substream, so the context is
+    identical no matter how generation is later scheduled.  ``edge_keys``
+    (from :func:`build_follow_graph`) supply the follower counts; with
+    ``None`` every broadcaster has 0 followers (Meerkat, or a cache hit
+    that needs only the pools).  The keys are read, not kept.
     """
     streams = RandomStreams(config.seed)
     rng = streams.get(f"trace/{config.app_name}/pools")
@@ -288,18 +265,19 @@ def build_trace_context(
     broadcaster_ids = rng.choice(user_ids, size=config.broadcaster_pool, replace=False)
     viewer_ids = rng.choice(user_ids, size=config.viewer_pool, replace=False)
 
-    if graph is _BUILD_GRAPH:
-        graph = build_follow_graph(config)
-    if graph is not None:
-        follower_counts = graph.in_degree_of(broadcaster_ids)
-    else:
+    if edge_keys is None:
         follower_counts = np.zeros(len(broadcaster_ids), dtype=np.int64)
+    else:
+        # User ID k reads node k's in-degree.  User IDs run 1..N but nodes
+        # 0..N-1, so the extra slot N (no node, count 0) serves user N.
+        in_degrees = key_in_degrees(edge_keys, minlength=total_users + 1)
+        follower_counts = in_degrees[broadcaster_ids]
 
     # Per-user activity skew: precompute CDFs for inverse sampling.
-    broadcaster_cdf = np.cumsum(zipf_weights(len(broadcaster_ids), config.broadcaster_zipf))
-    viewer_cdf = np.cumsum(zipf_weights(len(viewer_ids), config.viewer_zipf))
+    broadcaster_cdf = np.cumsum(zipf_weights(len(broadcaster_ids), BROADCASTER_ZIPF))
+    viewer_cdf = np.cumsum(zipf_weights(len(viewer_ids), VIEWER_ZIPF))
 
-    context = ShardContext(
+    return ShardContext(
         config=config,
         broadcaster_ids=broadcaster_ids,
         viewer_ids=viewer_ids,
@@ -308,7 +286,6 @@ def build_trace_context(
         follower_counts=follower_counts,
         audience_cap=min(config.params.audience_cap, int(0.8 * len(viewer_ids))),
     )
-    return context, graph
 
 
 def day_substream_seed(config: TraceConfig, day: int) -> int:
@@ -341,7 +318,7 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     # Follower notifications add audience on top of organic discovery
     # (Figure 7: followers vs viewers correlation).
     followers = context.follower_counts[rank]
-    notified = rng.binomial(followers, config.effective_notification_open_rate)
+    notified = rng.binomial(followers, derived_notification_open_rate(config.scale))
     audience = np.minimum(organic + notified, context.audience_cap)
 
     excitement = rng.lognormal(mean=0.0, sigma=0.6, size=n)

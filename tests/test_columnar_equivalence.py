@@ -47,7 +47,12 @@ from repro.experiments import context
 from repro.experiments.fig01 import CRAWLER_DOWNTIME
 from repro.experiments.registry import run_experiment
 from repro.parallel import generate_trace
-from repro.workload.trace import TraceConfig, build_trace_context, generate_day_columns
+from repro.workload.trace import (
+    TraceConfig,
+    build_follow_graph,
+    build_trace_context,
+    generate_day_columns,
+)
 
 SCALE = 0.0001
 SEED = 17
@@ -411,7 +416,7 @@ class TestColumnsRoundTrip:
 
     def test_day_columns_match_materialized_records(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        context_, _ = build_trace_context(config)
+        context_ = build_trace_context(config, build_follow_graph(config))
         columns = generate_day_columns(context_, 7)
         records = columns.to_records()
         assert len(records) == len(columns)

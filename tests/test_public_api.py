@@ -128,7 +128,13 @@ GONE_ATTRIBUTES = {
         "SHARD_DEADLINE_ENV",
         "POOL_REBUILDS_ENV",
         "_COLUMN_FIELDS",
+        # One lazy follow graph: no graph cache beside the dataset cache.
+        "load_or_build_graph",
+        "_graph_cache_key",
     ],
+    "repro.workload.trace": ["_BUILD_GRAPH"],
+    # One copy of the constant, in repro.crawler.dataset.
+    "repro.workload.arrivals": ["SECONDS_PER_DAY"],
     "repro.overlay.tree": ["nearest_pop"],
     "repro.lint.sanitizer": ["active_sanitizer_note", "sanitized"],
     "repro.crawler.storage": ["save_traces", "load_traces"],
@@ -211,6 +217,32 @@ GONE_MEMBERS = {
         "_wan_link",
     ],
     "repro.crawler.delay_crawler:DelayCrawler": ["poll_interval_s"],
+    # Trace generation reads follower counts off the generator's edge keys.
+    "repro.social.graph:CompiledGraph": ["in_degree_of"],
+    # Trace and follow-graph knobs no production caller set are constants.
+    "repro.workload.trace:TraceConfig": [
+        "broadcaster_zipf",
+        "viewer_zipf",
+        "graph_mean_out_degree",
+        "notification_open_rate",
+        "effective_notification_open_rate",
+    ],
+    "repro.social.generation:FollowGraphConfig": [
+        "out_degree_sigma",
+        "max_out_degree",
+        "pref_prob",
+        "triadic_prob",
+        "reciprocation_prob",
+        "seed_nodes",
+    ],
+    # The viewer curve nothing read: daily viewers come from the audiences.
+    "repro.workload.growth:GrowthModel": [
+        "viewers_start",
+        "viewers_end",
+        "viewer_broadcaster_ratio",
+        "viewers_on",
+        "broadcasters_on",
+    ],
 }
 
 #: Parameters deleted from a callable: "module:qualified.name" -> names.
@@ -253,6 +285,9 @@ GONE_PARAMETERS = {
         "fastly_sites",
         "crawler_poll_interval_s",
     ],
+    "repro.social.graph:CompiledGraph.from_packed_keys": ["validate"],
+    "repro.workload.trace:build_trace_context": ["graph"],
+    "repro.workload.arrivals:daily_arrival_times": ["weights"],
 }
 
 

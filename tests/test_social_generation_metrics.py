@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.social import metrics as social_metrics
-from repro.social.generation import FollowGraphConfig, generate_follow_graph
+from repro.social.generation import SEED_NODES, FollowGraphConfig, generate_follow_graph
 from repro.social.graph import CompiledGraph
 from repro.social.metrics import (
     PATH_CUTOFF_HOPS,
@@ -69,15 +69,13 @@ class TestGeneration:
         graph = generate_follow_graph(config, np.random.default_rng(seed))
         assert graph.edge_count == expected_edges
 
-    def test_config_validation(self):
+    def test_config_validation(self, rng):
         with pytest.raises(ValueError):
             FollowGraphConfig(n_nodes=1)
         with pytest.raises(ValueError):
-            FollowGraphConfig(n_nodes=100, seed_nodes=1)
-        with pytest.raises(ValueError):
-            FollowGraphConfig(n_nodes=100, pref_prob=0.8, triadic_prob=0.5)
-        with pytest.raises(ValueError):
-            FollowGraphConfig(n_nodes=100, reciprocation_prob=1.5)
+            FollowGraphConfig(n_nodes=SEED_NODES - 1)  # smaller than the seed clique
+        clique = generate_follow_graph(FollowGraphConfig(n_nodes=SEED_NODES), rng)
+        assert clique.edge_count == SEED_NODES * (SEED_NODES - 1)
 
     def test_table2_shape_holds(self, rng):
         """The generated graph shows the paper's structural signature."""
@@ -374,7 +372,8 @@ class TestTable2KernelsMatchOracle:
 class TestTable2Pin:
     def test_default_graph_row_is_pinned(self):
         """The seed-2016 Table 2 graph at the default scale, float for float."""
-        graph = build_follow_graph(TraceConfig.periscope(scale=0.0005, seed=2016))
+        config = TraceConfig.periscope(scale=0.0005, seed=2016)
+        graph = CompiledGraph.from_packed_keys(build_follow_graph(config), config.total_users)
         metrics = compute_graph_metrics(graph, np.random.default_rng(2016))
         assert metrics.nodes == 6_000
         assert metrics.clustering_coefficient == 0.13964917757524622

@@ -26,6 +26,7 @@ from repro.parallel import generate_trace, stream_merge_shards
 from repro.workload.trace import (
     TraceConfig,
     assemble_dataset_columns,
+    build_follow_graph,
     build_trace_context,
     generate_day_columns,
 )
@@ -49,7 +50,7 @@ def _config(shards: int = 1, workers: int = 1) -> TraceConfig:
 
 def _oracle(config: TraceConfig) -> BroadcastDataset:
     """The in-memory merge of every day's columns."""
-    context, _ = build_trace_context(config)
+    context = build_trace_context(config, build_follow_graph(config))
     return assemble_dataset_columns(
         config, [generate_day_columns(context, day) for day in range(config.growth.days)]
     )

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crawler.dataset import SECONDS_PER_DAY
 from repro.parallel import generate_trace
-from repro.workload.arrivals import SECONDS_PER_DAY, daily_arrival_times
+from repro.workload.arrivals import daily_arrival_times
 from repro.workload.broadcast_model import BroadcastParamsModel
 from repro.workload.growth import (
     GrowthModel,
@@ -56,11 +57,6 @@ class TestGrowthModel:
         monday = PERISCOPE_GROWTH.broadcasts_on(3)
         assert saturday > monday
 
-    def test_viewer_broadcaster_ratio(self):
-        for day in (0, 50, 97):
-            ratio = PERISCOPE_GROWTH.viewers_on(day) / PERISCOPE_GROWTH.broadcasters_on(day)
-            assert ratio == pytest.approx(10.0)
-
     def test_out_of_window_rejected(self):
         with pytest.raises(ValueError):
             PERISCOPE_GROWTH.broadcasts_on(98)
@@ -73,11 +69,9 @@ class TestGrowthModel:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GrowthModel("x", days=0, broadcasts_start=1, broadcasts_end=1,
-                        viewers_start=1, viewers_end=1)
+            GrowthModel("x", days=0, broadcasts_start=1, broadcasts_end=1)
         with pytest.raises(ValueError):
-            GrowthModel("x", days=10, broadcasts_start=0, broadcasts_end=1,
-                        viewers_start=1, viewers_end=1)
+            GrowthModel("x", days=10, broadcasts_start=0, broadcasts_end=1)
 
 
 class TestDailyArrivals:

@@ -23,10 +23,13 @@ from repro.parallel import (
     plan_shards,
 )
 from repro.parallel import generate as generate_module
+from repro.social.graph import CompiledGraph
+from repro.workload import trace as trace_module
 from repro.workload.trace import (
     FULL_SCALE_OPEN_RATE,
     SMALL_SCALE_OPEN_RATE_CAP,
     TraceConfig,
+    build_follow_graph,
     build_trace_context,
     derived_notification_open_rate,
     generate_day_columns,
@@ -90,7 +93,7 @@ class TestScheduleIndependence:
 class TestDayStreams:
     def test_day_records_pure_function_of_day(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        context, _ = build_trace_context(config)
+        context = build_trace_context(config, build_follow_graph(config))
         a = generate_day_columns(context, 5)
         b = generate_day_columns(context, 5)
         assert len(a) == len(b)
@@ -99,7 +102,7 @@ class TestDayStreams:
 
     def test_days_draw_from_distinct_substreams(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        context, _ = build_trace_context(config)
+        context = build_trace_context(config, build_follow_graph(config))
         day3 = generate_day_columns(context, 3)
         day4 = generate_day_columns(context, 4)
         offsets3 = set((day3.start_time % 86_400.0).tolist())
@@ -108,7 +111,7 @@ class TestDayStreams:
 
     def test_context_is_picklable(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        context, _ = build_trace_context(config)
+        context = build_trace_context(config, build_follow_graph(config))
         clone = pickle.loads(pickle.dumps(context))
         assert np.array_equal(clone.broadcaster_ids, context.broadcaster_ids)
         assert np.array_equal(clone.follower_counts, context.follower_counts)
@@ -177,7 +180,7 @@ class TestDatasetCacheIntegration:
         assert TraceConfig.periscope(scale=SCALE, seed=SEED + 1).cache_key() != base.cache_key()
         assert TraceConfig.periscope(scale=SCALE * 2, seed=SEED).cache_key() != base.cache_key()
         assert (
-            TraceConfig.periscope(scale=SCALE, seed=SEED, notification_open_rate=0.5).cache_key()
+            TraceConfig.periscope(scale=SCALE, seed=SEED, total_users_full=6_000_000).cache_key()
             != base.cache_key()
         )
 
@@ -199,7 +202,7 @@ class TestTransports:
     @pytest.fixture(scope="class")
     def context_and_config(self):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED, workers=2, shards=5)
-        context, _ = build_trace_context(config)
+        context = build_trace_context(config, build_follow_graph(config))
         return config, context
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -274,34 +277,60 @@ class TestCacheFirstProbe:
         assert np.array_equal(cached.broadcaster_ids, fresh.broadcaster_ids)
         assert np.array_equal(cached.viewer_ids, fresh.viewer_ids)
 
-    def test_lazy_graph_loads_from_graph_cache(self, tmp_path, monkeypatch):
-        """trace.graph on a hit attaches the mapped graph, not a rebuild."""
-        config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        fresh = generate_trace(config, cache_dir=tmp_path)
-        self._poison_graph_build(monkeypatch)
-        cached = generate_trace(config, cache_dir=tmp_path)
-        graph = cached.graph  # would raise if it rebuilt instead of mapping
-        assert graph is not None
-        assert np.array_equal(graph.indptr, fresh.graph.indptr)
-        assert np.array_equal(graph.indices, fresh.graph.indices)
 
-    def test_corrupt_graph_cache_rebuilt(self, tmp_path):
-        config = TraceConfig.periscope(scale=SCALE, seed=SEED)
-        fresh = generate_trace(config, cache_dir=tmp_path)
-        (cache_file,) = tmp_path.glob("graph-*.arrays")
-        cache_file.write_bytes(b"scrambled")
-        rebuilt = generate_trace(config, cache_dir=tmp_path)
-        assert np.array_equal(rebuilt.graph.indices, fresh.graph.indices)
+class TestLazyGraph:
+    """``trace.graph`` compiles the generator's edge keys on first read,
+    the same way after a dataset-cache miss and a hit."""
 
-    def test_graph_cache_reused_across_runs(self, tmp_path):
+    @staticmethod
+    def _count_compiles(monkeypatch) -> list:
+        compile_keys = CompiledGraph.from_packed_keys.__func__
+        calls = []
+
+        def counted(cls, keys, n_nodes):
+            calls.append(n_nodes)
+            return compile_keys(cls, keys, n_nodes)
+
+        monkeypatch.setattr(CompiledGraph, "from_packed_keys", classmethod(counted))
+        return calls
+
+    def test_cold_build_compiles_no_csr(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        trace = generate_trace(TraceConfig.periscope(scale=SCALE, seed=SEED))
+        assert calls == []
+        graph = trace.graph
+        assert trace.graph is graph
+        assert calls == [trace.config.total_users]
+
+    def test_hit_graph_equals_miss_graph(self, tmp_path):
         config = TraceConfig.periscope(scale=SCALE, seed=SEED)
+        fresh = generate_trace(config, cache_dir=tmp_path).graph
+        assert not list(tmp_path.glob("graph-*"))  # the dataset entry is the only file
         registry = MetricsRegistry()
-        generate_trace(config, cache_dir=tmp_path, registry=registry)
-        # Second run: dataset entry removed, graph cache intact -> the
-        # miss path attaches the cached graph instead of rebuilding.
-        DatasetCache(tmp_path).path_for(config.cache_key()).unlink()
-        generate_trace(config, cache_dir=tmp_path, registry=registry)
-        assert registry.counter("trace.graph_cache_hits").value == 1
+        cached = generate_trace(config, cache_dir=tmp_path, registry=registry).graph
+        assert registry.counter("trace.cache_hits").value == 1
+        for name in ("node_ids", "indptr", "indices", "rindptr", "rindices"):
+            ours, theirs = getattr(cached, name), getattr(fresh, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+    def test_meerkat_graph_is_none_on_miss_and_hit(self, tmp_path):
+        config = TraceConfig.meerkat(scale=SCALE, seed=SEED)
+        registry = MetricsRegistry()
+        assert generate_trace(config, cache_dir=tmp_path, registry=registry).graph is None
+        assert generate_trace(config, cache_dir=tmp_path, registry=registry).graph is None
+        assert registry.counter("trace.cache_misses").value == 1
+        assert registry.counter("trace.cache_hits").value == 1
+
+    def test_key_follower_counts_match_the_compiled_graph(self):
+        """User ID k reads node k's in-degree; user N, past the last node, reads 0."""
+        config = TraceConfig.periscope(scale=0.0005, seed=2016)
+        keys = build_follow_graph(config)
+        context = build_trace_context(config, keys)
+        graph = CompiledGraph.from_packed_keys(keys, config.total_users)
+        ids = context.broadcaster_ids
+        assert config.total_users in ids
+        assert context.follower_counts.tolist() == [graph.follower_count(int(u)) for u in ids]
+        assert context.follower_counts[ids == config.total_users].tolist() == [0]
 
 
 class TestCacheFormatMatrix:
@@ -345,21 +374,24 @@ class TestNotificationOpenRate:
         assert rates == sorted(rates, reverse=True)
         assert all(FULL_SCALE_OPEN_RATE <= r <= SMALL_SCALE_OPEN_RATE_CAP for r in rates)
 
-    def test_explicit_value_untouched(self):
-        config = TraceConfig.periscope(scale=0.5, notification_open_rate=0.07)
-        assert config.effective_notification_open_rate == 0.07
+    def test_default_derived_from_scale(self, monkeypatch):
+        """Generation draws notified followers at the scale's derived rate."""
+        config = TraceConfig.periscope(scale=SCALE, seed=SEED)
+        context = build_trace_context(config, build_follow_graph(config))
+        scales = []
 
-    def test_default_derived_from_scale(self):
-        config = TraceConfig.periscope(scale=0.25)
-        assert config.effective_notification_open_rate == pytest.approx(
-            derived_notification_open_rate(0.25)
-        )
+        def spy(scale):
+            scales.append(scale)
+            return derived_notification_open_rate(scale)
+
+        monkeypatch.setattr(trace_module, "derived_notification_open_rate", spy)
+        generate_day_columns(context, 5)
+        assert scales == [SCALE]
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TraceConfig.periscope(notification_open_rate=1.5)
-        with pytest.raises(ValueError):
-            derived_notification_open_rate(0.0)
+        for scale in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                derived_notification_open_rate(scale)
 
 
 class TestConfigValidation:

@@ -10,10 +10,9 @@ One tiny on-disk format serves three jobs:
 * shard output — every shard's day columns go to a per-shard file that
   the streaming merge (:mod:`repro.parallel.merge`) reads, so the
   process boundary carries a path, not a pickle of every column,
-* the uncompressed ``mmap`` dataset-cache format and the follow-graph
-  cache (:mod:`repro.crawler.storage`, :mod:`repro.parallel.generate`),
-  which let paper-scale datasets stream from disk instead of living in
-  RAM.
+* the uncompressed ``mmap`` dataset-cache format
+  (:mod:`repro.crawler.storage`), which lets paper-scale datasets stream
+  from disk instead of living in RAM.
 
 Layout: one JSON header line (format tag, page size, per-array name /
 dtype / shape / relative offset, caller metadata), space-padded to a
@@ -36,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,21 +79,59 @@ def _padded_json_line(payload: dict, size: Optional[int] = None) -> bytes:
     return encoded + b" " * (size - len(encoded) - 1) + b"\n"
 
 
-@contextmanager
-def atomic_output(path: PathLike) -> Iterator[Path]:
-    """Stage a write as ``<path>.tmp<pid>``, publish it with ``os.replace``.
+def staging_path(path: PathLike) -> Path:
+    """The private name a write of ``path`` is staged under: ``<path>.tmp<pid>``.
 
-    The one atomic-publish discipline every on-disk artifact in the repo
-    uses (dataset-cache entries, the follow-graph cache, checkpointed
-    shard files, streamed merges): the caller writes the yielded temp
-    path; on a clean exit it is renamed over ``path`` in one step, and on
-    any exit the temp is removed — a crashed writer can never leave a
-    plausible-looking final file, only a ``.tmp<pid>`` leftover that
-    :func:`repro.crawler.storage.sweep_stale_temps` reclaims once the
-    writer's pid is gone.
+    Every atomic writer in the repo (dataset-cache entries, checkpointed
+    shard files, run manifests, streamed merges) writes here and then
+    ``os.replace``s the file over ``path``; a writer killed between the
+    two leaves the temp behind for :func:`sweep_stale_temps`.
     """
     path = Path(path)
-    temp = path.with_name(path.name + f".tmp{os.getpid()}")
+    return path.with_name(f"{path.name}.tmp{os.getpid()}")
+
+
+#: What :func:`staging_path` appends, with the writer's pid as the group.
+_TEMP_RE = re.compile(r"\.tmp(\d+)$")
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    return True
+
+
+def sweep_stale_temps(root: PathLike, pattern: str = "*.tmp*") -> int:
+    """Remove :func:`staging_path` leftovers under ``root``.
+
+    A temp is swept only when its recorded pid is no longer alive
+    (``os.kill(pid, 0)`` probe), so concurrent writers are never
+    disturbed.  Returns the number of files removed.
+    """
+    removed = 0
+    for path in Path(root).glob(pattern):
+        match = _TEMP_RE.search(path.name)
+        if match and not _pid_alive(int(match.group(1))):
+            path.unlink(missing_ok=True)
+            removed += 1
+    return removed
+
+
+@contextmanager
+def atomic_output(path: PathLike) -> Iterator[Path]:
+    """Stage a write under :func:`staging_path`, publish it with ``os.replace``.
+
+    The caller writes the yielded temp path; on a clean exit it is
+    renamed over ``path`` in one step, and on any exit the temp is
+    removed — a crashed writer can never leave a plausible-looking final
+    file, only a ``.tmp<pid>`` leftover that :func:`sweep_stale_temps`
+    reclaims once the writer's pid is gone.
+    """
+    temp = staging_path(path)
     try:
         yield temp
         os.replace(temp, path)
@@ -157,7 +195,7 @@ class ArrayFileWriter:
     blocks, checksum footer — is byte-identical to a monolithic
     :func:`write_arrays` of the same data.
 
-    Output is staged as ``<path>.tmp<pid>`` and published atomically by
+    Output is staged under :func:`staging_path` and published atomically by
     :meth:`finalize` (the :func:`atomic_output` discipline); a writer
     abandoned mid-append — process crash included — never leaves a
     partial final file, and the temp is reclaimed by the stale-temp
@@ -219,7 +257,7 @@ class ArrayFileWriter:
             "arrays": entries,
             "footer_size": self._footer_size,
         }
-        self._temp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
+        self._temp = staging_path(self.path)
         self._handle = open(self._temp, "wb")
         self._handle.write(_padded_json_line(header))
         self._index = 0  # position in the schema of the array being appended

@@ -8,7 +8,9 @@ is the full measurement — with support for the crawler-downtime window
 
 A dataset holds its rows in one form, :class:`BroadcastColumns`: parallel
 numpy arrays, with the ragged per-broadcast viewer lists stored as one
-flat array plus a CSR-style ``viewer_indptr``.  Aggregates like
+flat array plus a CSR-style ``viewer_indptr``.  :data:`COLUMN_LAYOUT` is
+the one list of those columns, their order and their dtypes; the
+converters here and every file format derive from it.  Aggregates like
 :meth:`BroadcastDataset.table1_row` are array reductions.  Records exist
 only where rows enter or leave the system — the crawler's monitors and
 the JSONL release codec build datasets with
@@ -18,7 +20,9 @@ materializes its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import pairwise, repeat, starmap
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,55 +89,75 @@ class BroadcastRecord:
         return self.start_time + self.duration_s
 
 
+#: The dataset's columns, their order and their dtypes: the one statement
+#: of the schema.  :class:`BroadcastColumns` casts each column to its dtype
+#: here and its converters loop over these names; the v2, ``mmap`` and
+#: shard files store the columns in this order.  Little-endian is forced
+#: so the bytes are platform-independent.
+COLUMN_LAYOUT: tuple[tuple[str, str], ...] = (
+    ("broadcast_id", "<i8"),
+    ("broadcaster_id", "<i8"),
+    ("start_time", "<f8"),
+    ("duration_s", "<f8"),
+    ("web_views", "<i8"),
+    ("heart_count", "<i8"),
+    ("comment_count", "<i8"),
+    ("commenter_count", "<i8"),
+    ("is_private", "|b1"),
+    ("broadcaster_followers", "<i8"),
+    ("viewer_indptr", "<i8"),
+    ("viewer_ids", "<i8"),
+)
+
+#: The row-aligned columns: one entry per broadcast (all but the viewer CSR).
+_ROW_COLUMNS = tuple(
+    name for name, _ in COLUMN_LAYOUT if name not in ("viewer_indptr", "viewer_ids")
+)
+
+
+def column_schema(
+    record_count: int, viewer_count: int
+) -> list[tuple[str, np.dtype, tuple[int]]]:
+    """``(name, dtype, shape)`` of every column of a dataset with these
+    row and viewer counts, in :data:`COLUMN_LAYOUT` order."""
+    lengths = {"viewer_indptr": record_count + 1, "viewer_ids": viewer_count}
+    return [
+        (name, np.dtype(dtype), (lengths.get(name, record_count),))
+        for name, dtype in COLUMN_LAYOUT
+    ]
+
+
 @dataclass
 class BroadcastColumns:
     """One batch of broadcasts as parallel arrays.
 
     Row ``i`` of every array describes the same broadcast; the ragged
     viewer lists are stored CSR-style — ``viewer_ids[viewer_indptr[i] :
-    viewer_indptr[i + 1]]`` are row ``i``'s registered viewers.
+    viewer_indptr[i + 1]]`` are row ``i``'s registered viewers.  Each
+    column takes its :data:`COLUMN_LAYOUT` dtype on construction.
     """
 
     app_name: str
-    broadcast_id: np.ndarray  # int64
-    broadcaster_id: np.ndarray  # int64
-    start_time: np.ndarray  # float64, seconds since measurement start
-    duration_s: np.ndarray  # float64
-    web_views: np.ndarray  # int64
-    heart_count: np.ndarray  # int64
-    comment_count: np.ndarray  # int64
-    commenter_count: np.ndarray  # int64
-    is_private: np.ndarray  # bool
-    broadcaster_followers: np.ndarray  # int64
-    viewer_indptr: np.ndarray  # int64, len == row count + 1
-    viewer_ids: np.ndarray  # int64, flat ragged storage
-
-    _INT_FIELDS = (
-        "broadcast_id",
-        "broadcaster_id",
-        "web_views",
-        "heart_count",
-        "comment_count",
-        "commenter_count",
-        "broadcaster_followers",
-    )
-    _FLOAT_FIELDS = ("start_time", "duration_s")
+    broadcast_id: np.ndarray
+    broadcaster_id: np.ndarray
+    start_time: np.ndarray  # seconds since measurement start
+    duration_s: np.ndarray
+    web_views: np.ndarray
+    heart_count: np.ndarray
+    comment_count: np.ndarray
+    commenter_count: np.ndarray
+    is_private: np.ndarray
+    broadcaster_followers: np.ndarray
+    viewer_indptr: np.ndarray  # len == row count + 1
+    viewer_ids: np.ndarray  # flat ragged storage
 
     def __post_init__(self) -> None:
-        for name in self._INT_FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        for name in self._FLOAT_FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        self.is_private = np.asarray(self.is_private, dtype=bool)
-        self.viewer_indptr = np.asarray(self.viewer_indptr, dtype=np.int64)
-        self.viewer_ids = np.asarray(self.viewer_ids, dtype=np.int64)
-        n = len(self.broadcast_id)
-        for name in (*self._INT_FIELDS, *self._FLOAT_FIELDS, "is_private"):
-            if len(getattr(self, name)) != n:
+        for name, dtype, shape in column_schema(len(self), len(self.viewer_ids)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != shape:
                 raise ValueError(f"column {name!r} length mismatch")
-        if len(self.viewer_indptr) != n + 1:
-            raise ValueError("viewer_indptr must have row count + 1 entries")
-        if n and self.viewer_indptr[-1] != len(self.viewer_ids):
+            setattr(self, name, column)
+        if len(self) and self.viewer_indptr[-1] != len(self.viewer_ids):
             raise ValueError("viewer_indptr does not span viewer_ids")
 
     def __len__(self) -> int:
@@ -149,53 +173,35 @@ class BroadcastColumns:
         """Per-row mobile plus web view counts."""
         return self.mobile_views + self.web_views
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every column by name, contiguous, in :data:`COLUMN_LAYOUT` order
+        and dtypes: what the v2, ``mmap`` and shard files store."""
+        return {
+            name: np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            for name, dtype in COLUMN_LAYOUT
+        }
+
     @classmethod
     def empty(cls, app_name: str) -> "BroadcastColumns":
-        zero = np.empty(0, dtype=np.int64)
-        return cls(
-            app_name=app_name,
-            broadcast_id=zero,
-            broadcaster_id=zero,
-            start_time=np.empty(0, dtype=np.float64),
-            duration_s=np.empty(0, dtype=np.float64),
-            web_views=zero,
-            heart_count=zero,
-            comment_count=zero,
-            commenter_count=zero,
-            is_private=np.empty(0, dtype=bool),
-            broadcaster_followers=zero,
-            viewer_indptr=np.zeros(1, dtype=np.int64),
-            viewer_ids=zero,
-        )
+        return cls.from_records(app_name, ())
 
     @classmethod
     def from_records(
         cls, app_name: str, records: Sequence[BroadcastRecord]
     ) -> "BroadcastColumns":
-        viewer_indptr = np.zeros(len(records) + 1, dtype=np.int64)
+        count = len(records)
+        viewer_indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum([len(r.viewer_ids) for r in records], out=viewer_indptr[1:])
-        if records:
-            viewer_ids = np.concatenate([r.viewer_ids for r in records])
-        else:
-            viewer_ids = np.empty(0, dtype=np.int64)
+        dtypes = dict(COLUMN_LAYOUT)
+        viewer_ids = [r.viewer_ids for r in records]
         return cls(
             app_name=app_name,
-            broadcast_id=np.array([r.broadcast_id for r in records], dtype=np.int64),
-            broadcaster_id=np.array([r.broadcaster_id for r in records], dtype=np.int64),
-            start_time=np.array([r.start_time for r in records], dtype=np.float64),
-            duration_s=np.array([r.duration_s for r in records], dtype=np.float64),
-            web_views=np.array([r.web_views for r in records], dtype=np.int64),
-            heart_count=np.array([r.heart_count for r in records], dtype=np.int64),
-            comment_count=np.array([r.comment_count for r in records], dtype=np.int64),
-            commenter_count=np.array(
-                [r.commenter_count for r in records], dtype=np.int64
-            ),
-            is_private=np.array([r.is_private for r in records], dtype=bool),
-            broadcaster_followers=np.array(
-                [r.broadcaster_followers for r in records], dtype=np.int64
-            ),
+            **{
+                name: np.fromiter(map(attrgetter(name), records), dtypes[name], count)
+                for name in _ROW_COLUMNS
+            },
             viewer_indptr=viewer_indptr,
-            viewer_ids=viewer_ids,
+            viewer_ids=np.concatenate(viewer_ids) if viewer_ids else (),
         )
 
     def to_records(self) -> list[BroadcastRecord]:
@@ -205,48 +211,15 @@ class BroadcastColumns:
         ``tolist``) so the records serialize exactly like ones built row
         by row.
         """
-        indptr = self.viewer_indptr
-        return [
-            BroadcastRecord(
-                broadcast_id=bid,
-                broadcaster_id=bcaster,
-                app_name=self.app_name,
-                start_time=start,
-                duration_s=duration,
-                viewer_ids=self.viewer_ids[indptr[i] : indptr[i + 1]],
-                web_views=web,
-                heart_count=hearts,
-                comment_count=comments,
-                commenter_count=commenters,
-                is_private=private,
-                broadcaster_followers=followers,
-            )
-            for i, (
-                bid,
-                bcaster,
-                start,
-                duration,
-                web,
-                hearts,
-                comments,
-                commenters,
-                private,
-                followers,
-            ) in enumerate(
-                zip(
-                    self.broadcast_id.tolist(),
-                    self.broadcaster_id.tolist(),
-                    self.start_time.tolist(),
-                    self.duration_s.tolist(),
-                    self.web_views.tolist(),
-                    self.heart_count.tolist(),
-                    self.comment_count.tolist(),
-                    self.commenter_count.tolist(),
-                    self.is_private.tolist(),
-                    self.broadcaster_followers.tolist(),
-                )
-            )
+        values = {name: getattr(self, name).tolist() for name in _ROW_COLUMNS}
+        values["app_name"] = repeat(self.app_name)
+        values["viewer_ids"] = [
+            self.viewer_ids[start:end]
+            for start, end in pairwise(self.viewer_indptr.tolist())
         ]
+        # Positional construction, in the record's own field order.
+        rows = zip(*(values[field.name] for field in fields(BroadcastRecord)))
+        return list(starmap(BroadcastRecord, rows))
 
     def take(self, indices: np.ndarray) -> "BroadcastColumns":
         """Rows at ``indices`` (in that order), ragged viewers regathered."""
@@ -262,16 +235,7 @@ class BroadcastColumns:
         )
         return BroadcastColumns(
             app_name=self.app_name,
-            broadcast_id=self.broadcast_id[indices],
-            broadcaster_id=self.broadcaster_id[indices],
-            start_time=self.start_time[indices],
-            duration_s=self.duration_s[indices],
-            web_views=self.web_views[indices],
-            heart_count=self.heart_count[indices],
-            comment_count=self.comment_count[indices],
-            commenter_count=self.commenter_count[indices],
-            is_private=self.is_private[indices],
-            broadcaster_followers=self.broadcaster_followers[indices],
+            **{name: getattr(self, name)[indices] for name in _ROW_COLUMNS},
             viewer_indptr=starts,
             viewer_ids=self.viewer_ids[offsets],
         )
@@ -314,18 +278,10 @@ class BroadcastColumns:
             base += len(part.viewer_ids)
         return cls(
             app_name=first.app_name,
-            broadcast_id=np.concatenate([p.broadcast_id for p in parts]),
-            broadcaster_id=np.concatenate([p.broadcaster_id for p in parts]),
-            start_time=np.concatenate([p.start_time for p in parts]),
-            duration_s=np.concatenate([p.duration_s for p in parts]),
-            web_views=np.concatenate([p.web_views for p in parts]),
-            heart_count=np.concatenate([p.heart_count for p in parts]),
-            comment_count=np.concatenate([p.comment_count for p in parts]),
-            commenter_count=np.concatenate([p.commenter_count for p in parts]),
-            is_private=np.concatenate([p.is_private for p in parts]),
-            broadcaster_followers=np.concatenate(
-                [p.broadcaster_followers for p in parts]
-            ),
+            **{
+                name: np.concatenate([getattr(p, name) for p in parts])
+                for name in _ROW_COLUMNS
+            },
             viewer_indptr=viewer_indptr,
             viewer_ids=np.concatenate([p.viewer_ids for p in parts]),
         )
@@ -339,17 +295,10 @@ class BroadcastDataset:
     materialized on demand — the only row view.
     """
 
-    def __init__(
-        self,
-        app_name: str,
-        days: int,
-        columns: BroadcastColumns,
-        downtime: Optional[DowntimeWindow] = None,
-    ) -> None:
+    def __init__(self, app_name: str, days: int, columns: BroadcastColumns) -> None:
         self.app_name = app_name
         self.days = days
         self.columns = columns
-        self.downtime = downtime
 
     @classmethod
     def from_records(
@@ -444,9 +393,8 @@ class BroadcastDataset:
         )
         keep = np.ones(len(cols), dtype=bool)
         keep[inside[rng.random(len(inside)) < window.loss_fraction]] = False
-        return BroadcastDataset(
-            self.app_name, self.days, cols.take(np.flatnonzero(keep)), downtime=window
-        )
+        kept = cols.take(np.flatnonzero(keep))
+        return BroadcastDataset(self.app_name, self.days, kept)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:

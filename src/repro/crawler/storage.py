@@ -17,10 +17,10 @@ which is what the sharded-generation determinism tests and the on-disk
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import io
 import json
-import os
 import re
 import zlib
 from pathlib import Path
@@ -28,8 +28,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.crawler.arrayfile import atomic_output, read_arrays, write_arrays
-from repro.crawler.dataset import BroadcastColumns, BroadcastDataset, BroadcastRecord
+from repro.crawler.arrayfile import (
+    atomic_output,
+    read_arrays,
+    sweep_stale_temps,
+    write_arrays,
+)
+from repro.crawler.dataset import (
+    BroadcastColumns,
+    BroadcastDataset,
+    BroadcastRecord,
+    column_schema,
+)
 
 PathLike = Union[str, Path]
 
@@ -37,58 +47,18 @@ _FORMAT_VERSION = 1
 
 _COLUMNS_FORMAT_VERSION = 2
 
-#: Column serialization order and on-disk dtypes shared by the v2 and
-#: ``mmap`` formats (and by the streaming merge, which writes the
-#: ``mmap`` layout shard by shard).  Little-endian is forced so the
-#: bytes are platform-independent.
-COLUMN_LAYOUT: tuple[tuple[str, str], ...] = (
-    ("broadcast_id", "<i8"),
-    ("broadcaster_id", "<i8"),
-    ("start_time", "<f8"),
-    ("duration_s", "<f8"),
-    ("web_views", "<i8"),
-    ("heart_count", "<i8"),
-    ("comment_count", "<i8"),
-    ("commenter_count", "<i8"),
-    ("is_private", "|b1"),
-    ("broadcaster_followers", "<i8"),
-    ("viewer_indptr", "<i8"),
-    ("viewer_ids", "<i8"),
-)
+#: JSONL record keys: :class:`BroadcastRecord`'s fields, in declaration order.
+_RECORD_FIELDS = tuple(field.name for field in dataclasses.fields(BroadcastRecord))
 
 
 def _record_to_json(record: BroadcastRecord) -> dict:
-    return {
-        "broadcast_id": record.broadcast_id,
-        "broadcaster_id": record.broadcaster_id,
-        "app_name": record.app_name,
-        "start_time": record.start_time,
-        "duration_s": record.duration_s,
-        "viewer_ids": record.viewer_ids.tolist(),
-        "web_views": record.web_views,
-        "heart_count": record.heart_count,
-        "comment_count": record.comment_count,
-        "commenter_count": record.commenter_count,
-        "is_private": record.is_private,
-        "broadcaster_followers": record.broadcaster_followers,
-    }
+    payload = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    payload["viewer_ids"] = record.viewer_ids.tolist()
+    return payload
 
 
 def _record_from_json(payload: dict) -> BroadcastRecord:
-    return BroadcastRecord(
-        broadcast_id=payload["broadcast_id"],
-        broadcaster_id=payload["broadcaster_id"],
-        app_name=payload["app_name"],
-        start_time=payload["start_time"],
-        duration_s=payload["duration_s"],
-        viewer_ids=np.array(payload["viewer_ids"], dtype=np.int64),
-        web_views=payload["web_views"],
-        heart_count=payload["heart_count"],
-        comment_count=payload["comment_count"],
-        commenter_count=payload["commenter_count"],
-        is_private=payload["is_private"],
-        broadcaster_followers=payload["broadcaster_followers"],
-    )
+    return BroadcastRecord(*map(payload.__getitem__, _RECORD_FIELDS))
 
 
 def dataset_to_bytes(dataset: BroadcastDataset) -> bytes:
@@ -134,21 +104,12 @@ def dataset_from_bytes(data: bytes, source: str = "<bytes>") -> BroadcastDataset
     return dataset
 
 
-def column_length(field: str, record_count: int, viewer_count: int) -> int:
-    """Element count of ``field``'s column in a dataset of these counts."""
-    if field == "viewer_indptr":
-        return record_count + 1
-    if field == "viewer_ids":
-        return viewer_count
-    return record_count
-
-
 def dataset_to_columnar_bytes(dataset: BroadcastDataset) -> bytes:
     """Serialize a dataset to the deterministic v2 binary columnar format.
 
     Layout: one JSON header line, then each column of
-    :data:`COLUMN_LAYOUT` as raw little-endian bytes, all gzipped with
-    mtime pinned to 0.
+    :data:`~repro.crawler.dataset.COLUMN_LAYOUT` as raw little-endian
+    bytes, all gzipped with mtime pinned to 0.
     """
     columns = dataset.columns
     header = {
@@ -161,10 +122,8 @@ def dataset_to_columnar_bytes(dataset: BroadcastDataset) -> bytes:
     raw = io.BytesIO()
     with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as binary:
         binary.write((json.dumps(header) + "\n").encode("utf-8"))
-        for field, dtype in COLUMN_LAYOUT:
-            binary.write(
-                np.ascontiguousarray(getattr(columns, field), dtype=dtype).tobytes()
-            )
+        for array in columns.arrays().values():
+            binary.write(array.tobytes())
     return raw.getvalue()
 
 
@@ -183,13 +142,12 @@ def dataset_from_columnar_bytes(data: bytes, source: str = "<bytes>") -> Broadca
 
     offset = newline + 1
     arrays: dict[str, np.ndarray] = {}
-    for field, dtype_str in COLUMN_LAYOUT:
-        dtype = np.dtype(dtype_str)
-        nbytes = column_length(field, record_count, viewer_count) * dtype.itemsize
+    for field, dtype, (length,) in column_schema(record_count, viewer_count):
+        nbytes = length * dtype.itemsize
         if offset + nbytes > len(payload):
             raise ValueError(f"{source}: truncated dataset (column {field!r})")
         arrays[field] = np.frombuffer(
-            payload, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+            payload, dtype=dtype, count=length, offset=offset
         ).copy()
         offset += nbytes
     if offset != len(payload):
@@ -236,7 +194,7 @@ def mapped_dataset_meta(
 def save_dataset_mapped(dataset: BroadcastDataset, path: PathLike) -> None:
     """Write a dataset as an uncompressed, memory-mappable column file.
 
-    Same logical schema as v2 (:data:`COLUMN_LAYOUT`), but raw
+    Same columns as v2, but raw
     page-aligned little-endian columns behind a JSON header line instead
     of a gzip stream — :func:`load_dataset_mapped` opens it zero-copy
     with ``np.memmap``, so a paper-scale dataset streams from the page
@@ -246,8 +204,7 @@ def save_dataset_mapped(dataset: BroadcastDataset, path: PathLike) -> None:
     columns = dataset.columns
     write_arrays(
         path,
-        {field: np.ascontiguousarray(getattr(columns, field), dtype=dtype)
-         for field, dtype in COLUMN_LAYOUT},
+        columns.arrays(),
         meta=mapped_dataset_meta(
             dataset.app_name, dataset.days, len(columns), len(columns.viewer_ids)
         ),
@@ -266,13 +223,14 @@ def load_dataset_mapped(path: PathLike) -> BroadcastDataset:
     version = meta.get("format_version")
     if version != _COLUMNS_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    expected = {field for field, _ in COLUMN_LAYOUT}
-    if set(arrays) != expected:
+    record_count, viewer_count = int(meta["record_count"]), int(meta["viewer_count"])
+    schema = column_schema(record_count, viewer_count)
+    if set(arrays) != {field for field, _, _ in schema}:
         raise ValueError(f"{path}: column set mismatch")
     columns = BroadcastColumns(app_name=meta["app_name"], **arrays)
-    if len(columns) != int(meta["record_count"]):
+    if len(columns) != record_count:
         raise ValueError(f"{path}: truncated dataset (record count mismatch)")
-    if len(columns.viewer_ids) != int(meta["viewer_count"]):
+    if len(columns.viewer_ids) != viewer_count:
         raise ValueError(f"{path}: truncated dataset (viewer count mismatch)")
     return BroadcastDataset(meta["app_name"], meta["days"], columns)
 
@@ -291,38 +249,6 @@ _CACHE_FORMATS = {
     "v2": (".cols.gz", _save_v2, _load_v2),
     "mmap": (".cols", save_dataset_mapped, load_dataset_mapped),
 }
-
-#: Stale atomic-write temp files: ``<entry name>.tmp<pid>``.
-_TEMP_RE = re.compile(r"\.tmp(\d+)$")
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    return True
-
-
-def sweep_stale_temps(root: PathLike, pattern: str = "*.tmp*") -> int:
-    """Remove ``<name>.tmp<pid>`` atomic-write leftovers under ``root``.
-
-    Every atomic writer in the repo (dataset cache entries, checkpointed
-    shard files, run manifests) stages into ``<target>.tmp<pid>`` before
-    ``os.replace``; a writer killed between the two leaves the temp
-    behind.  A temp is swept only when its recorded pid is no longer
-    alive (``os.kill(pid, 0)`` probe), so concurrent writers are never
-    disturbed.  Returns the number of files removed.
-    """
-    removed = 0
-    for path in Path(root).glob(pattern):
-        match = _TEMP_RE.search(path.name)
-        if match and not _pid_alive(int(match.group(1))):
-            path.unlink(missing_ok=True)
-            removed += 1
-    return removed
 
 
 class DatasetCache:
@@ -355,10 +281,6 @@ class DatasetCache:
         self.root = Path(root)
         self.fmt = fmt
         self.root.mkdir(parents=True, exist_ok=True)
-        self._sweep_stale_temps()
-
-    def _sweep_stale_temps(self) -> None:
-        """Remove atomic-write leftovers whose writer process is gone."""
         sweep_stale_temps(self.root, "trace-*.tmp*")
 
     def path_for(self, key: str, fmt: Optional[str] = None) -> Path:

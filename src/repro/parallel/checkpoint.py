@@ -20,7 +20,7 @@ are deleted and the shard demoted to pending — and shard files that
 were published but never journaled (a crash between ``os.replace`` and
 the manifest flush) are adopted as done.  Stale ``*.tmp<pid>`` files
 from dead writers are swept with the same liveness probe the dataset
-cache uses (:func:`repro.crawler.storage.sweep_stale_temps`).
+cache uses (:func:`repro.crawler.arrayfile.sweep_stale_temps`).
 
 Because every day draws from its own seed-derived substream, the shards
 a resume regenerates are byte-identical to the ones a crash destroyed —
@@ -35,8 +35,7 @@ import os
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.crawler.arrayfile import atomic_output, read_arrays
-from repro.crawler.storage import sweep_stale_temps
+from repro.crawler.arrayfile import atomic_output, read_arrays, sweep_stale_temps
 from repro.parallel.sharding import ShardSpec
 
 PathLike = Union[str, Path]
@@ -180,10 +179,6 @@ class RunCheckpoint:
 
     def shard_path(self, shard_id: int) -> Path:
         return self.root / shard_filename(shard_id)
-
-    def temp_path(self, shard_id: int) -> Path:
-        """Private temp name for this process; published via ``os.replace``."""
-        return self.root / f"{shard_filename(shard_id)}.tmp{os.getpid()}"
 
     # -- progress ------------------------------------------------------
 

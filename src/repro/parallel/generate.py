@@ -70,10 +70,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.obs import NULL_REGISTRY, peak_rss_mb
-from repro.crawler.arrayfile import read_arrays, write_arrays
-from repro.crawler.storage import COLUMN_LAYOUT, DatasetCache
+from repro.crawler.arrayfile import read_arrays, staging_path, write_arrays
+from repro.crawler.storage import DatasetCache
 from repro.parallel.checkpoint import RunCheckpoint, shard_filename
-from repro.parallel.merge import stream_merge_shards
+from repro.parallel.merge import stream_merge_shards, write_shard_file
 from repro.parallel.faults import (
     PERSIST_FAULT_KINDS,
     PipelineFault,
@@ -161,8 +161,9 @@ def _write_shard(
     """Generate one shard's days and write them to a shard file.
 
     The one shard writer: pool workers, the in-process fallback and the
-    degraded mode all produce their shards here.  The file is written
-    under a ``.tmp<pid>`` name — the parent promotes it with
+    degraded mode all produce their shards here, through
+    :func:`~repro.parallel.merge.write_shard_file`.  The file is written
+    under its staging name (``.tmp<pid>``) — the parent promotes it with
     ``os.replace`` (directly, or through the run checkpoint), so a worker
     killed mid-write can never leave a plausible-looking shard file
     behind.  Returns ``(shard_id, temp_path, seconds)``, the seconds
@@ -172,13 +173,8 @@ def _write_shard(
     started = time.perf_counter()
     day_columns = [generate_day_columns(context, day) for day in spec.days()]
     seconds = time.perf_counter() - started
-    arrays = {
-        f"{position:03d}/{field}": getattr(columns, field)
-        for position, columns in enumerate(day_columns)
-        for field, _dtype in COLUMN_LAYOUT
-    }
-    temp = Path(out_dir) / f"{shard_filename(spec.shard_id)}.tmp{os.getpid()}"
-    write_arrays(temp, arrays, meta={"n_days": len(day_columns)})
+    temp = staging_path(Path(out_dir) / shard_filename(spec.shard_id))
+    write_shard_file(temp, day_columns)
     return spec.shard_id, str(temp), seconds
 
 

@@ -45,17 +45,17 @@ from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.crawler.arrayfile import ArrayEntry, ArrayFileWriter, read_array_index
-from repro.crawler.dataset import BroadcastDataset
-from repro.crawler.storage import (
-    COLUMN_LAYOUT,
-    column_length,
-    load_dataset_mapped,
-    mapped_dataset_meta,
+from repro.crawler.arrayfile import (
+    ArrayEntry,
+    ArrayFileWriter,
+    read_array_index,
+    write_arrays,
 )
+from repro.crawler.dataset import BroadcastColumns, BroadcastDataset, column_schema
+from repro.crawler.storage import load_dataset_mapped, mapped_dataset_meta
 from repro.workload.trace import TraceConfig
 
-__all__ = ["STREAM_CHUNK_BYTES", "stream_merge_shards"]
+__all__ = ["STREAM_CHUNK_BYTES", "stream_merge_shards", "write_shard_file"]
 
 PathLike = Union[str, Path]
 
@@ -66,13 +66,35 @@ PathLike = Union[str, Path]
 STREAM_CHUNK_BYTES = 32 << 20
 
 
+def _day_array_name(position: int, field: str) -> str:
+    """A shard file's array of ``field`` for its ``position``-th day."""
+    return f"{position:03d}/{field}"
+
+
+def write_shard_file(path: PathLike, day_columns: Sequence[BroadcastColumns]) -> None:
+    """Write one shard's day batches in the layout the merge reads.
+
+    Each day's columns become ``NNN/<field>`` arrays (``NNN`` the day's
+    position in the shard), and the meta records ``n_days``.
+    """
+    write_arrays(
+        path,
+        {
+            _day_array_name(position, field): array
+            for position, columns in enumerate(day_columns)
+            for field, array in columns.arrays().items()
+        },
+        meta={"n_days": len(day_columns)},
+    )
+
+
 def _shard_day_entries(
     path: Path, field: str, index: dict[str, ArrayEntry], n_days: int
 ) -> list[ArrayEntry]:
     """``field``'s per-day entries of one shard file, in day order."""
     entries = []
     for position in range(n_days):
-        name = f"{position:03d}/{field}"
+        name = _day_array_name(position, field)
         entry = index.get(name)
         if entry is None:
             raise ValueError(f"{path}: shard file is missing array {name!r}")
@@ -162,12 +184,10 @@ def stream_merge_shards(
             f"{config.growth.days}; pass every shard of the run in order"
         )
 
+    schema = column_schema(total_rows, total_viewers)
     writer = ArrayFileWriter(
         out_path,
-        [
-            (field, dtype, (column_length(field, total_rows, total_viewers),))
-            for field, dtype in COLUMN_LAYOUT
-        ],
+        schema,
         meta=mapped_dataset_meta(
             config.app_name, config.growth.days, total_rows, total_viewers
         ),
@@ -179,7 +199,7 @@ def stream_merge_shards(
         with ExitStack() as stack:
             handles = [stack.enter_context(path.open("rb")) for path, _, _ in shards]
             last_start_time = -np.inf
-            for field, _dtype in COLUMN_LAYOUT:
+            for field, _dtype, _shape in schema:
                 if field == "broadcast_id":
                     # Generated, not copied: the global re-key is just 1..N.
                     _append_ranges(writer, field, 1, total_rows)

@@ -36,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.social.graph import CompiledGraph
-
-#: Packed-pair encoding shared with :meth:`CompiledGraph.from_packed_keys`:
-#: ``(a, b)`` sorts as the int64 ``a << 32 | b``.
-_PAIR_SHIFT = 32
-_PAIR_MASK = np.int64((1 << _PAIR_SHIFT) - 1)
+from repro.social.graph import _PACK_MASK, _PACK_SHIFT, CompiledGraph
 
 #: Vectorized generation processes arriving nodes in chunks of
 #: ``max(_MIN_CHUNK, prefix * _CHUNK_FRACTION)``: small enough that the
@@ -302,14 +297,14 @@ def generate_edge_keys(
         # collide with).  Canonical order: sorted by (owner, target) —
         # realized as one packed-key sort instead of a lexsort.
         kept = targets >= 0
-        pair_keys = np.left_shift(owner_rel[kept], _PAIR_SHIFT)
+        pair_keys = np.left_shift(owner_rel[kept], _PACK_SHIFT)
         np.bitwise_or(pair_keys, targets[kept], out=pair_keys)
         pair_keys.sort()
         first = np.ones(len(pair_keys), dtype=bool)
         first[1:] = pair_keys[1:] != pair_keys[:-1]
         unique_keys = pair_keys[first]
-        edge_src = np.right_shift(unique_keys, _PAIR_SHIFT) + prefix
-        edge_dst = np.bitwise_and(unique_keys, _PAIR_MASK)
+        edge_src = np.right_shift(unique_keys, _PACK_SHIFT) + prefix
+        edge_dst = np.bitwise_and(unique_keys, _PACK_MASK)
 
         reciprocated = rng.random(len(edge_src)) < RECIPROCATION_PROB
         new_rec_src = edge_dst[reciprocated]
@@ -330,11 +325,11 @@ def generate_edge_keys(
     # in source order, then the reciprocated ones.
     n_fwd, n_rec = fwd_dst.length, rec_src.length
     keys = np.empty(n_fwd + n_rec, dtype=np.int64)
-    fwd_src_halves = np.left_shift(np.arange(n, dtype=np.int64), _PAIR_SHIFT)
+    fwd_src_halves = np.left_shift(np.arange(n, dtype=np.int64), _PACK_SHIFT)
     np.bitwise_or(
         np.repeat(fwd_src_halves, fwd_out_counts), fwd_dst.view(), out=keys[:n_fwd]
     )
-    np.left_shift(rec_src.view(), _PAIR_SHIFT, out=keys[n_fwd:])
+    np.left_shift(rec_src.view(), _PACK_SHIFT, out=keys[n_fwd:])
     np.bitwise_or(keys[n_fwd:], rec_dst.view(), out=keys[n_fwd:])
     return keys
 
@@ -345,4 +340,4 @@ def key_in_degrees(keys: np.ndarray, minlength: int) -> np.ndarray:
     One ``np.bincount`` of the keys' followee halves; pass ``minlength``
     to cover node indices past the largest followee (they read 0).
     """
-    return np.bincount(np.bitwise_and(keys, _PAIR_MASK), minlength=minlength)
+    return np.bincount(np.bitwise_and(keys, _PACK_MASK), minlength=minlength)

@@ -16,11 +16,13 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-#: Edge packing for CSR compilation: an edge ``(src, dst)`` becomes the
-#: single int64 ``src << 32 | dst``, so lexicographic ``(src, dst)`` order
-#: equals numeric key order and one ``np.sort`` of keys replaces a
-#: two-pass ``np.lexsort`` plus a gather.  Valid whenever node indices fit
-#: 31 bits (2.1B nodes — far above the paper's 12M).
+#: The packed edge key: an edge ``(src, dst)`` becomes the single int64
+#: ``src << 32 | dst``, so lexicographic ``(src, dst)`` order equals
+#: numeric key order and one ``np.sort`` of keys replaces a two-pass
+#: ``np.lexsort`` plus a gather.  The generator
+#: (:mod:`repro.social.generation`) emits its edges in this encoding.
+#: Valid whenever node indices fit 31 bits (2.1B nodes — far above the
+#: paper's 12M).
 _PACK_SHIFT = 32
 _PACK_MASK = np.int64((1 << _PACK_SHIFT) - 1)
 _PACK_MAX_NODES = 1 << 31

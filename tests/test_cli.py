@@ -287,7 +287,7 @@ class TestTraceTarget:
     ):
         """Ctrl-C prints checkpoint progress and the resume command."""
         import repro.cli as cli_module
-        from repro.crawler.arrayfile import write_arrays
+        from repro.crawler.arrayfile import staging_path, write_arrays
         from repro.parallel import RunCheckpoint, plan_shards
 
         run_dir = tmp_path / "run"
@@ -299,7 +299,7 @@ class TestTraceTarget:
             import numpy as np
 
             for shard_id in (0, 1):
-                temp = checkpoint.temp_path(shard_id)
+                temp = staging_path(checkpoint.shard_path(shard_id))
                 write_arrays(temp, {"x": np.arange(4, dtype=np.int64)})
                 checkpoint.publish_shard(shard_id, temp)
             raise KeyboardInterrupt

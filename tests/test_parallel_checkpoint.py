@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.crawler.arrayfile import read_arrays, write_arrays
+from repro.crawler.arrayfile import read_arrays, staging_path, write_arrays
 from repro.crawler.storage import dataset_to_bytes
 from repro.obs import MetricsRegistry
 from repro.parallel import (
@@ -120,7 +120,7 @@ class TestRunCheckpoint:
         return plan_shards(8, shards=shards, workers=1)
 
     def _valid_shard(self, checkpoint: RunCheckpoint, shard_id: int):
-        temp = checkpoint.temp_path(shard_id)
+        temp = staging_path(checkpoint.shard_path(shard_id))
         write_arrays(temp, {"x": np.arange(16, dtype=np.int64)}, meta={"n_days": 1})
         checkpoint.publish_shard(shard_id, temp)
 

@@ -115,7 +115,12 @@ GONE_EXPORTS = {
 #: Second copies deleted outright, with no alias left: module -> names.
 GONE_ATTRIBUTES = {
     "repro.social.graph": ["FollowGraph", "AnyFollowGraph"],
-    "repro.social.generation": ["generate_follow_graph_compiled"],
+    # One packed edge key, in repro.social.graph.
+    "repro.social.generation": [
+        "generate_follow_graph_compiled",
+        "_PAIR_SHIFT",
+        "_PAIR_MASK",
+    ],
     "repro.social.metrics": ["_compiled"],
     "repro.service.store": ["DEFAULT_N_SHARDS", "RegionCache"],
     "repro.service.frontend": ["DEFAULT_SERVICE_TIMES_S"],
@@ -137,7 +142,13 @@ GONE_ATTRIBUTES = {
     "repro.workload.arrivals": ["SECONDS_PER_DAY"],
     "repro.overlay.tree": ["nearest_pop"],
     "repro.lint.sanitizer": ["active_sanitizer_note", "sanitized"],
-    "repro.crawler.storage": ["save_traces", "load_traces"],
+    # One column schema, in repro.crawler.dataset.
+    "repro.crawler.storage": [
+        "save_traces",
+        "load_traces",
+        "COLUMN_LAYOUT",
+        "column_length",
+    ],
     "repro.core.playback": ["_STRATEGIES", "_simulate_fixed"],
     "repro.simulation.engine": ["Event", "EventQueue"],
     "repro.simulation.rate_limit": ["RateLimitExceeded"],
@@ -153,6 +164,13 @@ GONE_ATTRIBUTES = {
     "repro.experiments.fig17": ["CHUNK_DURATION_S", "VIEWER_POLL_INTERVAL_S"],
 }
 
+#: Names moved to another module: old module -> {name: new home}.  The old
+#: module may import the name from its home, but must not define it again.
+MOVED_ATTRIBUTES = {
+    # One staging-file convention, in repro.crawler.arrayfile.
+    "repro.crawler.storage": {"sweep_stale_temps": "repro.crawler.arrayfile"},
+}
+
 #: Methods, properties and fields deleted from a class: "module:Class" -> names.
 GONE_MEMBERS = {
     "repro.workload.broadcast_model:BroadcastParamsModel": [
@@ -164,7 +182,9 @@ GONE_MEMBERS = {
     ],
     "repro.client.network:LastMileLink": ["serialization_s_per_kb"],
     "repro.client.viewer_client:HlsViewerClient": ["chunk_kb"],
-    "repro.parallel.checkpoint:RunCheckpoint": ["is_done", "total_shards"],
+    "repro.parallel.checkpoint:RunCheckpoint": ["is_done", "total_shards", "temp_path"],
+    # Columns take their dtypes from COLUMN_LAYOUT.
+    "repro.crawler.dataset:BroadcastColumns": ["_INT_FIELDS", "_FLOAT_FIELDS"],
     "repro.cdn.fastly:FastlyEdge": ["breaker_for", "render_playlist"],
     "repro.service.frontend:ServiceFrontend": ["in_flight"],
     # Serving knobs only tests set are module constants now.
@@ -288,6 +308,8 @@ GONE_PARAMETERS = {
     "repro.social.graph:CompiledGraph.from_packed_keys": ["validate"],
     "repro.workload.trace:build_trace_context": ["graph"],
     "repro.workload.arrivals:daily_arrival_times": ["weights"],
+    # The window nothing read back; apply_downtime only drops rows.
+    "repro.crawler.dataset:BroadcastDataset": ["downtime"],
 }
 
 
@@ -365,6 +387,13 @@ class TestPublicApi:
         module = importlib.import_module(module_name)
         for name in GONE_ATTRIBUTES[module_name]:
             assert not hasattr(module, name), f"{module_name}.{name}"
+
+    @pytest.mark.parametrize("module_name", sorted(MOVED_ATTRIBUTES))
+    def test_moved_names_have_one_home(self, module_name):
+        module = importlib.import_module(module_name)
+        for name, home in MOVED_ATTRIBUTES[module_name].items():
+            defined = getattr(importlib.import_module(home), name)
+            assert getattr(module, name, defined) is defined, f"{module_name}.{name}"
 
     @pytest.mark.parametrize("owner", sorted(GONE_MEMBERS))
     def test_deleted_members_are_gone(self, owner):

@@ -68,33 +68,17 @@ def reference_bytes(tmp_path_factory) -> bytes:
     return _mapped_bytes(_oracle(_config()), path)
 
 
-@pytest.fixture(scope="module")
-def shared_cache_dir(tmp_path_factory):
-    """One cache dir for the whole matrix, so the graph cache stays warm.
-
-    The dataset cache key excludes shards/workers (they are
-    output-invariant), so every matrix cell would hit the previous
-    cell's entry — each test deletes the ``trace-*`` entries first and
-    keeps only the ``graph-*`` files.
-    """
-    return tmp_path_factory.mktemp("cache")
-
-
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("shards", [1, 4, 13])
 def test_streamed_entry_byte_identical_across_matrix(
-    shards, workers, reference_bytes, shared_cache_dir
+    shards, workers, reference_bytes, tmp_path
 ):
-    for stale in shared_cache_dir.glob("trace-*"):
-        stale.unlink()
     config = _config(shards=shards, workers=workers)
     registry = MetricsRegistry()
-    generate_trace(
-        config, cache_dir=shared_cache_dir, cache_format="mmap", registry=registry
-    )
+    generate_trace(config, cache_dir=tmp_path, cache_format="mmap", registry=registry)
     snapshot = registry.snapshot()
     assert snapshot["gauges"]["trace.merge_streamed"]["value"] == 1.0
-    entry = DatasetCache(shared_cache_dir, fmt="mmap").path_for(config.cache_key())
+    entry = DatasetCache(tmp_path, fmt="mmap").path_for(config.cache_key())
     assert entry.read_bytes() == reference_bytes
 
 

@@ -109,6 +109,10 @@ COLUMN_LAYOUT: tuple[tuple[str, str], ...] = (
     ("viewer_ids", "<i8"),
 )
 
+#: Rows a dataset's iterator materializes at a time, so a row-by-row
+#: consumer (the JSONL writer) holds one window of records, not them all.
+ITER_WINDOW_ROWS = 4096
+
 #: The row-aligned columns: one entry per broadcast (all but the viewer CSR).
 _ROW_COLUMNS = tuple(
     name for name, _ in COLUMN_LAYOUT if name not in ("viewer_indptr", "viewer_ids")
@@ -204,18 +208,20 @@ class BroadcastColumns:
             viewer_ids=np.concatenate(viewer_ids) if viewer_ids else (),
         )
 
-    def to_records(self) -> list[BroadcastRecord]:
-        """Materialize one :class:`BroadcastRecord` per row.
+    def to_records(self, start: int = 0, stop: Optional[int] = None) -> list[BroadcastRecord]:
+        """Materialize one :class:`BroadcastRecord` per row of ``[start, stop)``
+        (every row by default).
 
         All scalar fields are converted to native Python types (via
         ``tolist``) so the records serialize exactly like ones built row
         by row.
         """
-        values = {name: getattr(self, name).tolist() for name in _ROW_COLUMNS}
+        stop = len(self) if stop is None else min(stop, len(self))
+        values = {name: getattr(self, name)[start:stop].tolist() for name in _ROW_COLUMNS}
         values["app_name"] = repeat(self.app_name)
         values["viewer_ids"] = [
-            self.viewer_ids[start:end]
-            for start, end in pairwise(self.viewer_indptr.tolist())
+            self.viewer_ids[begin:end]
+            for begin, end in pairwise(self.viewer_indptr[start : stop + 1].tolist())
         ]
         # Positional construction, in the record's own field order.
         rows = zip(*(values[field.name] for field in fields(BroadcastRecord)))
@@ -292,7 +298,7 @@ class BroadcastDataset:
 
     The rows live in :attr:`columns`; every aggregate is an array
     reduction over them.  Iterating yields :class:`BroadcastRecord` rows,
-    materialized on demand — the only row view.
+    materialized :data:`ITER_WINDOW_ROWS` at a time — the only row view.
     """
 
     def __init__(self, app_name: str, days: int, columns: BroadcastColumns) -> None:
@@ -311,7 +317,8 @@ class BroadcastDataset:
         return len(self.columns)
 
     def __iter__(self) -> Iterator[BroadcastRecord]:
-        return iter(self.columns.to_records())
+        for start in range(0, len(self), ITER_WINDOW_ROWS):
+            yield from self.columns.to_records(start, start + ITER_WINDOW_ROWS)
 
     # -- aggregate statistics (Table 1) ---------------------------------
 

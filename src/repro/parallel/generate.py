@@ -90,13 +90,16 @@ from repro.workload.trace import (
     WorkloadTrace,
     build_follow_graph,
     build_trace_context,
+    draw_pools,
     generate_day_columns,
 )
 
 #: Below this expected per-worker broadcast volume a process pool costs
-#: more than it saves, so generation stays in-process.  Read at call
-#: time, so tests and the chaos smoke patch it to ``0`` to force the pool.
-MIN_BROADCASTS_PER_WORKER = 20_000
+#: more than it saves, so generation stays in-process.  A core generates
+#: ~400K broadcasts/s, so a share this size is ~0.1 s of work, the order
+#: of the pool's own start-up.  Read at call time, so tests and the chaos
+#: smoke patch it to ``0`` to force the pool.
+MIN_BROADCASTS_PER_WORKER = 50_000
 
 #: Per-shard retry budget: a shard may fail this many times (worker
 #: exception, killed worker, blown deadline) before the run errors out.
@@ -130,6 +133,8 @@ _CONTEXT_ARRAY_FIELDS = (
     "viewer_ids",
     "broadcaster_cdf",
     "viewer_cdf",
+    "broadcaster_guide",
+    "viewer_guide",
     "follower_counts",
 )
 
@@ -556,15 +561,15 @@ def generate_trace(
     if dataset is not None:
         registry.counter("trace.cache_hits", "dataset cache hits").inc()
         # Pools draw from their own substream, so skipping the graph
-        # changes nothing about them; follower counts are only consumed
-        # by generation, which a hit bypasses.
-        context = build_trace_context(config, None)
+        # changes nothing about them; the rest of the context is only
+        # consumed by generation, which a hit bypasses.
+        broadcaster_ids, viewer_ids = draw_pools(config)
         return WorkloadTrace(
             config=config,
             dataset=dataset,
             graph=lambda: _compile_graph(config),
-            broadcaster_ids=context.broadcaster_ids,
-            viewer_ids=context.viewer_ids,
+            broadcaster_ids=broadcaster_ids,
+            viewer_ids=viewer_ids,
         )
 
     if cache is not None:

@@ -75,3 +75,43 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks**-exponent
     return weights / weights.sum()
+
+
+def guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen & Asau's guide table for exact inverse-CDF draws from ``cdf``.
+
+    ``cdf`` is non-decreasing, starts at or above 0 and ends at exactly
+    1.0.  The table splits ``[0, 1)`` into ``K`` equal buckets, ``K`` the
+    least power of two of at least ``2 * len(cdf)``: entry ``j < K`` is
+    ``#{cdf < j / K}``, the index a draw in bucket ``j`` starts its search
+    from.  The one extra entry ``K`` is the pass count
+    :func:`guide_draw` runs: the most ``cdf`` entries any bucket holds.
+    Built in O(N + K); scaling by a power of two is exact, so each
+    entry's bucket is exact too.
+    """
+    n = len(cdf)
+    if n == 0 or cdf[0] < 0 or cdf[-1] != 1.0:
+        raise ValueError("cdf must be non-empty, start at >= 0 and end at exactly 1.0")
+    k = 1 << (2 * n - 1).bit_length()
+    # Entry i lands in bucket floor(cdf[i] * K), so it counts toward every
+    # table entry past that bucket: one bincount, one cumsum.
+    bins = (cdf * k).astype(np.int64) + 1
+    table = np.cumsum(np.bincount(bins, minlength=k + 2)[: k + 1])
+    # table[K] is now #{cdf < 1}, the end of the last bucket.
+    table[k] = np.diff(table).max()
+    return table
+
+
+def guide_draw(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for every ``u`` in ``[0, 1)``, in O(1) each.
+
+    ``table`` is :func:`guide_table` of ``cdf``.  A draw starts at its
+    bucket's first index and steps past every entry below ``u``: the
+    answer lies in the bucket, so the table's pass count always suffices,
+    and an index never passes ``len(cdf) - 1``, whose entry is 1.0.
+    """
+    k = len(table) - 1
+    index = table[(u * k).astype(np.int64)]
+    for _ in range(int(table[k])):
+        index += cdf[index] < u
+    return index

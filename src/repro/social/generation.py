@@ -117,7 +117,7 @@ def _chunk_targets(
     prefix: int,
     pool: np.ndarray,
     fwd_indptr: np.ndarray,
-    fwd_indices: np.ndarray,
+    fwd_keys: np.ndarray,
     rec_indptr: np.ndarray,
     rec_indices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +126,8 @@ def _chunk_targets(
     ``wanted[i]`` edges are drawn for chunk-relative node ``i``; all
     targets come from the ``prefix`` snapshot (nodes ``< prefix``), whose
     adjacency is split into a forward CSR (edges drawn on arrival, grouped
-    by source with no sorting needed) and a reciprocation CSR.
+    by source with no sorting needed, stored as their packed keys) and a
+    reciprocation CSR.
     Returns ``(owner_rel, target)`` with dropped triadic draws marked -1.
     """
     # owner_rel = repeat(arange(len(wanted)), wanted), built with a
@@ -185,7 +186,7 @@ def _chunk_targets(
                 position = rng.integers(0, via_degree)
                 in_fwd = position < fwd_degree
                 closed = np.empty(n_via, dtype=np.int64)
-                closed[in_fwd] = fwd_indices[(fwd_indptr[via] + position)[in_fwd]]
+                closed[in_fwd] = fwd_keys[(fwd_indptr[via] + position)[in_fwd]] & _PACK_MASK
                 closed[~in_fwd] = rec_indices[
                     (rec_indptr[via] + position - fwd_degree)[~in_fwd]
                 ]
@@ -196,9 +197,9 @@ def _chunk_targets(
                     position = rng.integers(0, via_degree[closable])
                     in_fwd = position < fwd_degree[closable]
                     picked = np.empty(n_closable, dtype=np.int64)
-                    picked[in_fwd] = fwd_indices[
-                        (fwd_indptr[via_ok] + position)[in_fwd]
-                    ]
+                    picked[in_fwd] = (
+                        fwd_keys[(fwd_indptr[via_ok] + position)[in_fwd]] & _PACK_MASK
+                    )
                     picked[~in_fwd] = rec_indices[
                         (rec_indptr[via_ok] + position - fwd_degree[closable])[~in_fwd]
                     ]
@@ -240,9 +241,10 @@ def generate_edge_keys(
     against the prefix snapshot and deduplicated with one packed-key sort.
     The snapshot adjacency is kept in two parts so no per-chunk re-sort of
     the full edge set is needed: forward edges arrive already grouped by
-    source (each node's batch lands in exactly one chunk), and only the
-    small reciprocated set (~``RECIPROCATION_PROB`` of edges) is re-sorted
-    as it grows.  Edge uniqueness across chunks is structural — forward
+    source (each node's batch lands in exactly one chunk), and each
+    chunk's reciprocated edges (~``RECIPROCATION_PROB`` of its edges) are
+    sorted on their own and merged into the reciprocated set's grouping.
+    Edge uniqueness across chunks is structural — forward
     edges always point from a brand-new node into the prefix, and
     reciprocation edges point back at a node that cannot have been
     targeted before — so no global dedup pass is needed.
@@ -254,18 +256,23 @@ def generate_edge_keys(
     expected_edges = int(out_degrees.sum()) + len(seed_src)
 
     # Forward adjacency: sources arrive in ascending order, so the CSR is
-    # the targets plus a cumsum of per-source counts — never sorted, and
-    # the sources themselves are never stored.
-    fwd_dst = _GrowBuffer(expected_edges)
-    fwd_out_counts = np.zeros(n, dtype=np.int64)
-    fwd_dst.append(seed_dst)
-    fwd_out_counts[:SEED_NODES] = SEED_NODES - 1
+    # the edges' packed keys (the returned keys' forward part) plus an
+    # indptr extended by each chunk's counts — never sorted.
+    fwd_keys = _GrowBuffer(expected_edges)
+    fwd_keys.append(np.left_shift(seed_src, _PACK_SHIFT) | seed_dst)
+    fwd_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seed_src), out=fwd_indptr[1 : SEED_NODES + 1])
 
-    # Reciprocated edges land on arbitrary old sources; kept separately
-    # and re-sorted per chunk (a small, geometrically growing set).
+    # Reciprocated edges land on arbitrary old sources.  The buffers keep
+    # them in arrival order (the order of the returned keys); the CSR the
+    # triadic draws read groups them by source, and each chunk's new edges
+    # are merged in at their sources' block ends — the order a stable sort
+    # of every reciprocated edge by source gives.
     rec_capacity = int(expected_edges * RECIPROCATION_PROB * 1.1) + 64
     rec_src = _GrowBuffer(rec_capacity)
     rec_dst = _GrowBuffer(rec_capacity)
+    rec_indptr = np.zeros(n + 1, dtype=np.int64)
+    rec_indices = np.empty(0, dtype=np.int64)
 
     # In-degree-proportional sampling pool: each followee once per
     # in-edge, i.e. every forward dst plus every reciprocated dst —
@@ -273,23 +280,15 @@ def generate_edge_keys(
     pool = _GrowBuffer(expected_edges + 2 * rec_capacity)
     pool.append(seed_dst)
 
-    fwd_indptr = np.zeros(n + 1, dtype=np.int64)
-    rec_indptr = np.zeros(n + 1, dtype=np.int64)
-
     prefix = SEED_NODES
     while prefix < n:
         chunk = min(n - prefix, max(_MIN_CHUNK, int(prefix * _CHUNK_FRACTION)))
         end = prefix + chunk
 
-        np.cumsum(fwd_out_counts, out=fwd_indptr[1:])
-        rec_order = np.argsort(rec_src.view(), kind="stable")
-        rec_indices = rec_dst.view()[rec_order]
-        np.cumsum(np.bincount(rec_src.view(), minlength=n), out=rec_indptr[1:])
-
         wanted = np.minimum(out_degrees[prefix:end], prefix)
         owner_rel, targets = _chunk_targets(
             rng, wanted, prefix, pool.view(),
-            fwd_indptr, fwd_dst.view(), rec_indptr, rec_indices,
+            fwd_indptr, fwd_keys.view(), rec_indptr, rec_indices,
         )
 
         # Dedup per owner (targets < prefix <= owner, so self-follows are
@@ -310,25 +309,30 @@ def generate_edge_keys(
         new_rec_src = edge_dst[reciprocated]
         new_rec_dst = edge_src[reciprocated]
 
-        fwd_dst.append(edge_dst)
-        fwd_out_counts[prefix:end] = np.bincount(
-            edge_src - prefix, minlength=chunk
-        )
+        fwd_keys.append(unique_keys + (prefix << _PACK_SHIFT))
+        chunk_indptr = fwd_indptr[prefix + 1 : end + 1]
+        np.cumsum(np.bincount(edge_src - prefix, minlength=chunk), out=chunk_indptr)
+        chunk_indptr += fwd_indptr[prefix]
         rec_src.append(new_rec_src)
         rec_dst.append(new_rec_dst)
         pool.append(edge_dst)
         pool.append(new_rec_dst)
+        if end < n:  # the last chunk's edges feed no later draw
+            order = np.argsort(new_rec_src, kind="stable")
+            rec_indices = np.insert(
+                rec_indices, rec_indptr[new_rec_src[order] + 1], new_rec_dst[order]
+            )
+            rec_indptr[prefix + 1 : end + 1] = rec_indptr[prefix]
+            rec_indptr[1 : end + 1] += np.cumsum(np.bincount(new_rec_src, minlength=end))
         prefix = end
-    del pool  # every draw is done; free it before the key buffer exists
+    # Every draw is done; free the snapshot before the key buffer exists.
+    del pool, rec_indices
 
-    # Pack (src, dst) pairs straight into one key buffer — forward edges
-    # in source order, then the reciprocated ones.
-    n_fwd, n_rec = fwd_dst.length, rec_src.length
+    # One key buffer: forward edges in source order, then the reciprocated
+    # ones packed in place.
+    n_fwd, n_rec = fwd_keys.length, rec_src.length
     keys = np.empty(n_fwd + n_rec, dtype=np.int64)
-    fwd_src_halves = np.left_shift(np.arange(n, dtype=np.int64), _PACK_SHIFT)
-    np.bitwise_or(
-        np.repeat(fwd_src_halves, fwd_out_counts), fwd_dst.view(), out=keys[:n_fwd]
-    )
+    keys[:n_fwd] = fwd_keys.view()
     np.left_shift(rec_src.view(), _PACK_SHIFT, out=keys[n_fwd:])
     np.bitwise_or(keys[n_fwd:], rec_dst.view(), out=keys[n_fwd:])
     return keys

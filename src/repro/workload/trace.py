@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.crawler.dataset import SECONDS_PER_DAY, BroadcastColumns, BroadcastDataset
-from repro.simulation.distributions import zipf_weights
+from repro.simulation.distributions import guide_draw, guide_table, zipf_weights
 from repro.simulation.randomness import RandomStreams, substream_seed
 from repro.social.generation import FollowGraphConfig, generate_edge_keys, key_in_degrees
 from repro.social.graph import CompiledGraph
@@ -223,6 +223,8 @@ class ShardContext:
     viewer_ids: np.ndarray
     broadcaster_cdf: np.ndarray
     viewer_cdf: np.ndarray
+    broadcaster_guide: np.ndarray  # guide_table(broadcaster_cdf)
+    viewer_guide: np.ndarray  # guide_table(viewer_cdf)
     follower_counts: np.ndarray  # aligned with broadcaster_ids
     audience_cap: int
 
@@ -243,39 +245,59 @@ def build_follow_graph(config: TraceConfig) -> Optional[np.ndarray]:
     return generate_edge_keys(graph_config, streams.get("graph"))
 
 
+def _activity_cdf(n: int, exponent: float) -> np.ndarray:
+    """CDF of Zipf activity over ``n`` pool slots, ending at exactly 1.0.
+
+    The running sum can end a few ulps below 1 (Periscope's viewer CDF
+    reads 0.999999999999999 at scale 0.001), and a draw past its end would
+    pick slot ``n``, which does not exist.  Pinning the last entry moves
+    no draw below the old end.
+    """
+    cdf = np.cumsum(zipf_weights(n, exponent))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def draw_pools(config: TraceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The broadcaster and viewer pools, as user IDs.
+
+    Draws only from the ``trace/{app}/pools`` substream, so the pools are
+    the same whether or not the graph and the days are generated: a
+    dataset-cache hit reads them without the rest of the context.
+    """
+    rng = RandomStreams(config.seed).get(f"trace/{config.app_name}/pools")
+    user_ids = np.arange(1, config.total_users + 1, dtype=np.int64)
+    # Broadcaster and viewer pools are (possibly overlapping) subsets
+    # of the user population.
+    broadcaster_ids = rng.choice(user_ids, size=config.broadcaster_pool, replace=False)
+    viewer_ids = rng.choice(user_ids, size=config.viewer_pool, replace=False)
+    return broadcaster_ids, viewer_ids
+
+
 def build_trace_context(
     config: TraceConfig, edge_keys: Optional[np.ndarray]
 ) -> ShardContext:
     """Deterministic per-run precompute: pools, activity CDFs, follower counts.
 
-    Draws only from the ``trace/{app}/pools`` substream, so the context is
-    identical no matter how generation is later scheduled.  ``edge_keys``
-    (from :func:`build_follow_graph`) supply the follower counts; with
-    ``None`` every broadcaster has 0 followers (Meerkat, or a cache hit
-    that needs only the pools).  The keys are read, not kept.
+    Draws only from the ``trace/{app}/pools`` substream (:func:`draw_pools`),
+    so the context is identical no matter how generation is later
+    scheduled.  ``edge_keys`` (from :func:`build_follow_graph`) supply the
+    follower counts; with ``None`` every broadcaster has 0 followers
+    (Meerkat).  The keys are read, not kept.
     """
-    streams = RandomStreams(config.seed)
-    rng = streams.get(f"trace/{config.app_name}/pools")
-
-    total_users = config.total_users
-    user_ids = np.arange(1, total_users + 1, dtype=np.int64)
-
-    # Broadcaster and viewer pools are (possibly overlapping) subsets
-    # of the user population.
-    broadcaster_ids = rng.choice(user_ids, size=config.broadcaster_pool, replace=False)
-    viewer_ids = rng.choice(user_ids, size=config.viewer_pool, replace=False)
+    broadcaster_ids, viewer_ids = draw_pools(config)
 
     if edge_keys is None:
         follower_counts = np.zeros(len(broadcaster_ids), dtype=np.int64)
     else:
         # User ID k reads node k's in-degree.  User IDs run 1..N but nodes
         # 0..N-1, so the extra slot N (no node, count 0) serves user N.
-        in_degrees = key_in_degrees(edge_keys, minlength=total_users + 1)
+        in_degrees = key_in_degrees(edge_keys, minlength=config.total_users + 1)
         follower_counts = in_degrees[broadcaster_ids]
 
-    # Per-user activity skew: precompute CDFs for inverse sampling.
-    broadcaster_cdf = np.cumsum(zipf_weights(len(broadcaster_ids), BROADCASTER_ZIPF))
-    viewer_cdf = np.cumsum(zipf_weights(len(viewer_ids), VIEWER_ZIPF))
+    # Per-user activity skew: CDFs and their guide tables for inverse sampling.
+    broadcaster_cdf = _activity_cdf(len(broadcaster_ids), BROADCASTER_ZIPF)
+    viewer_cdf = _activity_cdf(len(viewer_ids), VIEWER_ZIPF)
 
     return ShardContext(
         config=config,
@@ -283,6 +305,8 @@ def build_trace_context(
         viewer_ids=viewer_ids,
         broadcaster_cdf=broadcaster_cdf,
         viewer_cdf=viewer_cdf,
+        broadcaster_guide=guide_table(broadcaster_cdf),
+        viewer_guide=guide_table(viewer_cdf),
         follower_counts=follower_counts,
         audience_cap=min(config.params.audience_cap, int(0.8 * len(viewer_ids))),
     )
@@ -311,7 +335,7 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     offsets = daily_arrival_times(rng, expected)
     n = len(offsets)
 
-    rank = np.searchsorted(context.broadcaster_cdf, rng.random(n))
+    rank = guide_draw(context.broadcaster_cdf, context.broadcaster_guide, rng.random(n))
     durations = params_model.sample_durations(rng, n)
     organic = np.minimum(params_model.sample_audiences(rng, n), context.audience_cap)
 
@@ -331,8 +355,8 @@ def generate_day_columns(context: ShardContext, day: int) -> BroadcastColumns:
     # Assign mobile views to registered viewers (Zipf-skewed activity).
     viewer_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(mobile_views, out=viewer_indptr[1:])
-    viewer_ranks = np.searchsorted(
-        context.viewer_cdf, rng.random(int(viewer_indptr[-1]))
+    viewer_ranks = guide_draw(
+        context.viewer_cdf, context.viewer_guide, rng.random(int(viewer_indptr[-1]))
     )
 
     return BroadcastColumns(

@@ -13,6 +13,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -188,3 +189,46 @@ class TestCodecBytesPinned:
         assert hashlib.sha256(gzip.decompress(data)).hexdigest() == payload_digest
         if zlib.ZLIB_RUNTIME_VERSION == DIGEST_ZLIB:
             assert hashlib.sha256(data).hexdigest() == gzip_digest
+
+
+class TestStreamedJsonl:
+    """Iteration, and so the JSONL writer, materializes one window of
+    records at a time (``ITER_WINDOW_ROWS``)."""
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_windows_keep_the_pinned_bytes(self, monkeypatch, window):
+        monkeypatch.setattr(dataset_module, "ITER_WINDOW_ROWS", window)
+        dataset = _fixed_dataset()
+        payload = gzip.decompress(dataset_to_bytes(dataset))
+        assert hashlib.sha256(payload).hexdigest() == CODEC_DIGESTS["jsonl"][1]
+        assert [r.broadcast_id for r in dataset] == [1, 2, 3]
+
+    def test_writer_memory_is_one_window(self):
+        rows = 10 * dataset_module.ITER_WINDOW_ROWS
+        rng = np.random.default_rng(0)
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(rng.integers(0, 4, rows), out=indptr[1:])
+        counts = {name: rng.integers(0, 1_000, rows) for name in (
+            "broadcaster_id", "web_views", "heart_count", "comment_count",
+            "commenter_count", "broadcaster_followers",
+        )}
+        dataset = BroadcastDataset("Periscope", 30, BroadcastColumns(
+            app_name="Periscope",
+            broadcast_id=np.arange(1, rows + 1),
+            start_time=np.arange(rows) * 60.0,
+            duration_s=rng.random(rows) * 600,
+            is_private=np.zeros(rows, dtype=bool),
+            viewer_indptr=indptr,
+            viewer_ids=rng.integers(1, 10**6, int(indptr[-1])),
+            **counts,
+        ))
+        tracemalloc.start()
+        try:
+            data = dataset_to_bytes(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output buffer, its copy, and a few MiB for one window of
+        # records: 4.2 MiB here, against 24 MiB when every record was
+        # built before the first line was written.
+        assert peak < 2 * len(data) + 6 * 2**20

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.distributions import (
     bounded_pareto,
+    guide_draw,
+    guide_table,
     lognormal_from_median,
     zipf_weights,
 )
@@ -95,3 +97,63 @@ class TestZipf:
             zipf_weights(0, 1.0)
         with pytest.raises(ValueError):
             zipf_weights(10, -1.0)
+
+
+def _monotone_cdf(n: int, seed: int, tie_prob: float, skew: float) -> np.ndarray:
+    """A random CDF over ``n`` entries ending at exactly 1.0: skewed
+    weights, each zeroed with ``tie_prob`` (a run of zeros is a run of
+    tied entries)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) ** skew
+    weights[rng.random(n) < tie_prob] = 0.0
+    weights[-1] = max(weights[-1], 1e-12)  # at least one positive weight
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _probes(cdf: np.ndarray, k: int) -> np.ndarray:
+    """Every draw that can land on a bucket or entry boundary: 0, the
+    largest double below 1, each ``j / K`` and each entry, with their
+    neighbours, all inside ``[0, 1)``."""
+    marks = np.concatenate([np.arange(k) / k, cdf])
+    below, above = np.nextafter(marks, 0.0), np.nextafter(marks, 2.0)
+    probes = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], marks, below, above])
+    return probes[(probes >= 0.0) & (probes < 1.0)]
+
+
+class TestGuideTable:
+    """``guide_draw`` is ``np.searchsorted(cdf, u)`` (side left), the oracle."""
+
+    @given(
+        n=st.integers(1, 100_000),
+        seed=st.integers(0, 2**32 - 1),
+        tie_prob=st.sampled_from([0.0, 0.3, 0.75]),
+        skew=st.sampled_from([1.0, 4.0, 12.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(n=1, seed=0, tie_prob=0.0, skew=1.0)
+    @example(n=100_000, seed=1, tie_prob=0.75, skew=12.0)
+    def test_draws_equal_searchsorted_at_every_boundary(self, n, seed, tie_prob, skew):
+        cdf = _monotone_cdf(n, seed, tie_prob, skew)
+        table = guide_table(cdf)
+        k = len(table) - 1
+        assert k >= 2 * n and k & (k - 1) == 0  # least power of two >= 2N
+        assert k < 4 * n
+        assert np.array_equal(table[:k], np.searchsorted(cdf, np.arange(k) / k))
+        u = _probes(cdf, k)
+        assert np.array_equal(guide_draw(cdf, table, u), np.searchsorted(cdf, u))
+
+    def test_pass_count_is_the_fullest_bucket(self):
+        # K = 16 buckets of 1/16: three entries in bucket 0, one in
+        # bucket 8; the final 1.0 lies past every bucket.
+        table = guide_table(np.array([0.0, 0.01, 0.02, 0.5, 1.0]))
+        assert len(table) - 1 == 16
+        assert table[-1] == 3
+
+    @pytest.mark.parametrize(
+        "cdf", [[], [0.2, 0.9], [-0.1, 1.0], [0.5, 1.0 + 1e-15]], ids=str
+    )
+    def test_rejects_a_cdf_not_ending_at_one(self, cdf):
+        with pytest.raises(ValueError):
+            guide_table(np.array(cdf, dtype=float))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -68,6 +69,21 @@ class TestGeneration:
         config = FollowGraphConfig(n_nodes=n_nodes)
         graph = generate_follow_graph(config, np.random.default_rng(seed))
         assert graph.edge_count == expected_edges
+
+    # SHA-256 of the trace graph's packed edge keys (little-endian int64,
+    # in generation order).  The triadic draws read the reciprocated CSR
+    # the generator keeps merged chunk by chunk, so a merge that drifts
+    # from the stable by-source order of every reciprocated edge moves
+    # these digests.
+    EDGE_KEY_PINS = [
+        (0.0005, 2016, "b94d77311fcb41eaedaf900c6242960110d9b0694a22a5eb1d3e59b465c8af9b"),
+        (0.002, 7, "8dec8123e15526c33d41a809548f8c9a66737104f2d36ab7c71e164e74ca29af"),
+    ]
+
+    @pytest.mark.parametrize("scale,seed,expected", EDGE_KEY_PINS)
+    def test_trace_edge_keys_pinned(self, scale, seed, expected):
+        keys = build_follow_graph(TraceConfig.periscope(scale=scale, seed=seed))
+        assert hashlib.sha256(keys.astype("<i8").tobytes()).hexdigest() == expected
 
     def test_config_validation(self, rng):
         with pytest.raises(ValueError):

@@ -17,7 +17,13 @@ from repro.workload.growth import (
     PERISCOPE_GROWTH,
     weekday_of_day,
 )
-from repro.workload.trace import TraceConfig
+from repro.simulation.distributions import guide_draw, zipf_weights
+from repro.workload.trace import (
+    BROADCASTER_ZIPF,
+    VIEWER_ZIPF,
+    TraceConfig,
+    build_trace_context,
+)
 
 
 @pytest.fixture
@@ -215,3 +221,30 @@ class TestTraceGenerator:
             TraceConfig(scale=0.0)
         with pytest.raises(ValueError):
             TraceConfig(scale=1.5)
+
+
+class TestActivityDraws:
+    """The Zipf activity samplers pick a real pool slot for every draw."""
+
+    @pytest.mark.parametrize(
+        "scale, pool, exponent",
+        [
+            (0.001, "viewer", VIEWER_ZIPF),  # the running sum ends at 1 - 1e-15
+            (0.05, "viewer", VIEWER_ZIPF),
+            (0.001, "broadcaster", BROADCASTER_ZIPF),
+        ],
+    )
+    def test_largest_draw_picks_the_last_slot(self, scale, pool, exponent):
+        context = build_trace_context(TraceConfig.periscope(scale=scale), None)
+        ids = getattr(context, f"{pool}_ids")
+        cdf = getattr(context, f"{pool}_cdf")
+        u = np.array([np.nextafter(1.0, 0.0)])
+        slot = guide_draw(cdf, getattr(context, f"{pool}_guide"), u)
+        assert slot.tolist() == [len(ids) - 1]
+        assert ids[slot].tolist() == [ids[-1]]
+        # Only the last entry is pinned to 1.0; every other entry is the
+        # plain running sum, so no draw below its old end moves.
+        running = np.cumsum(zipf_weights(len(ids), exponent))
+        assert cdf[-1] == 1.0 and np.array_equal(cdf[:-1], running[:-1])
+        if pool == "viewer":
+            assert np.searchsorted(running, u).tolist() == [len(ids)]  # the old IndexError

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.cdf import Cdf
-from repro.crawler.dataset import (
-    BroadcastDataset,
-    creations_per_user,
-    views_per_user,
-)
+from repro.crawler.dataset import BroadcastDataset, creation_tallies, view_tallies
 
 
 def table1_rows(datasets: list[BroadcastDataset]) -> dict[str, dict[str, int]]:
@@ -39,18 +35,18 @@ def hearts_cdf(dataset: BroadcastDataset) -> Cdf:
 
 def views_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts viewed per (active) user."""
-    counts = views_per_user(dataset)
-    if not counts:
+    _, counts = view_tallies(dataset)
+    if not len(counts):
         raise ValueError("dataset has no views")
-    return Cdf(np.array(list(counts.values()), dtype=float))
+    return Cdf(counts)
 
 
 def creations_per_user_cdf(dataset: BroadcastDataset) -> Cdf:
     """Figure 6: broadcasts created per (active) broadcaster."""
-    counts = creations_per_user(dataset)
-    if not counts:
+    _, counts = creation_tallies(dataset)
+    if not len(counts):
         raise ValueError("dataset has no broadcasts")
-    return Cdf(np.array(list(counts.values()), dtype=float))
+    return Cdf(counts)
 
 
 def viewer_activity_skew(views: Cdf, top_fraction: float = 0.15) -> float:

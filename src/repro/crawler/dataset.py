@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import pairwise, repeat, starmap
 from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,11 @@ COLUMN_LAYOUT: tuple[tuple[str, str], ...] = (
 #: Rows a dataset's iterator materializes at a time, so a row-by-row
 #: consumer (the JSONL writer) holds one window of records, not them all.
 ITER_WINDOW_ROWS = 4096
+
+#: Values an analysis pass over an ID column (Table 1, Figs 2 and 6)
+#: handles at a time, so its int64 temporaries stay at 256 KiB each
+#: whatever the dataset's size.
+WINDOW_VIEWS = 1 << 15
 
 #: The row-aligned columns: one entry per broadcast (all but the viewer CSR).
 _ROW_COLUMNS = tuple(
@@ -230,19 +235,11 @@ class BroadcastColumns:
     def take(self, indices: np.ndarray) -> "BroadcastColumns":
         """Rows at ``indices`` (in that order), ragged viewers regathered."""
         indices = np.asarray(indices, dtype=np.int64)
-        counts = self.mobile_views[indices]
-        total = int(counts.sum())
-        starts = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        offsets = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(starts[:-1], counts)
-            + np.repeat(self.viewer_indptr[indices], counts)
-        )
+        offsets, viewer_indptr = _view_offsets(self.viewer_indptr, indices)
         return BroadcastColumns(
             app_name=self.app_name,
             **{name: getattr(self, name)[indices] for name in _ROW_COLUMNS},
-            viewer_indptr=starts,
+            viewer_indptr=viewer_indptr,
             viewer_ids=self.viewer_ids[offsets],
         )
 
@@ -361,47 +358,95 @@ class BroadcastDataset:
         """Per-row integer start day."""
         return (self.columns.start_time / SECONDS_PER_DAY).astype(np.int64)
 
-    def daily_broadcast_counts(self) -> np.ndarray:
+    def daily_broadcast_counts(self, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """Broadcasts starting on each day in ``[0, days)``; with a row mask
+        ``keep`` (:meth:`downtime_survivors`), only the rows it keeps."""
         days = self._start_days()
         valid = (days >= 0) & (days < self.days)
+        if keep is not None:
+            valid &= keep
         return np.bincount(days[valid], minlength=self.days)
 
     def daily_active_users(self) -> tuple[np.ndarray, np.ndarray]:
         """(daily unique viewers, daily unique broadcasters)."""
         cols = self.columns
+        count_viewers = _window_counter(cols.viewer_ids)
+        count_broadcasters = _window_counter(cols.broadcaster_id)
+        viewers = np.zeros(self.days, dtype=np.int64)
+        broadcasters = np.zeros(self.days, dtype=np.int64)
+        for day, viewer_ids, broadcaster_ids in self._day_windows():
+            viewers[day] = count_viewers(viewer_ids)
+            broadcasters[day] = count_broadcasters(broadcaster_ids)
+        return viewers, broadcasters
+
+    def _day_windows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(day, viewer IDs, broadcaster IDs)`` of the rows starting on
+        each day in ``[0, days)``, one day at a time.
+
+        Rows in start-time order (every generated trace) make each day a
+        contiguous row range, whose viewers are one slice of
+        ``viewer_ids``.  Other rows are grouped by a stable argsort of
+        their days and each day's viewers gathered.  Rows starting outside
+        ``[0, days)`` fall in no window.
+        """
+        cols = self.columns
         days = self._start_days()
-        valid = (days >= 0) & (days < self.days)
-        day_per_view = np.repeat(days, cols.mobile_views)
-        view_valid = (day_per_view >= 0) & (day_per_view < self.days)
-        viewer_days, _ = _distinct_pairs(
-            day_per_view[view_valid], cols.viewer_ids[view_valid]
-        )
-        broadcaster_days, _ = _distinct_pairs(days[valid], cols.broadcaster_id[valid])
-        return (
-            np.bincount(viewer_days, minlength=self.days),
-            np.bincount(broadcaster_days, minlength=self.days),
-        )
+        order = None
+        if np.any(days[1:] < days[:-1]):
+            order = np.argsort(days, kind="stable")
+            days = days[order]
+        bounds = np.searchsorted(days, np.arange(self.days + 1)).tolist()
+        for day, (lo, hi) in enumerate(pairwise(bounds)):
+            if order is None:
+                views = slice(cols.viewer_indptr[lo], cols.viewer_indptr[hi])
+                yield day, cols.viewer_ids[views], cols.broadcaster_id[lo:hi]
+            else:
+                rows = order[lo:hi]
+                offsets, _ = _view_offsets(cols.viewer_indptr, rows)
+                yield day, cols.viewer_ids[offsets], cols.broadcaster_id[rows]
 
     # -- filtering --------------------------------------------------------
 
-    def apply_downtime(
+    def downtime_survivors(
         self, window: DowntimeWindow, rng: np.random.Generator
-    ) -> "BroadcastDataset":
-        """Return a copy with broadcasts lost during the outage removed.
+    ) -> np.ndarray:
+        """Mask of the rows that survive the outage ``window``.
 
         The rng draws one uniform per row inside the window, in row order
         (rows outside it draw nothing); that draw order is part of the
         deterministic contract with existing seeds.
         """
-        cols = self.columns
-        start_day = cols.start_time / SECONDS_PER_DAY
+        start_day = self.columns.start_time / SECONDS_PER_DAY
         inside = np.flatnonzero(
             (window.start_day <= start_day) & (start_day < window.end_day)
         )
-        keep = np.ones(len(cols), dtype=bool)
+        keep = np.ones(len(self), dtype=bool)
         keep[inside[rng.random(len(inside)) < window.loss_fraction]] = False
-        kept = cols.take(np.flatnonzero(keep))
+        return keep
+
+    def apply_downtime(
+        self, window: DowntimeWindow, rng: np.random.Generator
+    ) -> "BroadcastDataset":
+        """Return a copy with broadcasts lost during the outage removed
+        (the rows :meth:`downtime_survivors` keeps, drawn the same way)."""
+        kept = self.columns.take(np.flatnonzero(self.downtime_survivors(window, rng)))
         return BroadcastDataset(self.app_name, self.days, kept)
+
+
+def _view_offsets(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``viewer_ids`` of the views of ``rows``, row after
+    row, and the CSR ``viewer_indptr`` of those rows alone."""
+    counts = indptr[rows + 1] - indptr[rows]
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    offsets = (
+        np.arange(starts[-1], dtype=np.int64)
+        - np.repeat(starts[:-1], counts)
+        + np.repeat(indptr[rows], counts)
+    )
+    return offsets, starts
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -411,9 +456,70 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return first
 
 
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and the length of each one's run."""
+    starts = np.flatnonzero(_run_starts(ordered))
+    return ordered[starts], np.diff(starts, append=len(ordered))
+
+
+def _dense_span(values: np.ndarray, slot_bytes: int) -> Optional[tuple[int, int]]:
+    """``(low, span)`` of ``values`` when an array of ``slot_bytes`` per
+    value of their span is no larger than the int64 copy a sort of them
+    would make; ``None`` for wide (or no) values, which sort instead.
+
+    Generated user IDs are dense (1..N), so their span is far below their
+    count.  The span is computed in Python ints, so 63-bit and negative
+    IDs cannot overflow it.
+    """
+    if len(values) == 0:
+        return None
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span * slot_bytes > 8 * len(values):
+        return None
+    return low, span
+
+
+def _mark(marks: np.ndarray, low: int, values: np.ndarray, flag: bool = True) -> None:
+    """Set ``marks[v - low] = flag`` for every ``v`` in ``values``,
+    :data:`WINDOW_VIEWS` values at a time."""
+    for start in range(0, len(values), WINDOW_VIEWS):
+        window = values[start : start + WINDOW_VIEWS]
+        marks[np.subtract(window, low, dtype=np.int64)] = flag
+
+
 def _distinct_count(values: np.ndarray) -> int:
-    """The number of distinct values: one sort and a run count."""
-    return int(np.count_nonzero(_run_starts(np.sort(values))))
+    """The number of distinct values: dense values are marked in one bool
+    array over their span, wide ones sorted and their runs counted."""
+    dense = _dense_span(values, 1)
+    if dense is None:
+        return int(np.count_nonzero(_run_starts(np.sort(values))))
+    low, span = dense
+    marks = np.zeros(span, dtype=bool)
+    _mark(marks, low, values)
+    return int(np.count_nonzero(marks))
+
+
+def _window_counter(column: np.ndarray) -> Callable[[np.ndarray], int]:
+    """A distinct count for windows of ``column``, one window at a time.
+
+    Dense IDs share one bool array over the column's span: a window marks
+    its values, counts the marks and clears them again.  Wide IDs sort
+    each window.
+    """
+    dense = _dense_span(column, 1)
+    if dense is None:
+        return _distinct_count
+    low, span = dense
+    marks = np.zeros(span, dtype=bool)
+
+    def count(window: np.ndarray) -> int:
+        _mark(marks, low, window)
+        distinct = int(np.count_nonzero(marks))
+        _mark(marks, low, window, False)
+        return distinct
+
+    return count
 
 
 def _distinct_pairs(
@@ -447,19 +553,61 @@ def _distinct_pairs(
     return g[distinct], v[distinct]
 
 
+def _row_windows(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Row ranges ``[lo, hi)`` that cover every row with views, in order.
+
+    A range starts at the first row starting at or past each multiple of
+    :data:`WINDOW_VIEWS` views, so one holds about that many views (a
+    longer row fills its own).
+    """
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], WINDOW_VIEWS))
+    return pairwise(np.unique(np.append(starts, len(indptr) - 1)).tolist())
+
+
+def view_tallies(dataset: BroadcastDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``(users, counts)``: each registered user who viewed anything, in
+    ascending ID order, and the number of distinct broadcasts they viewed
+    (Figure 6).
+
+    ``(row, viewer)`` pairs are deduplicated one window of rows at a time
+    (a pair never spans two rows).  Dense viewer IDs add each window's
+    tallies into one count array over their span; wide ones keep each
+    window's distinct pairs and count them with one sort at the end.
+    """
+    cols = dataset.columns
+    indptr = cols.viewer_indptr
+    dense = _dense_span(cols.viewer_ids, 8)
+    low, span = dense or (0, 0)
+    tally = np.zeros(span, dtype=np.int64)
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for lo, hi in _row_windows(indptr):
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1]))
+        # Viewer-major: each viewer's distinct rows form one run.
+        viewers, _ = _distinct_pairs(cols.viewer_ids[indptr[lo] : indptr[hi]], rows)
+        if dense:
+            users, counts = _runs(viewers)
+            tally[users - low] += counts
+        else:
+            pairs.append(viewers)
+    if dense:
+        users = np.flatnonzero(tally)
+        return users + low, tally[users]
+    return _runs(np.sort(np.concatenate(pairs)))
+
+
+def creation_tallies(dataset: BroadcastDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``(users, counts)``: each broadcaster in ascending ID order and the
+    number of broadcasts they created (Figure 6)."""
+    return np.unique(dataset.columns.broadcaster_id, return_counts=True)
+
+
 def views_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts viewed per registered user (Figure 6)."""
-    cols = dataset.columns
-    row = np.repeat(np.arange(len(cols), dtype=np.int64), cols.mobile_views)
-    # Dedup (viewer, row) pairs viewer-major: each viewer's distinct
-    # broadcasts form one run, and the run lengths are the tallies.
-    viewers, _ = _distinct_pairs(cols.viewer_ids, row)
-    starts = np.flatnonzero(_run_starts(viewers))
-    counts = np.diff(starts, append=len(viewers))
-    return dict(zip(viewers[starts].tolist(), counts.tolist()))
+    users, counts = view_tallies(dataset)
+    return dict(zip(users.tolist(), counts.tolist()))
 
 
 def creations_per_user(dataset: BroadcastDataset) -> dict[int, int]:
     """Number of broadcasts created per user (Figure 6)."""
-    users, counts = np.unique(dataset.columns.broadcaster_id, return_counts=True)
+    users, counts = creation_tallies(dataset)
     return dict(zip(users.tolist(), counts.tolist()))

@@ -27,10 +27,12 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> tuple[dict, s
     periscope = periscope_trace(scale, seed)
     meerkat = meerkat_trace(scale, seed)
 
-    observed = periscope.dataset.apply_downtime(
+    survivors = periscope.dataset.downtime_survivors(
         CRAWLER_DOWNTIME, np.random.default_rng(seed)
     )
-    periscope_daily = DailySeries(observed.daily_broadcast_counts(), "Periscope")
+    periscope_daily = DailySeries(
+        periscope.dataset.daily_broadcast_counts(survivors), "Periscope"
+    )
     meerkat_daily = DailySeries(meerkat.dataset.daily_broadcast_counts(), "Meerkat")
 
     data = {

@@ -15,6 +15,7 @@ too, as is the rule that the trace analyses never materialize rows.
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crawler import dataset as dataset_module
 from repro.crawler.broadcast_monitor import anonymize_id
 from repro.crawler.dataset import (
     SECONDS_PER_DAY,
@@ -32,6 +34,7 @@ from repro.crawler.dataset import (
     _distinct_count,
     _distinct_pairs,
     creations_per_user,
+    view_tallies,
     views_per_user,
 )
 from repro.crawler.storage import (
@@ -371,6 +374,117 @@ class TestPackingLimit:
         ids = np.array([-7, 2, -7, 4, 2, -(2**40)], dtype=np.int64)
         assert_distinct_kernels_match(groups, ids)
         assert _distinct_pairs(groups, ids)[0].tolist() == [INT64_MIN, -1, -1, 5]
+
+
+@st.composite
+def tiny_datasets(draw) -> BroadcastDataset:
+    """A few rows over a few days: start days below 0 and at or past
+    ``days`` included, zero-viewer rows, viewers repeated inside a row, and
+    viewer and broadcaster IDs from pools whose spans have 1 to 63 bits
+    (negative IDs included), with rows either shuffled or in start order."""
+    days = draw(st.integers(1, 4))
+    size = draw(st.integers(2, 8))
+    viewer_pool = _spanned(draw, draw(st.one_of(st.integers(1, 8), st.integers(9, 63))), size)
+    broadcaster_pool = _spanned(draw, draw(st.integers(1, 63)), size)
+    starts = st.floats(-2.0 * SECONDS_PER_DAY, (days + 2) * SECONDS_PER_DAY)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                starts,
+                st.lists(st.sampled_from(viewer_pool), max_size=6),
+                st.sampled_from(broadcaster_pool),
+            ),
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0])
+    records = [
+        _record(bid=i, start=start, viewers=viewers, broadcaster=broadcaster)
+        for i, (start, viewers, broadcaster) in enumerate(rows)
+    ]
+    return BroadcastDataset.from_records("Periscope", days, records)
+
+
+class TestWindowedKernels:
+    """Every windowed kernel against its row-loop oracle, on both sides of
+    the mark-or-sort rule and with windows down to one view."""
+
+    @given(
+        dataset=tiny_datasets(),
+        window_views=st.integers(1, 8),
+        outage=st.tuples(st.floats(-1.0, 5.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_match_oracles(self, dataset, window_views, outage, seed):
+        with mock.patch.object(dataset_module, "WINDOW_VIEWS", window_views):
+            assert_aggregates_match(dataset)
+            users, _ = view_tallies(dataset)
+            start_day, length, loss_fraction = outage
+            window = DowntimeWindow(start_day, start_day + length, loss_fraction)
+            kernel_rng = np.random.default_rng(seed)
+            survivors = dataset.daily_broadcast_counts(
+                dataset.downtime_survivors(window, kernel_rng)
+            )
+        assert np.all(users[1:] > users[:-1])
+        oracle_rng = np.random.default_rng(seed)
+        kept = oracle_apply_downtime(list(dataset), window, oracle_rng)
+        assert np.array_equal(survivors, oracle_daily_broadcast_counts(kept, dataset.days))
+        assert kernel_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_63_bit_ids_in_start_order(self):
+        """Day-sorted rows of 63-bit pseudonyms count exactly: their span
+        is far past any array a kernel could mark, so every kernel sorts."""
+        records = [
+            _record(
+                bid=i,
+                start=(i // 4) * SECONDS_PER_DAY + 5.0,
+                viewers=[anonymize_id(v) for v in (i, i + 1, 2, 2)],
+                broadcaster=anonymize_id(i % 3),
+            )
+            for i in range(12)
+        ]
+        dataset = BroadcastDataset.from_records("Periscope", 3, records)
+        assert dataset.columns.viewer_ids.max() >= 2**40
+        assert_aggregates_match(dataset)
+
+
+class TestKernelMemory:
+    def test_kernels_bounded_by_id_span_and_busiest_day(self):
+        """Each trace kernel peaks (tracemalloc) within 32 B per user-ID
+        span slot and per view of the busiest day, plus 1 MiB: no
+        temporary grows with the trace's total views."""
+        dataset = generate_trace(TraceConfig.periscope(scale=0.002, seed=2016)).dataset
+        cols = dataset.columns
+        span = int(cols.viewer_ids.max()) - int(cols.viewer_ids.min()) + 1
+        days = (cols.start_time / SECONDS_PER_DAY).astype(np.int64)
+        day_views = np.bincount(days, weights=cols.mobile_views)
+        budget = 32 * (span + int(day_views.max())) + 2**20
+        # One int64 per view would not fit.
+        assert len(cols.viewer_ids) * 8 > 2 * budget
+
+        def fig1_survivors():
+            rng = np.random.default_rng(2016)
+            return dataset.daily_broadcast_counts(
+                dataset.downtime_survivors(CRAWLER_DOWNTIME, rng)
+            )
+
+        kernels = {
+            "table1": dataset.table1_row,
+            "fig1": fig1_survivors,
+            "fig2": dataset.daily_active_users,
+            "fig6": lambda: view_tallies(dataset),
+        }
+        peaks = {}
+        for name, kernel in kernels.items():
+            tracemalloc.start()
+            try:
+                kernel()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(peak <= budget for peak in peaks.values()), (peaks, budget)
 
 
 class TestDowntimePin:
